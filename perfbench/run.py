@@ -17,11 +17,18 @@ A run with --trace 0
      (at least one pass, so a run can measure for longer);
   3. checks every output, untimed, and prints the end-to-end metrics.
 
-A run with --trace 1 makes a traced, an untraced and a second traced pass
-over the same operations.  It prints the per-layer metrics of the second
-traced pass and the tracing overhead (its wall time minus the untraced
-pass's), and fails unless both traced passes made identical
-machine-independent counts.
+A run with --trace 1 makes one traced pass in this process and another in a
+fresh process.  It prints the per-layer metrics of the first, and fails
+unless both made identical machine-independent counts; both passes run
+cold, so a cache that outlives a call changes both alike.  The tracing
+overhead it reports is the number of wrapped calls times the cost of one
+wrapper, measured in this process.
+
+reference.json is a fixture, the metric values of the library as it stood
+when this benchmark was added: of every figure_points and validate operation
+(their inputs come from fixed shifts and configs, whatever the seed) and of
+the mixed_alpha_s2 operations of seed 0.  secrecy.value_drift is measured
+against it; the benchmark only reads it.
 
 The last line of standard output is one JSON object with the keys
 "correct", "attempted", "failed" and "metrics".  "correct" is false when an
@@ -59,7 +66,7 @@ import workloads  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 REFERENCE = os.path.join(HERE, "reference.json")
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 # Percentiles considered for the latency tail; the highest one with at least
 # ten samples beyond it is reported.
 TAIL_PERCENTILES = (99, 95, 90, 80, 70, 60, 50)
@@ -70,6 +77,20 @@ t0 = time.perf_counter()
 import workloads
 workloads.build(sys.argv[1], int(sys.argv[2]))
 print(repr(time.perf_counter() - t0))
+"""
+
+# One traced pass in a fresh process; prints its machine-independent counts.
+_COUNTS_CHILD = """
+import json, sys
+import workloads
+from tracer import Tracer
+with Tracer() as tracer:
+    for op in workloads.build(sys.argv[1], int(sys.argv[2])):
+        try:
+            workloads.execute(op)
+        except Exception:
+            pass
+print(json.dumps(tracer.counts()))
 """
 
 
@@ -138,20 +159,24 @@ def judge(records, checker):
     return v
 
 
-def measure_setup(workload, seed):
-    """Median time to import cunsec and build the workload's configs in a
-    fresh process."""
+def run_child(code, workload, seed, timeout):
+    """Run `code` in a fresh Python process with the library on its path and
+    return the last line of its standard output."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC, HERE] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    times = []
-    for _ in range(SETUP_REPEATS):
-        out = subprocess.run(
-            [sys.executable, "-c", _SETUP_CHILD, workload, str(seed)],
-            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
-            check=True)
-        times.append(float(out.stdout.split()[-1]))
-    return statistics.median(times)
+    out = subprocess.run(
+        [sys.executable, "-c", code, workload, str(seed)], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=timeout, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
+def measure_setup(workload, seed):
+    """Median time to import cunsec and build the workload's configs in a
+    fresh process."""
+    return statistics.median(
+        float(run_child(_SETUP_CHILD, workload, seed, 120))
+        for _ in range(SETUP_REPEATS))
 
 
 def tail(latencies):
@@ -197,18 +222,6 @@ def load_reference(workload):
         return json.load(fh).get(workload, {})
 
 
-def write_reference(workload, seed, records):
-    data = {}
-    if os.path.exists(REFERENCE):
-        with open(REFERENCE, encoding="utf-8") as fh:
-            data = json.load(fh)
-    data[workload] = {"seed": seed, "values": {
-        r.op.key: r.values for r in records}}
-    with open(REFERENCE, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 def value_drift(workload, records):
     """(max |value - stored seed-commit value|, operations compared)."""
     ref = load_reference(workload).get("values", {})
@@ -243,29 +256,26 @@ def untraced_run(args, ops, checker):
 
 
 def traced_run(args, ops, checker):
-    # The untraced pass sits between the two traced ones, so that it and the
-    # reported traced pass both run after the process's one-time costs.
-    with Tracer() as first:
-        cold, _ = run_pass(ops)
-    untraced, wall_u = run_pass(ops)
-    with Tracer() as second:
-        traced, wall_t = run_pass(ops)
-    c1, c2 = first.counts(), second.counts()
-    if c1 != c2:
-        diff = {k: (c1.get(k), c2.get(k)) for k in sorted(set(c1) | set(c2))
-                if c1.get(k) != c2.get(k)}
+    with Tracer() as tracer:
+        traced, wall = run_pass(ops)
+    counts = tracer.counts()
+    fresh = json.loads(run_child(_COUNTS_CHILD, args.workload, args.seed, 170))
+    if counts != fresh:
+        diff = {k: (counts.get(k), fresh.get(k))
+                for k in sorted(set(counts) | set(fresh))
+                if counts.get(k) != fresh.get(k)}
         sys.exit(f"count determinism check failed, same seed gave {diff}")
-    verdicts = [judge(p, checker) for p in (cold, untraced, traced)]
-    verdict = Verdict(all(v.correct for v in verdicts),
-                      sum(v.failed for v in verdicts))
-    layer = second.metrics()
-    layer["cli.run_validate.report_fail"] = verdicts[2].report_fail
+    verdict = judge(traced, checker)
+    layer = tracer.metrics()
+    layer["cli.run_validate.report_fail"] = verdict.report_fail
     layer["secrecy.value_drift"], layer["secrecy.value_drift_ops"] = \
         value_drift(args.workload, traced)
-    layer["trace.overhead_s"] = wall_t - wall_u
-    print(f"untraced pass {wall_u:.3f} s, traced pass {wall_t:.3f} s; "
-          f"{sum(c1.values())} counts identical on both traced passes")
-    return cold + untraced + traced, verdict, layer
+    wrapper_s = Tracer.wrapper_cost()
+    layer["trace.overhead_s"] = tracer.wrapped_calls() * wrapper_s
+    print(f"traced pass {wall:.3f} s; {tracer.wrapped_calls()} wrapped calls "
+          f"at {wrapper_s * 1e6:.3f} us; {sum(counts.values())} counts "
+          f"identical in a fresh traced process")
+    return traced, verdict, layer
 
 
 def main(argv=None):
@@ -274,9 +284,6 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--write-reference", action="store_true",
-                    help="store this run's metric values in reference.json "
-                         "as the values later runs report drift against")
     args = ap.parse_args(argv)
 
     if os.path.dirname(os.path.dirname(os.path.abspath(cunsec.__file__))) != SRC:
@@ -302,8 +309,6 @@ def main(argv=None):
         records, verdict, values = untraced_run(args, ops, checker)
     print(f"process cpu {time.process_time() - cpu0:.3f} s over "
           f"{time.perf_counter() - wall0:.3f} s wall")
-    if args.write_reference:
-        write_reference(args.workload, args.seed, records[:len(ops)])
 
     metrics = {}
     for m in declared:

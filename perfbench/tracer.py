@@ -130,11 +130,34 @@ class Tracer:
             _set(*self._saved.pop())
         return False
 
+    @staticmethod
+    def wrapper_cost(n=20000, repeats=5):
+        """Seconds a wrapper adds to one call, measured on a no-op: the best
+        of `repeats` loops of `n` wrapped calls less the best of as many bare
+        ones."""
+        def noop(*args):
+            return None
+
+        def best(fn):
+            times = []
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                for _ in range(n):
+                    fn(None, None)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        wrapped = Tracer()._wrap("probe", noop)
+        return max(best(wrapped) - best(noop), 0.0) / n
+
     # -- results ----------------------------------------------------------
 
+    def wrapped_calls(self):
+        return sum(st.calls for st in self.stats.values())
+
     def counts(self):
-        """Machine-independent counts: equal on two passes over the same
-        operations."""
+        """Machine-independent counts: equal on two fresh processes that make
+        one pass over the same operations."""
         out = {}
         for name, st in self.stats.items():
             out[f"{name}.calls"] = st.calls
