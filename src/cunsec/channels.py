@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import binom, gamma as _gamma, gammainc
 
 from .errors import NumericalIntegrityError, ParameterError
-from .specfun import DEFAULT_POLICY, FoxHSpec, MeijerGSpec, meijer_g
+from .specfun import DEFAULT_POLICY, MeijerGSpec, meijer_g
 
 __all__ = [
     "RfChannelParams",
@@ -147,13 +147,19 @@ class FsoLinkParams:
     def __post_init__(self):
         if not np.isfinite(self.alpha_o) or self.alpha_o <= 0:
             raise ParameterError("alpha_o must be a positive real")
-        if self.beta_o != int(self.beta_o) or self.beta_o < 1:
+        if not np.isfinite(self.beta_o) or self.beta_o != int(self.beta_o) \
+                or self.beta_o < 1:
             raise ParameterError("beta_o must be a positive integer")
         object.__setattr__(self, "beta_o", int(self.beta_o))
-        if self.g <= 0 or self.omega_total <= 0:
-            raise ParameterError("g and omega_total must be positive")
-        if self.epsilon <= 0:
-            raise ParameterError("epsilon must be positive")
+        for name in ("g", "omega_total", "epsilon"):
+            value = getattr(self, name)
+            if not np.isfinite(value) or value <= 0:
+                raise ParameterError(f"{name} must be a positive real")
+        if not np.isfinite(self.avg_snr_db):
+            raise ParameterError("avg_snr_db must be finite")
+        if self.electrical_snr_db is not None and \
+                not np.isfinite(self.electrical_snr_db):
+            raise ParameterError("electrical_snr_db must be finite")
         if self.s not in (1, 2):
             raise ParameterError("s must be 1 (heterodyne) or 2 (IM/DD)")
         if not (0.0 <= self.blockage_p <= 1.0):
@@ -225,12 +231,6 @@ class FsoLinkParams:
         return MeijerGSpec(m=3 * self.s, n=1,
                            a=(1.0,) + self.q1,
                            b=self.q2(m_o) + (0.0,))
-
-    def cdf_kernel_fox(self, m_o):
-        spec = self.cdf_kernel_spec(m_o)
-        return FoxHSpec(m=spec.m, n=spec.n,
-                        upper=tuple((x, 1.0) for x in spec.a),
-                        lower=tuple((x, 1.0) for x in spec.b))
 
 
 def electrical_snr(fso):

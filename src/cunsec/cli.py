@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -180,8 +181,20 @@ def _cmd_sweep(args):
 # validate
 # --------------------------------------------------------------------------
 
+def _null_se(p, n):
+    """Standard error of an n-sample frequency whose true value is p,
+    floored at 1/n so that p at 0 or 1 still gives a finite z."""
+    p = min(max(p, 0.0), 1.0)
+    return max(math.sqrt(p * (1.0 - p) / n), 1.0 / n)
+
+
 def run_validate(cfg, n, seed, sp=None, policy=None):
     """Analytic-vs-MC table plus channel-law KS rows.
+
+    z uses the standard error under the analytic value (the null), not the
+    Monte-Carlo estimate's own, which is 0 when no sample falls in the
+    event.  EST is compared with EST_L, whose error is the target rate times
+    that of SOP_L.  The std_error column is the Monte-Carlo standard error.
 
     Returns (report dict, passed flag).  n must be >= 1e4.
     """
@@ -195,11 +208,14 @@ def run_validate(cfg, n, seed, sp=None, policy=None):
         "SPSC": spsc(cfg, sp, policy).value,
     }
     analytic["EST"] = cfg.target_rate * (1.0 - analytic["SOP_L"])
+    se_sop = _null_se(analytic["SOP_L"], n)
+    null_se = {"SOP_L": se_sop, "SPSC": _null_se(analytic["SPSC"], n),
+               "EST": cfg.target_rate * se_sop}
     comparators = {"SOP_L": "SOP_L", "SPSC": "SPSC", "EST": "EST_L"}
     passed = True
     for name, mc_key in comparators.items():
         estm = mc[mc_key]
-        se = max(estm.std_error, 1e-12)
+        se = max(null_se[name], 1e-12)  # EST at target rate 0
         z = (analytic[name] - estm.estimate) / se
         ok = abs(z) <= 3.0
         passed &= ok

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from math import comb as _icomb
 
 import numpy as np
-from scipy.special import binom, gamma as _gamma, gammaincc
+from scipy.integrate import quad
+from scipy.special import binom, gamma as _gamma, gammaincc, gammaincinv
 
 from .channels import alpha_mu_cdf, db_to_linear, fso_blocked_cdf
 from .errors import ParameterError, UnsupportedParametersError
@@ -84,7 +85,6 @@ class SeriesPolicy:
 
     rel_tol: float = 1e-8
     max_terms: int = 200
-    compensated: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
@@ -130,21 +130,25 @@ def cdf_rf_scenario1(rf_sr, rf_sp, pc, snr):
 
 
 def _inv_cdf(ch, u):
-    from scipy.special import gammaincinv
-
+    """alpha-mu SNR quantile: the inverse of alpha_mu_cdf."""
     return (gammaincinv(ch.mu, u) / ch.delta) ** (1.0 / ch.alpha_tilde)
 
 
-def cdf_rf_scenario1_quad(rf_sr, rf_sp, pc, snr):
-    """Defining-integral route, valid for any non-linearity pair (the
-    interference draw is integrated in probability space)."""
-    from scipy.integrate import quad
+def _ratio_cdf_quad(rf_sr, rf_sp, pc, x, u0):
+    """int_{u0}^1 F_r(x * F_p^-1(u) / psi_q) du: Pr{psi_q x_r / x_p <= x}
+    restricted to the interference draws above the u0 quantile, with the
+    interference draw integrated in probability space."""
+    f = lambda u: alpha_mu_cdf(rf_sr, x * _inv_cdf(rf_sp, u) / pc.psi_q)
+    val, _ = quad(f, u0, 1.0, limit=300)
+    return val
 
+
+def cdf_rf_scenario1_quad(rf_sr, rf_sp, pc, snr):
+    """Defining-integral route, valid for any non-linearity pair."""
     x = float(snr)
     if x == 0.0:
         return 0.0
-    f = lambda u: alpha_mu_cdf(rf_sr, x * _inv_cdf(rf_sp, u) / pc.psi_q)
-    val, _ = quad(f, 0.0, 1.0, limit=300)
+    val = _ratio_cdf_quad(rf_sr, rf_sp, pc, x, 0.0)
     return float(min(max(val, 0.0), 1.0))
 
 
@@ -194,10 +198,17 @@ def lambda2_exact(rf_sr, rf_sp, pc, snr):
     x = float(snr)
     if x < 0:
         raise ParameterError("snr must be >= 0")
+    w = (pc.psi_q / pc.psi_t) ** rf_sr.alpha_tilde
+    p1 = float(gammaincc(rf_sp.mu, rf_sp.delta * w))
+    return p1 - _lambda2_tail(rf_sr, rf_sp, pc, x)
+
+
+def _lambda2_tail(rf_sr, rf_sp, pc, x):
+    """The snr-dependent piece of lambda2_exact, lambda2 = P1 - tail, with
+    P1 = Pr{psi_q/x_p <= psi_t}."""
     at = rf_sr.alpha_tilde
     psi_q, psi_t = pc.psi_q, pc.psi_t
     w = (psi_q / psi_t) ** at
-    p1 = float(gammaincc(rf_sp.mu, rf_sp.delta * w))
     c = rf_sp.delta + rf_sr.delta * psi_q ** (-at) * x ** at
     tot = 0.0
     for m_r in range(rf_sr.mu):
@@ -206,7 +217,7 @@ def lambda2_exact(rf_sr, rf_sp, pc, snr):
             / (_gamma(rf_sp.mu) * _gamma(m_r + 1.0)) \
             * psi_q ** (-at * m_r) * x ** (at * m_r)
         tot += pref * float(gammaincc(om, c * w)) * _gamma(om) / c ** om
-    return p1 - tot
+    return tot
 
 
 def lambda2_series_radius(rf_sr, rf_sp, pc):
@@ -266,12 +277,9 @@ def lambda2(rf_sr, rf_sp, pc, snr, sp=DEFAULT_SERIES, on_divergence="exact"):
                 term = 0.0
                 for m5 in range(sp.max_terms):
                     term = float(binom(om + m5 - 1, m5)) * (-z) ** m5
-                    if sp.compensated:
-                        t = s5 + (term - comp)
-                        comp = (t - s5) - (term - comp)
-                        s5 = t
-                    else:
-                        s5 += term
+                    t = s5 + (term - comp)
+                    comp = (t - s5) - (term - comp)
+                    s5 = t
                     terms_used += 1
                     if abs(term) <= sp.rel_tol * max(abs(s5), 1e-300):
                         small += 1
@@ -298,15 +306,12 @@ def cdf_rf_scenario2(rf_sr, rf_sp, pc, snr, sp=DEFAULT_SERIES):
 
 def cdf_rf_scenario2_quad(rf_sr, rf_sp, pc, snr):
     """Defining-probability route (lambda1 product + lambda2 quadrature)."""
-    from scipy.integrate import quad
-
     x = float(snr)
     if x == 0.0:
         return 0.0
     l1 = alpha_mu_cdf(rf_sp, pc.psi_q / pc.psi_t) * alpha_mu_cdf(rf_sr, x / pc.psi_t)
     u0 = alpha_mu_cdf(rf_sp, pc.psi_q / pc.psi_t)
-    f = lambda u: alpha_mu_cdf(rf_sr, x * _inv_cdf(rf_sp, u) / pc.psi_q)
-    l2, _ = quad(f, u0, 1.0, limit=300)
+    l2 = _ratio_cdf_quad(rf_sr, rf_sp, pc, x, u0)
     return float(min(max(l1 + l2, 0.0), 1.0))
 
 

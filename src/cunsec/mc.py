@@ -91,9 +91,7 @@ def sample_malaga_snr(fso, n, seed, stream=0):
     """SNR draws of the (unblocked) Malaga link: mu_s * (I / E[I])^s with the
     pointing-error factor inside I."""
     turb, pointing = sample_malaga_components(fso, n, seed, stream)
-    e2 = fso.epsilon ** 2
-    mean_i = (fso.g + fso.omega_total) * e2 / (e2 + 1.0)
-    return fso.mu_s * (turb * pointing / mean_i) ** fso.s
+    return fso.mu_s * (turb * pointing / fso.mean_irradiance) ** fso.s
 
 
 def apply_blockage(samples, blockage_p, seed, stream=0):

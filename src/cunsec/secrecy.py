@@ -17,10 +17,11 @@ from math import comb as _icomb
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import binom, gamma as _gamma, gammaincinv
+from scipy.special import binom, gamma as _gamma
 
 from .channels import FsoLinkParams, RfChannelParams
-from .cun_cdf import DEFAULT_SERIES, PowerConstraints, cdf_rf
+from .cun_cdf import (DEFAULT_SERIES, PowerConstraints, _inv_cdf,
+                      _lambda2_tail, cdf_rf)
 from .errors import NumericalIntegrityError, ParameterError
 from .specfun import (
     BivariateFoxHSpec,
@@ -122,13 +123,10 @@ def _g_weighted_moment(fso, m_o, power, weight, at, c_arg, policy=DEFAULT_POLICY
     """int_0^inf x^power exp(-weight x^at) G_cdfkernel(c_arg x) dx as a
     univariate Fox H with one stretched upper pair."""
     mu_fac = (power + 1.0) / at
-    base = fso.cdf_kernel_spec(m_o)
-    spec = FoxHSpec(
-        m=base.m,
-        n=base.n + 1,
-        upper=((1.0 - mu_fac, 1.0 / at),) + tuple((x, 1.0) for x in base.a),
-        lower=tuple((x, 1.0) for x in base.b),
-    )
+    base = fso.cdf_kernel_spec(m_o).as_fox_h()
+    spec = FoxHSpec(m=base.m, n=base.n + 1,
+                    upper=((1.0 - mu_fac, 1.0 / at),) + base.upper,
+                    lower=base.lower)
     z = c_arg * weight ** (-1.0 / at)
     return weight ** (-mu_fac) / at * fox_h(spec, z, policy)
 
@@ -142,17 +140,26 @@ def g_exp_moment(cfg, m_o, power, policy=DEFAULT_POLICY):
 
 def g_exp_pair_moment(cfg, m_o, power, coeff, at_r, policy=DEFAULT_POLICY):
     """int_0^inf x^power exp(-coeff x^at_r) exp(-delta_e x^at_e)
-    G_cdfkernel(V sigma x / mu_s) dx as a bivariate Fox H."""
+    G_cdfkernel(V sigma x / mu_s) dx.
+
+    When the stretch exponents match, the two exponentials merge and this
+    is the univariate weighted moment; otherwise a bivariate Fox H (the
+    same split as exp_pair_moment).
+    """
     e, fso = cfg.rf_se, cfg.fso
     at_e = e.alpha_tilde
+    c_arg = fso.V * cfg.sigma / fso.mu_s
+    if abs(at_r - at_e) <= 1e-12:
+        return _g_weighted_moment(fso, m_o, power, coeff + e.delta, at_e,
+                                  c_arg, policy)
     xi9 = power + 1.0
     spec = BivariateFoxHSpec(
         joint=((1.0 - xi9 / at_e, at_r / at_e, 1.0 / at_e),),
         kernel1=FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),)),
-        kernel2=cfg.fso.cdf_kernel_fox(m_o),
+        kernel2=fso.cdf_kernel_spec(m_o).as_fox_h(),
     )
     z1 = coeff * e.delta ** (-at_r / at_e)
-    z2 = fso.V * cfg.sigma / fso.mu_s * e.delta ** (-1.0 / at_e)
+    z2 = c_arg * e.delta ** (-1.0 / at_e)
     return e.delta ** (-xi9 / at_e) / at_e * fox_h_bivariate(spec, z1, z2, policy)
 
 
@@ -173,12 +180,9 @@ def _binomial_series(term_fn, sp):
         term = term_fn(k)
         if not np.isfinite(term):
             return total, False, k + 1, np.inf
-        if sp.compensated:
-            t = total + (term - comp)
-            comp = (t - total) - (term - comp)
-            total = t
-        else:
-            total += term
+        t = total + (term - comp)
+        comp = (t - total) - (term - comp)
+        total = t
         mag = abs(term)
         if prev_mag is not None and mag > prev_mag:
             growth += 1
@@ -331,18 +335,6 @@ def r8_term(cfg, k, m_o, policy=DEFAULT_POLICY):
     return r6_term(cfg, k, m_o, policy)
 
 
-def _r6_fast(cfg, m_o, power, policy):
-    """Assembly route for the r6/r8 kernels: when the stretch exponents
-    match, the two exponentials merge and the bivariate H collapses to the
-    univariate weighted moment (equivalent values, far cheaper)."""
-    r, e, fso = cfg.rf_sr, cfg.rf_se, cfg.fso
-    if abs(r.alpha_tilde - e.alpha_tilde) <= 1e-12:
-        return _g_weighted_moment(fso, m_o, power, _xi10(cfg) + e.delta,
-                                  e.alpha_tilde, fso.V * cfg.sigma / fso.mu_s,
-                                  policy)
-    return g_exp_pair_moment(cfg, m_o, power, _xi10(cfg), r.alpha_tilde, policy)
-
-
 @dataclass
 class RTermSet:
     r1: float
@@ -388,59 +380,26 @@ def r_terms(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY, k_extra=2):
 # quadrature routes
 # --------------------------------------------------------------------------
 
-def _inverse_cdf_e(e, u):
-    return (gammaincinv(e.mu, u) / e.delta) ** (1.0 / e.alpha_tilde)
+def _expect_rf_fso(cfg, rf, policy):
+    """E over the eavesdropper SNR x of rf(sigma x) * F_fso*(sigma x), with
+    x substituted by its quantile so the integral runs over [0, 1]."""
+    from .channels import MalagaCdfEvaluator
+
+    sig = cfg.sigma
+    fso_cdf = MalagaCdfEvaluator(cfg.fso, snr_ref=sig * cfg.rf_se.avg_snr,
+                                 policy=policy, blocked=True)
+
+    def integrand(u):
+        x = sig * _inv_cdf(cfg.rf_se, u)
+        return rf(x) * fso_cdf(x)
+
+    val, _ = quad(integrand, 0.0, 1.0, limit=200)
+    return val
 
 
 def sop_lower_quadrature(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
     """Probability-substituted quadrature of the defining outage integral."""
-    from .channels import MalagaCdfEvaluator
-
-    sig = cfg.sigma
-    fso_cdf = MalagaCdfEvaluator(cfg.fso, snr_ref=sig * cfg.rf_se.avg_snr,
-                                 policy=policy, blocked=True)
-
-    def integrand(u):
-        g_e = _inverse_cdf_e(cfg.rf_se, u)
-        x = sig * g_e
-        return cdf_rf(cfg, x, sp) * fso_cdf(x)
-
-    val, _ = quad(integrand, 0.0, 1.0, limit=200)
-    return val
-
-
-def _p2_part_quadrature(cfg, sp, policy):
-    """E over the eavesdropper of P2(sigma x) * F_fso*(sigma x), where P2 is
-    the exact tail piece of lambda2."""
-    from .channels import MalagaCdfEvaluator
-
-    sig = cfg.sigma
-    r, p, pc = cfg.rf_sr, cfg.rf_sp, cfg.pc
-    fso_cdf = MalagaCdfEvaluator(cfg.fso, snr_ref=sig * cfg.rf_se.avg_snr,
-                                 policy=policy, blocked=True)
-
-    def p2_exact(x):
-        from scipy.special import gammaincc
-
-        at = r.alpha_tilde
-        w = (pc.psi_q / pc.psi_t) ** at
-        c = p.delta + r.delta * pc.psi_q ** (-at) * x ** at
-        tot = 0.0
-        for m_r in range(r.mu):
-            om = p.mu + m_r
-            pref = p.delta ** p.mu * r.delta ** m_r / \
-                (_gamma(p.mu) * _gamma(m_r + 1.0)) * \
-                pc.psi_q ** (-at * m_r) * x ** (at * m_r)
-            tot += pref * float(gammaincc(om, c * w)) * _gamma(om) / c ** om
-        return tot
-
-    def integrand(u):
-        g_e = _inverse_cdf_e(cfg.rf_se, u)
-        x = sig * g_e
-        return p2_exact(x) * fso_cdf(x)
-
-    val, _ = quad(integrand, 0.0, 1.0, limit=200)
-    return val
+    return _expect_rf_fso(cfg, lambda x: cdf_rf(cfg, x, sp), policy)
 
 
 # --------------------------------------------------------------------------
@@ -508,8 +467,7 @@ def sop_lower_scenario2(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
     # lambda1 tail piece (finite)
     for m_r in range(r.mu):
         b_mr = r.delta ** m_r * pc.psi_t ** (-at * m_r) / _gamma(m_r + 1.0)
-        r6_mix = sum(fso.varsigma(m_o) *
-                     _r6_fast(cfg, m_o, e.theta + at * m_r, policy)
+        r6_mix = sum(fso.varsigma(m_o) * r6_term(cfg, m_r, m_o, policy)
                      for m_o in range(1, fso.beta_o + 1))
         total -= (1.0 - big_a) * b_mr * sig ** (at * m_r) * \
             fso_bracket(r2_term(cfg, m_r, policy), r6_mix)
@@ -525,8 +483,7 @@ def sop_lower_scenario2(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
 
     def bracket_at(k):
         if k not in bracket_cache:
-            r8_mix = sum(fso.varsigma(m_o) *
-                         _r6_fast(cfg, m_o, e.theta + at * k, policy)
+            r8_mix = sum(fso.varsigma(m_o) * r8_term(cfg, k, m_o, policy)
                          for m_o in range(1, fso.beta_o + 1))
             bracket_cache[k] = fso_bracket(r4_at(k), r8_mix)
         return bracket_cache[k]
@@ -574,7 +531,9 @@ def sop_lower_scenario2(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
         total -= p2_total
         diags["route"] = "closed"
     else:
-        total -= _p2_part_quadrature(cfg, sp, policy)
+        # E over the eavesdropper of the exact lambda2 tail times F_fso*
+        total -= _expect_rf_fso(
+            cfg, lambda x: _lambda2_tail(r, p, pc, x), policy)
         diags["route"] = "closed+quadrature-p2"
         diags["p2_series_ratio"] = z5
     return SecrecyResult(_clamp_unit(total, "SOP_L^II"), "SOP_L", "II", diags)

@@ -1,8 +1,10 @@
 """Special-function kernel: gamma family, Meijer G, Fox H, bivariate Fox H.
 
 All G/H evaluations use the same method: a truncated Mellin-Barnes integral
-along a vertical line, trapezoidal quadrature, with adaptive doubling of the
-node count and the half-length until the value is stable.  The convention is
+along a vertical line, trapezoidal quadrature, refined by one loop
+(`_refine`, shared by the univariate and the bivariate evaluator) that
+doubles the node count or widens the half-length until the value is
+stable.  The convention is
 
     H(z) = (1/2*pi*i) * int_L Phi(t) z^t dt,
     Phi(t) = prod_{j<=m} Gamma(b_j - B_j t) * prod_{j<=n} Gamma(1 - a_j + A_j t)
@@ -76,14 +78,15 @@ def upper_incomplete_gamma(a, x):
 class ContourPolicy:
     """Numerical policy for Mellin-Barnes evaluation.
 
-    half_length is the starting contour half-length; both it and the node
-    count grow adaptively when `adaptive` is set.  node counts are per axis.
+    half_length is the starting contour half-length of the univariate
+    evaluator; the refinement loop grows it and the node count until the
+    value is stable to rel_tol.  Node counts are per axis; max_nodes and
+    bivariate_max_nodes are the budgets past which refinement raises
+    ConvergenceError.
     """
 
-    abscissa_offset: float = 0.0
     half_length: float = 32.0
     node_count: int = 2049
-    adaptive: bool = True
     rel_tol: float = 1e-8
     max_nodes: int = 2 ** 16
     bivariate_node_count: int = 513
@@ -98,6 +101,9 @@ class ContourPolicy:
             raise ParameterError("half_length must be positive")
         if self.max_nodes < self.node_count:
             raise ParameterError("max_nodes must be >= node_count")
+        if self.bivariate_max_nodes < self.bivariate_node_count:
+            raise ParameterError(
+                "bivariate_max_nodes must be >= bivariate_node_count")
 
 
 DEFAULT_POLICY = ContourPolicy()
@@ -225,10 +231,8 @@ class BivariateFoxHSpec:
 # line integration engine
 # --------------------------------------------------------------------------
 
-def _pick_abscissa(spec, z, policy, extra_lo=None):
+def _pick_abscissa(spec, z):
     lo, hi = spec.pole_interval()
-    if extra_lo is not None:
-        lo = max(lo, extra_lo)
     if lo >= hi:
         raise ContourError(
             f"pole families straddle every vertical line (interval [{lo}, {hi}] empty); "
@@ -263,10 +267,7 @@ def _pick_abscissa(spec, z, policy, extra_lo=None):
     pad = 1e-3 * (chi - clo) + 1e-9
     cands = np.linspace(clo + pad, chi - pad, 257)
     mag = magnitude(cands)
-    c = float(cands[int(np.argmin(mag))])
-    if policy.abscissa_offset:
-        c = float(np.clip(c + policy.abscissa_offset, clo + pad, chi - pad))
-    return c
+    return float(cands[int(np.argmin(mag))])
 
 
 def _trapz_line(spec, z, c, half_length, nodes):
@@ -280,56 +281,70 @@ def _trapz_line(spec, z, c, half_length, nodes):
     return integral, l1
 
 
-def _converge_line(spec, z, policy, extra_lo=None):
-    """Adaptive vertical-line integral.
+def _refine(grid, halves, nodes, grow, max_nodes, rounds, policy):
+    """The Mellin-Barnes refinement loop of every evaluator.
 
-    Returns (value, error, l1, contour) with contour = (c, half, nodes) at
-    convergence so callers can reuse the grid for nearby arguments.
+    grid(halves, nodes) returns (integral, l1) of the trapezoid rule with
+    the given per-axis half-lengths and node counts.  Each round compares
+    the current grid with a node-doubled one (2n-1 nodes) and a wider one
+    (half-lengths times `grow`) and refines whichever error dominates.
+    Returns (estimates, error, l1, halves, nodes), where estimates holds
+    the last two values (the second is the result) and halves/nodes is the
+    converged grid; raises ConvergenceError once a per-axis node count
+    exceeds max_nodes or `rounds` rounds pass.
     """
-    if not np.isfinite(z) or z <= 0:
-        raise ParameterError(f"argument must be a positive real, got {z}")
-    c = _pick_abscissa(spec, z, policy, extra_lo=extra_lo)
-    rate = max(spec.decay_rate(), 1e-2)
-    half = max(policy.half_length, 30.0 / rate)
-    nodes = policy.node_count
-    v_prev, l1 = _trapz_line(spec, z, c, half, nodes)
-    history = [v_prev]
-    if not policy.adaptive:
-        return v_prev, abs(v_prev), l1, (c, half, nodes)
-    for _ in range(24):
-        v_nodes, l1 = _trapz_line(spec, z, c, half, 2 * nodes - 1)
+    v_prev, l1 = grid(halves, nodes)
+    for _ in range(rounds):
+        dense = tuple(2 * n - 1 for n in nodes)
+        v_nodes, l1 = grid(halves, dense)
         err_nodes = abs(v_nodes - v_prev)
-        grown = int((2 * nodes - 1) * 1.5) | 1
-        v_tail, _ = _trapz_line(spec, z, c, 1.5 * half, grown)
+        wide = tuple(h * grow for h in halves)
+        grown = tuple(int(n * grow) | 1 for n in dense)
+        v_tail, _ = grid(wide, grown)
         err_tail = abs(v_tail - v_nodes)
-        history = [v_nodes, v_tail]
-        noise = 1e-15 * l1
-        budget = max(policy.rel_tol * abs(v_tail), noise)
+        estimates = (v_nodes, v_tail)
+        budget = max(policy.rel_tol * abs(v_tail), 1e-15 * l1)
         if err_nodes <= budget and err_tail <= budget:
-            return v_tail, err_nodes + err_tail, l1, (c, 1.5 * half, grown)
+            return estimates, err_nodes + err_tail, l1, wide, grown
         if err_tail > err_nodes:
-            half *= 1.5
-            nodes = grown
+            halves, nodes = wide, grown
         else:
-            nodes = 2 * nodes - 1
+            nodes = dense
         v_prev = v_tail
-        if nodes > policy.max_nodes:
+        if max(nodes) > max_nodes:
             raise ConvergenceError(
-                "Mellin-Barnes refinement exceeded the node budget "
-                f"({policy.max_nodes}); last estimates {history}",
-                estimates=history,
-                diagnostics={"half_length": half, "nodes": nodes, "abscissa": c},
+                "Mellin-Barnes refinement exceeded the per-axis node budget "
+                f"({max_nodes}); last estimates {list(estimates)}",
+                estimates=estimates,
+                diagnostics={"half_lengths": halves, "nodes": nodes},
             )
     raise ConvergenceError(
-        f"Mellin-Barnes refinement stalled; last estimates {history}",
-        estimates=history,
-        diagnostics={"half_length": half, "nodes": nodes, "abscissa": c},
+        f"Mellin-Barnes refinement stalled; last estimates {list(estimates)}",
+        estimates=estimates,
+        diagnostics={"half_lengths": halves, "nodes": nodes},
     )
 
 
-def _eval_line(spec, z, policy, extra_lo=None):
-    value, err, l1, _ = _converge_line(spec, z, policy, extra_lo=extra_lo)
-    return _finalize(value, err, l1, policy, [value])
+def _converge_line(spec, z, policy):
+    """Adaptive vertical-line integral.
+
+    Returns (estimates, error, l1, contour) with contour = (c, half, nodes)
+    at convergence so callers can reuse the grid for nearby arguments.
+    """
+    if not np.isfinite(z) or z <= 0:
+        raise ParameterError(f"argument must be a positive real, got {z}")
+    c = _pick_abscissa(spec, z)
+    rate = max(spec.decay_rate(), 1e-2)
+    half = max(policy.half_length, 30.0 / rate)
+    estimates, err, l1, (half,), (nodes,) = _refine(
+        lambda halves, nodes: _trapz_line(spec, z, c, halves[0], nodes[0]),
+        (half,), (policy.node_count,), 1.5, policy.max_nodes, 24, policy)
+    return estimates, err, l1, (c, half, nodes)
+
+
+def _eval_line(spec, z, policy):
+    estimates, err, l1, _ = _converge_line(spec, z, policy)
+    return _finalize(estimates, err, l1, policy)
 
 
 class LineEvaluator:
@@ -376,14 +391,15 @@ class LineEvaluator:
         return float(self.eval_many(np.array([float(z)]))[0])
 
 
-def _finalize(value, err, l1, policy, history):
+def _finalize(estimates, err, l1, policy):
+    value = estimates[-1]
     noise = 1e-14 * l1
     im_budget = max(policy.rel_tol * abs(value.real), 10.0 * noise)
     if abs(value.imag) > im_budget:
         raise ConvergenceError(
             f"imaginary residue {value.imag:.3e} exceeds budget {im_budget:.3e} "
             "for a real-by-construction integral",
-            estimates=history,
+            estimates=estimates,
         )
     return float(value.real), float(max(err, noise))
 
@@ -496,42 +512,7 @@ def fox_h_bivariate(spec, z1, z2, policy=DEFAULT_POLICY):
     half1 = max(24.0, 30.0 / rate1)
     half2 = max(24.0, 30.0 / rate2)
     n = policy.bivariate_node_count
-    n1 = n2 = n
-    v_prev, l1 = _bivar_grid(spec, z1, z2, c1, c2, half1, half2, n1, n2)
-    if not policy.adaptive:
-        return _finalize(v_prev, abs(v_prev), l1, policy, [v_prev])[0]
-    diag = []
-    for _ in range(10):
-        v_nodes, l1 = _bivar_grid(spec, z1, z2, c1, c2, half1, half2,
-                                  2 * n1 - 1, 2 * n2 - 1)
-        err_nodes = abs(v_nodes - v_prev)
-        g1 = int((2 * n1 - 1) * 1.4) | 1
-        g2 = int((2 * n2 - 1) * 1.4) | 1
-        v_tail, _ = _bivar_grid(spec, z1, z2, c1, c2, 1.4 * half1, 1.4 * half2, g1, g2)
-        err_tail = abs(v_tail - v_nodes)
-        diag = [("nodes", err_nodes), ("tail", err_tail)]
-        noise = 1e-15 * l1
-        budget = max(policy.rel_tol * abs(v_tail), noise)
-        if err_nodes <= budget and err_tail <= budget:
-            return _finalize(v_tail, err_nodes + err_tail, l1, policy,
-                             [v_nodes, v_tail])[0]
-        if err_tail > err_nodes:
-            half1 *= 1.4
-            half2 *= 1.4
-            n1, n2 = g1, g2
-        else:
-            n1, n2 = 2 * n1 - 1, 2 * n2 - 1
-        v_prev = v_tail
-        if max(n1, n2) > policy.bivariate_max_nodes:
-            raise ConvergenceError(
-                "bivariate Mellin-Barnes refinement exceeded the per-axis node "
-                f"budget; per-axis diagnostics {diag}",
-                estimates=[v_prev],
-                diagnostics={"axis1_nodes": n1, "axis2_nodes": n2,
-                             "half_lengths": (half1, half2)},
-            )
-    raise ConvergenceError(
-        f"bivariate refinement stalled; per-axis diagnostics {diag}",
-        estimates=[v_prev],
-    )
-
+    estimates, err, l1, _, _ = _refine(
+        lambda halves, nodes: _bivar_grid(spec, z1, z2, c1, c2, *halves, *nodes),
+        (half1, half2), (n, n), 1.4, policy.bivariate_max_nodes, 10, policy)
+    return _finalize(estimates, err, l1, policy)[0]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cunsec.cli import main, run_sweep, run_validate
-from cunsec.config import load_config, replace_by_path
+from cunsec.config import config_from_dict, load_config, replace_by_path
 from cunsec.errors import ConfigError
 from cunsec.figures import FIGURES, figure_config, figure_dict, write_figure_configs
 from cunsec.mc import simulate_metrics
@@ -62,6 +62,16 @@ class TestLoadConfig:
         path.write_text(json.dumps(d))
         with pytest.raises(ConfigError, match="fso"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["beta_o", "g", "omega_total", "epsilon",
+                                     "avg_snr_db", "electrical_snr_db"])
+    def test_non_finite_fso_rejected(self, key, value):
+        # json.load accepts NaN and Infinity literals
+        d = figure_dict("fig4")
+        d["fso"][key] = value
+        with pytest.raises(ConfigError, match=f"^{key} must"):
+            config_from_dict(d)
 
     def test_replace_by_path(self):
         cfg = figure_config("fig4")
@@ -213,6 +223,13 @@ class TestValidate:
         z = (sop_lower(corrupted).value - mc["SOP_L"].estimate) \
             / mc["SOP_L"].std_error
         assert abs(z) > 3.0
+
+    def test_event_without_samples_passes(self):
+        # fig3's SOP_L is ~1e-8: no sample falls in the event, so the
+        # Monte-Carlo standard error is 0 and only the null one gives a z
+        report, passed = run_validate(figure_config("fig3"), 20_000, seed=9)
+        assert report["metrics"][0]["mc"] == 0.0
+        assert passed, report
 
     def test_report_structure(self):
         report, passed = run_validate(figure_config("minimal"), 20_000, seed=9)

@@ -16,6 +16,7 @@ from cunsec.mc import simulate_metrics
 from cunsec.secrecy import (
     SecrecyConfig,
     est,
+    g_exp_pair_moment,
     im1_term,
     im2_term,
     im3_term,
@@ -34,6 +35,7 @@ from cunsec.secrecy import (
     sop_lower_scenario2,
     spsc,
 )
+from cunsec.specfun import BivariateFoxHSpec, FoxHSpec, fox_h_bivariate
 
 mp.mp.dps = 25
 
@@ -207,6 +209,27 @@ class TestRTerms:
         assert_allclose(r6_term(cfg, 0, 1), oracle_r6(cfg, 0, 1), rtol=1e-4)
         assert_allclose(r6_term(cfg, 1, 2), oracle_r6(cfg, 1, 2), rtol=1e-4)
         assert_allclose(r8_term(cfg, 2, 1), oracle_r6(cfg, 2, 1), rtol=1e-4)
+
+    def test_equal_exponent_collapse_matches_bivariate(self):
+        # at alpha_sr == alpha_se g_exp_pair_moment merges the exponentials
+        # into a univariate H, which must agree with the bivariate H of the
+        # same integral
+        cfg = figure_config("fig7")
+        r, e, fso = cfg.rf_sr, cfg.rf_se, cfg.fso
+        at = e.alpha_tilde
+        assert r.alpha_tilde == at
+        m_o, power = 1, e.theta + at
+        coeff = r.delta * cfg.pc.psi_t ** (-at) * cfg.sigma ** at
+        spec = BivariateFoxHSpec(
+            joint=((1.0 - (power + 1.0) / at, 1.0, 1.0 / at),),
+            kernel1=FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),)),
+            kernel2=fso.cdf_kernel_spec(m_o).as_fox_h(),
+        )
+        z2 = fso.V * cfg.sigma / fso.mu_s * e.delta ** (-1.0 / at)
+        direct = e.delta ** (-(power + 1.0) / at) / at * \
+            fox_h_bivariate(spec, coeff / e.delta, z2)
+        assert_allclose(g_exp_pair_moment(cfg, m_o, power, coeff, at),
+                        direct, rtol=1e-10)
 
     def test_bundle_aliases(self):
         cfg = figure_config("fig7")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from cunsec.errors import ContourError, ParameterError
+from cunsec.errors import ContourError, ConvergenceError, ParameterError
 from cunsec.specfun import (
     BivariateFoxHSpec,
     ContourPolicy,
@@ -221,6 +221,41 @@ class TestBivariate:
                                  kernel2=exp_kernel)
         with pytest.raises(ParameterError):
             fox_h_bivariate(spec, -1.0, 1.0)
+
+
+class TestRefinementBudget:
+    """Both evaluators share one refinement loop; once it runs out of nodes
+    it raises with the last two estimates and the grid it reached."""
+
+    def _check(self, info, budget):
+        exc = info.value
+        assert "node budget" in str(exc)
+        assert len(exc.estimates) == 2
+        assert set(exc.diagnostics) == {"half_lengths", "nodes"}
+        assert max(exc.diagnostics["nodes"]) > budget
+
+    def test_univariate(self):
+        spec = MeijerGSpec(m=3, n=1, a=(1.0, 2.0), b=(1.0, 2.296, 1.0, 0.0))
+        pol = ContourPolicy(node_count=64, max_nodes=64, rel_tol=1e-15)
+        with pytest.raises(ConvergenceError) as info:
+            meijer_g(spec, 0.5, pol)
+        self._check(info, 64)
+        assert len(info.value.diagnostics["nodes"]) == 1
+
+    def test_bivariate(self):
+        exp_kernel = FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),))
+        spec = BivariateFoxHSpec(joint=(), kernel1=exp_kernel,
+                                 kernel2=exp_kernel)
+        pol = ContourPolicy(bivariate_node_count=33, bivariate_max_nodes=33,
+                            rel_tol=1e-15)
+        with pytest.raises(ConvergenceError) as info:
+            fox_h_bivariate(spec, 0.7, 1.9, pol)
+        self._check(info, 33)
+        assert len(info.value.diagnostics["half_lengths"]) == 2
+
+    def test_policy_rejects_budget_below_start(self):
+        with pytest.raises(ParameterError):
+            ContourPolicy(bivariate_node_count=513, bivariate_max_nodes=257)
 
 
 class TestLineEvaluator:
