@@ -1,10 +1,11 @@
 """The three secrecy metrics and how their closed routes report themselves.
 
 Every metric is an expectation of the hybrid CDF over the eavesdropper law.
-The closed assemblies expand it into integral-term families; where a series
-family cannot reach tolerance the evaluator swaps in quadrature and says so
-in the diagnostics, so a result is never silently built from a divergent
-expansion.
+The closed assemblies expand it into integral-term families.  Where a tail
+series cannot converge, the assembly keeps the closed FSO piece, takes the
+RF tail as one quadrature over the eavesdropper SNR, and says so in the
+route ("closed+quadrature-tail", "closed+quadrature-p2"), so a result is
+never silently built from a divergent expansion.
 """
 
 from cunsec import est, simulate_metrics, sop_lower, spsc

@@ -60,7 +60,7 @@ class RfChannelParams:
     def __post_init__(self):
         if not np.isfinite(self.alpha) or self.alpha <= 0:
             raise ParameterError("alpha must be a positive real")
-        if self.mu != int(self.mu) or self.mu < 1:
+        if not np.isfinite(self.mu) or self.mu != int(self.mu) or self.mu < 1:
             raise ParameterError("mu must be a positive integer")
         object.__setattr__(self, "mu", int(self.mu))
         if not np.isfinite(self.avg_snr_db):
@@ -162,6 +162,7 @@ class FsoLinkParams:
             raise ParameterError("electrical_snr_db must be finite")
         if self.s not in (1, 2):
             raise ParameterError("s must be 1 (heterodyne) or 2 (IM/DD)")
+        object.__setattr__(self, "s", int(self.s))
         if not (0.0 <= self.blockage_p <= 1.0):
             raise ParameterError("blockage_p must lie in [0, 1]")
 

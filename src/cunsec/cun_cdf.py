@@ -116,6 +116,11 @@ def cdf_rf_scenario1(rf_sr, rf_sp, pc, snr):
     x = float(snr)
     if x < 0:
         raise ParameterError("snr must be >= 0")
+    return float(min(max(1.0 - _scenario1_tail(rf_sr, rf_sp, pc, x), 0.0), 1.0))
+
+
+def _scenario1_tail(rf_sr, rf_sp, pc, x):
+    """1 - cdf_rf_scenario1 before clamping: the finite sum over m_r."""
     at = rf_sr.alpha_tilde
     psi_q = pc.psi_q
     xi1 = rf_sr.delta * psi_q ** (-at)
@@ -126,7 +131,7 @@ def cdf_rf_scenario1(rf_sr, rf_sp, pc, snr):
             * rf_sr.delta ** m_r * rf_sp.delta ** rf_sp.mu \
             * (x / psi_q) ** (at * m_r) \
             * (xi1 * x ** at + rf_sp.delta) ** (-xi2)
-    return float(min(max(1.0 - tot, 0.0), 1.0))
+    return tot
 
 
 def _inv_cdf(ch, u):
@@ -134,12 +139,11 @@ def _inv_cdf(ch, u):
     return (gammaincinv(ch.mu, u) / ch.delta) ** (1.0 / ch.alpha_tilde)
 
 
-def _ratio_cdf_quad(rf_sr, rf_sp, pc, x, u0):
-    """int_{u0}^1 F_r(x * F_p^-1(u) / psi_q) du: Pr{psi_q x_r / x_p <= x}
-    restricted to the interference draws above the u0 quantile, with the
-    interference draw integrated in probability space."""
-    f = lambda u: alpha_mu_cdf(rf_sr, x * _inv_cdf(rf_sp, u) / pc.psi_q)
-    val, _ = quad(f, u0, 1.0, limit=300)
+def _expect(ch, f, u0=0.0):
+    """int_{u0}^1 f(F_ch^-1(u)) du: the expectation of f over the alpha-mu
+    SNR of ch, restricted to draws above its u0 quantile and integrated in
+    probability space.  Every quadrature fallback runs through here."""
+    val, _ = quad(lambda u: f(_inv_cdf(ch, u)), u0, 1.0, limit=300)
     return val
 
 
@@ -148,7 +152,7 @@ def cdf_rf_scenario1_quad(rf_sr, rf_sp, pc, snr):
     x = float(snr)
     if x == 0.0:
         return 0.0
-    val = _ratio_cdf_quad(rf_sr, rf_sp, pc, x, 0.0)
+    val = _expect(rf_sp, lambda y: alpha_mu_cdf(rf_sr, x * y / pc.psi_q))
     return float(min(max(val, 0.0), 1.0))
 
 
@@ -311,7 +315,7 @@ def cdf_rf_scenario2_quad(rf_sr, rf_sp, pc, snr):
         return 0.0
     l1 = alpha_mu_cdf(rf_sp, pc.psi_q / pc.psi_t) * alpha_mu_cdf(rf_sr, x / pc.psi_t)
     u0 = alpha_mu_cdf(rf_sp, pc.psi_q / pc.psi_t)
-    l2 = _ratio_cdf_quad(rf_sr, rf_sp, pc, x, u0)
+    l2 = _expect(rf_sp, lambda y: alpha_mu_cdf(rf_sr, x * y / pc.psi_q), u0)
     return float(min(max(l1 + l2, 0.0), 1.0))
 
 

@@ -5,9 +5,9 @@ Every metric is the expectation of the hybrid-link CDF at sigma * snr_e over
 the eavesdropper density.  The closed routes expand that expectation into the
 integral-term families (the I-terms for Scenario I, the R-terms for Scenario
 II); each family member has a Mellin-Barnes closed form.  The binomial series
-attached to the I3/I4 and R4/R8 families converge only in part of parameter
-space, so every family carries an automatic quadrature fallback and the
-result reports which route produced it.
+of the I3/I4 and R4/R8 families converge only in part of parameter space;
+elsewhere the RF tail is one expectation over the eavesdropper SNR
+(cun_cdf._expect) and the result reports which route produced it.
 """
 
 from __future__ import annotations
@@ -16,17 +16,18 @@ from dataclasses import dataclass, field, replace
 from math import comb as _icomb
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import binom, gamma as _gamma
+from scipy.special import binom, gamma as _gamma, gammaincc
 
-from .channels import FsoLinkParams, RfChannelParams
-from .cun_cdf import (DEFAULT_SERIES, PowerConstraints, _inv_cdf,
-                      _lambda2_tail, cdf_rf)
+from .channels import FsoLinkParams, MalagaCdfEvaluator, RfChannelParams
+from .cun_cdf import (DEFAULT_SERIES, PowerConstraints, _expect,
+                      _lambda2_tail, _scenario1_tail, cdf_rf,
+                      require_equal_alpha)
 from .errors import NumericalIntegrityError, ParameterError
 from .specfun import (
     BivariateFoxHSpec,
     DEFAULT_POLICY,
     FoxHSpec,
+    LineEvaluator,
     fox_h,
     fox_h_bivariate,
 )
@@ -214,18 +215,15 @@ def im2_term(cfg, m_o, policy=DEFAULT_POLICY):
 
 
 def _pow_kernel_series(cfg, m_r, m_o, sp, policy):
-    """Shared machinery of the I3 (m_o None) and I4 families.
-
-    Integrand x^(theta_e + at*m_r) e^(-d_e x^at_e) (xi1 s^at x^at + d_p)^-xi2
-    [G(V s x / mu_s)], expanded binomially in m2; falls back to direct
-    quadrature when the expansion misbehaves.
-    """
-    r, p, e, fso = cfg.rf_sr, cfg.rf_sp, cfg.rf_se, cfg.fso
+    """I3 (m_o None) / I4 term int x^(theta_e + at*m_r) e^(-d_e x^at_e)
+    (xi1 s^at x^at + d_p)^-xi2 [G(V s x / mu_s)] dx, expanded binomially in
+    m2; None when the expansion ratio is >= 1 or the series diverges."""
+    r, p, e = cfg.rf_sr, cfg.rf_sp, cfg.rf_se
     at = r.alpha_tilde
-    sig = cfg.sigma
-    xi1s = r.delta * cfg.pc.psi_q ** (-at) * sig ** at
     xi2 = m_r + p.mu
-    zr = xi1s / p.delta
+    zr = r.delta * cfg.pc.psi_q ** (-at) * cfg.sigma ** at / p.delta
+    if zr >= 1.0:
+        return None
     base_pow = e.theta + at * m_r
 
     def term(m2):
@@ -235,38 +233,36 @@ def _pow_kernel_series(cfg, m_r, m_o, sp, policy):
             return c * exp_moment(e, pw)
         return c * g_exp_moment(cfg, m_o, pw, policy)
 
-    if zr < 1.0:
-        total, converged, n_used, bound = _binomial_series(term, sp)
-        if converged:
-            return total * p.delta ** (-xi2), "series", n_used
-    # direct quadrature of the defining integrand
-    if m_o is None:
-        f = lambda x: x ** base_pow * np.exp(-e.delta * x ** e.alpha_tilde) * \
-            (xi1s * x ** at + p.delta) ** (-xi2)
-    else:
-        from .specfun import LineEvaluator
+    total, converged, _, _ = _binomial_series(term, sp)
+    return total * p.delta ** (-xi2) if converged else None
 
-        c_arg = fso.V * sig / fso.mu_s
-        kern = LineEvaluator(fso.cdf_kernel_spec(m_o),
+
+def _pow_kernel_term(cfg, m_r, m_o, sp, policy):
+    """I3/I4 term and its route: the series, else the expectation over the
+    eavesdropper SNR of the defining integrand without its density."""
+    val = _pow_kernel_series(cfg, m_r, m_o, sp, policy)
+    if val is not None:
+        return val, "series"
+    r, p, e, fso = cfg.rf_sr, cfg.rf_sp, cfg.rf_se, cfg.fso
+    at = r.alpha_tilde
+    xi1s = r.delta * cfg.pc.psi_q ** (-at) * cfg.sigma ** at
+    xi2 = m_r + p.mu
+    kern = lambda x: 1.0
+    if m_o is not None:
+        c_arg = fso.V * cfg.sigma / fso.mu_s
+        line = LineEvaluator(fso.cdf_kernel_spec(m_o),
                              max(c_arg * e.avg_snr, 1e-6), policy)
-
-        def f(x):
-            return x ** base_pow * np.exp(-e.delta * x ** e.alpha_tilde) * \
-                (xi1s * x ** at + p.delta) ** (-xi2) * \
-                (kern(c_arg * x) if x > 0 else 0.0)
-
-    val, _ = quad(f, 0.0, np.inf, limit=200)
-    return val, "quadrature", 0
+        kern = lambda x: line(c_arg * x) if x > 0 else 0.0
+    f = lambda x: x ** (at * m_r) * (xi1s * x ** at + p.delta) ** (-xi2) * kern(x)
+    return _expect(e, f) / _f_e_norm(e), "quadrature"
 
 
 def im3_term(cfg, m_r, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
-    val, route, _ = _pow_kernel_series(cfg, m_r, None, sp, policy)
-    return val, route
+    return _pow_kernel_term(cfg, m_r, None, sp, policy)
 
 
 def im4_term(cfg, m_r, m_o, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
-    val, route, _ = _pow_kernel_series(cfg, m_r, m_o, sp, policy)
-    return val, route
+    return _pow_kernel_term(cfg, m_r, m_o, sp, policy)
 
 
 @dataclass
@@ -282,8 +278,6 @@ def im_terms(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
     """All Scenario-I integral terms for the configured mixture orders."""
     if cfg.pc.scenario != "I":
         raise ParameterError("im_terms is defined for Scenario I configs")
-    from .cun_cdf import require_equal_alpha
-
     require_equal_alpha(cfg.rf_sr, cfg.rf_sp)
     routes = {}
     i2 = {m_o: im2_term(cfg, m_o, policy) for m_o in range(1, cfg.fso.beta_o + 1)}
@@ -359,8 +353,6 @@ def r_terms(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY, k_extra=2):
     materialised up to mu_r - 1 + k_extra)."""
     if cfg.pc.scenario != "II":
         raise ParameterError("r_terms is defined for Scenario II configs")
-    from .cun_cdf import require_equal_alpha
-
     require_equal_alpha(cfg.rf_sr, cfg.rf_sp)
     k_max = cfg.rf_sr.mu - 1 + k_extra
     r2 = {m_r: r2_term(cfg, m_r, policy) for m_r in range(cfg.rf_sr.mu)}
@@ -381,20 +373,16 @@ def r_terms(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY, k_extra=2):
 # --------------------------------------------------------------------------
 
 def _expect_rf_fso(cfg, rf, policy):
-    """E over the eavesdropper SNR x of rf(sigma x) * F_fso*(sigma x), with
-    x substituted by its quantile so the integral runs over [0, 1]."""
-    from .channels import MalagaCdfEvaluator
-
+    """E over the eavesdropper SNR x of rf(sigma x) * F_fso*(sigma x)."""
     sig = cfg.sigma
     fso_cdf = MalagaCdfEvaluator(cfg.fso, snr_ref=sig * cfg.rf_se.avg_snr,
                                  policy=policy, blocked=True)
 
-    def integrand(u):
-        x = sig * _inv_cdf(cfg.rf_se, u)
-        return rf(x) * fso_cdf(x)
+    def integrand(x):
+        sx = sig * x
+        return rf(sx) * fso_cdf(sx)
 
-    val, _ = quad(integrand, 0.0, 1.0, limit=200)
-    return val
+    return _expect(cfg.rf_se, integrand)
 
 
 def sop_lower_quadrature(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
@@ -417,22 +405,30 @@ def sop_lower_scenario1(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
         diags["route"] = "quadrature"
         return SecrecyResult(_clamp_unit(val, "SOP_L^I"), "SOP_L", "I", diags)
     at = r.alpha_tilde
-    sig = cfg.sigma
     ce = _f_e_norm(e)
     P_o = fso.blockage_p
-    terms = im_terms(cfg, sp, policy)
-    diags.update(terms.routes)
-    diags["route"] = "closed"
+    m_os = range(1, fso.beta_o + 1)
     total = P_o + (1.0 - P_o) * fso.K * ce * sum(
-        fso.varsigma(m_o) * terms.im2[m_o] for m_o in terms.im2)
+        fso.varsigma(m_o) * im2_term(cfg, m_o, policy) for m_o in m_os)
+    # the elementary I3 series decide the route before any I4 series (a
+    # Fox H call per term) starts
+    terms = {}
+    for key in [(m_r, None) for m_r in range(r.mu)] + \
+            [(m_r, m_o) for m_r in range(r.mu) for m_o in m_os]:
+        terms[key] = _pow_kernel_series(cfg, *key, sp, policy)
+        if terms[key] is None:
+            total -= _expect_rf_fso(
+                cfg, lambda x: _scenario1_tail(r, p, cfg.pc, x), policy)
+            diags["route"] = "closed+quadrature-tail"
+            return SecrecyResult(_clamp_unit(total, "SOP_L^I"), "SOP_L", "I", diags)
+    diags["route"] = "closed"
     for m_r in range(r.mu):
         xi2 = m_r + p.mu
         d_mr = _gamma(xi2) * r.delta ** m_r * p.delta ** p.mu * \
             cfg.pc.psi_q ** (-at * m_r) / (_gamma(p.mu) * _gamma(m_r + 1.0))
-        fso_part = sum(fso.varsigma(m_o) * terms.im4[(m_r, m_o)]
-                       for m_o in range(1, fso.beta_o + 1))
-        total -= ce * d_mr * sig ** (at * m_r) * (
-            P_o * terms.im3[m_r] + (1.0 - P_o) * fso.K * fso_part)
+        fso_part = sum(fso.varsigma(m_o) * terms[m_r, m_o] for m_o in m_os)
+        total -= ce * d_mr * cfg.sigma ** (at * m_r) * (
+            P_o * terms[m_r, None] + (1.0 - P_o) * fso.K * fso_part)
     return SecrecyResult(_clamp_unit(total, "SOP_L^I"), "SOP_L", "I", diags)
 
 
@@ -446,8 +442,6 @@ def sop_lower_scenario2(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
         val = sop_lower_quadrature(cfg, sp, policy)
         diags["route"] = "quadrature"
         return SecrecyResult(_clamp_unit(val, "SOP_L^II"), "SOP_L", "II", diags)
-
-    from scipy.special import gammaincc
 
     at = r.alpha_tilde
     sig = cfg.sigma

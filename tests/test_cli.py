@@ -73,6 +73,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"^{key} must"):
             config_from_dict(d)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_mu_rejected(self, value):
+        d = figure_dict("fig4")
+        d["rf_sr"]["mu"] = value
+        with pytest.raises(ConfigError, match="mu must"):
+            config_from_dict(d)
+
     def test_replace_by_path(self):
         cfg = figure_config("fig4")
         cfg2 = replace_by_path(cfg, "power.psi_q_db", 7.5)

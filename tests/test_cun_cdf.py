@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import gamma
 
 from cunsec.channels import (
     RfChannelParams,
@@ -12,6 +13,7 @@ from cunsec.channels import (
 from cunsec.cun_cdf import (
     PowerConstraints,
     SeriesPolicy,
+    _expect,
     cdf_hybrid_scenario1,
     cdf_hybrid_scenario2,
     cdf_rf_scenario1,
@@ -45,6 +47,14 @@ def lambda2_defining_integral(rf_sr, rf_sp, pc, x):
     f = lambda y: alpha_mu_pdf(rf_sp, y) * alpha_mu_cdf(rf_sr, x * y / pc.psi_q)
     val, _ = quad(f, pc.psi_q / pc.psi_t, np.inf, limit=300)
     return val
+
+
+def test_expect_alpha_mu_moments():
+    ch = RfChannelParams(alpha=2.5, mu=3, avg_snr_db=4.0)
+    at = ch.alpha_tilde
+    mean = gamma(ch.mu + 1.0 / at) / (gamma(ch.mu) * ch.delta ** (1.0 / at))
+    assert_allclose(_expect(ch, lambda x: x), mean, rtol=1e-8)
+    assert _expect(ch, lambda x: 1.0, 0.5) == 0.5
 
 
 class TestScenario1:

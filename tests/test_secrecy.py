@@ -11,7 +11,7 @@ from cunsec.channels import RfChannelParams, alpha_mu_pdf, fso_blocked_cdf
 from cunsec.config import config_from_dict
 from cunsec.cun_cdf import PowerConstraints, cdf_rf_scenario1, lambda2_exact
 from cunsec.errors import ParameterError
-from cunsec.figures import figure_config
+from cunsec.figures import figure_config, figure_dict
 from cunsec.mc import simulate_metrics
 from cunsec.secrecy import (
     SecrecyConfig,
@@ -283,6 +283,49 @@ class TestSopScenario1:
         closed = sop_lower_scenario1(cfg).value
         direct = sop_lower_quadrature(cfg)
         assert_allclose(closed, direct, rtol=1e-6)
+
+    def test_tail_quadrature_route(self):
+        # at fig4 the I3 binomial series diverge: the tail is one
+        # expectation over the eavesdropper SNR
+        res = sop_lower_scenario1(figure_config("fig4"))
+        assert res.diagnostics["route"] == "closed+quadrature-tail"
+
+    def test_series_route_engages_and_matches(self):
+        cfg = figure_config("fig4")
+        cfg = dataclasses.replace(
+            cfg, pc=PowerConstraints(psi_q_db=30.0, scenario="I"))
+        res = sop_lower_scenario1(cfg)
+        assert res.diagnostics["route"] == "closed"
+        assert_allclose(res.value, sop1_defining_integral(cfg), rtol=1e-6)
+
+    def test_route_chosen_before_fox_h(self, monkeypatch):
+        # the elementary I3 series decide the route, so a point whose tail
+        # falls back spends Fox H calls on the I2 terms only
+        import cunsec.secrecy as secrecy
+
+        calls = []
+        real = secrecy.fox_h
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(secrecy, "fox_h", counting)
+        cfg = figure_config("fig4")
+        sop_lower_scenario1(cfg)
+        assert len(calls) == cfg.fso.beta_o
+
+    def test_float_detection_order(self):
+        # JSON may carry s as 2.0; q1/q2 index range() with it
+        d = figure_dict("fig4")
+        d["fso"]["s"] = 2
+        as_int = config_from_dict(d)
+        d["fso"]["s"] = 2.0
+        as_float = config_from_dict(d)
+        assert type(as_float.fso.s) is int
+        assert as_float.fso.q1 == as_int.fso.q1
+        assert as_float.fso.q2(1) == as_int.fso.q2(1)
+        assert sop_lower(as_float).value == sop_lower(as_int).value
 
 
 class TestSopScenario2:
