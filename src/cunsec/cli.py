@@ -251,8 +251,7 @@ def run_validate(cfg, n, seed, sp=None, policy=None):
     else:
         rf_samples = np.minimum(cfg.pc.psi_q / batch.snr_p, cfg.pc.psi_t) \
             * batch.snr_r
-    ks_row("rf_scenario", rf_samples,
-           lambda x: np.array([cdf_rf(cfg, v, sp) for v in np.atleast_1d(x)]),
+    ks_row("rf_scenario", rf_samples, lambda x: cdf_rf(cfg, x, sp),
            expensive=True)
     report = {"metrics": rows, "ks": ks_rows, "n": n, "seed": seed,
               "pass": bool(passed)}

@@ -252,7 +252,13 @@ def _pow_kernel_term(cfg, m_r, m_o, sp, policy):
         c_arg = fso.V * cfg.sigma / fso.mu_s
         line = LineEvaluator(fso.cdf_kernel_spec(m_o),
                              max(c_arg * e.avg_snr, 1e-6), policy)
-        kern = lambda x: line(c_arg * x) if x > 0 else 0.0
+
+        def kern(x):
+            out = np.zeros(x.shape)
+            pos = x > 0
+            out[pos] = line.eval_many(c_arg * x[pos])
+            return out
+
     f = lambda x: x ** (at * m_r) * (xi1s * x ** at + p.delta) ** (-xi2) * kern(x)
     return _expect(e, f) / _f_e_norm(e), "quadrature"
 
@@ -373,14 +379,15 @@ def r_terms(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY, k_extra=2):
 # --------------------------------------------------------------------------
 
 def _expect_rf_fso(cfg, rf, policy):
-    """E over the eavesdropper SNR x of rf(sigma x) * F_fso*(sigma x)."""
+    """E over the eavesdropper SNR x of rf(sigma x) * F_fso*(sigma x); rf
+    takes and returns arrays."""
     sig = cfg.sigma
     fso_cdf = MalagaCdfEvaluator(cfg.fso, snr_ref=sig * cfg.rf_se.avg_snr,
                                  policy=policy, blocked=True)
 
     def integrand(x):
         sx = sig * x
-        return rf(sx) * fso_cdf(sx)
+        return rf(sx) * fso_cdf.eval_many(sx)
 
     return _expect(cfg.rf_se, integrand)
 

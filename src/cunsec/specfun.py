@@ -355,6 +355,12 @@ class LineEvaluator:
     quadrature fallbacks and CDF grids where thousands of evaluations of the
     same kernel are needed; accuracy at arguments far from the reference is
     that of the frozen grid.
+
+    The frozen grid is trimmed to the contiguous nodes where
+    Re log Phi(c+iy) >= peak + ln 1e-17.  Since |z^(c+iy)| = z^c along the
+    whole line, the dropped nodes are below 1e-17 of the largest one at
+    every argument, not only at z_ref; the trapezoid rule converges
+    geometrically, so most of a converged grid lies there.
     """
 
     def __init__(self, spec, z_ref, policy=None):
@@ -364,11 +370,15 @@ class LineEvaluator:
         self.policy = policy or DEFAULT_POLICY
         _, _, _, (c, half, nodes) = _converge_line(spec, z_ref, self.policy)
         self.c = c
-        self.y = np.linspace(-half, half, nodes)
-        t = c + 1j * self.y
+        y = np.linspace(-half, half, nodes)
         with np.errstate(all="ignore"):
-            self.log_phi = spec.log_phi(t)
-        self.t = t
+            log_phi = spec.log_phi(c + 1j * y)
+        mag = np.where(np.isfinite(log_phi), log_phi.real, -np.inf)
+        keep = np.flatnonzero(mag >= mag.max() + np.log(1e-17))
+        part = slice(keep[0], keep[-1] + 1)
+        self.y = y[part]
+        self.log_phi = log_phi[part]
+        self.t = c + 1j * self.y
 
     def eval_many(self, zs):
         zs = np.asarray(zs, dtype=float)

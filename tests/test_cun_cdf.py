@@ -1,8 +1,14 @@
+import ast
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.special import gamma
+from scipy.special import gamma, gammaincc, gammaincinv
+
+import cunsec
 
 from cunsec.channels import (
     RfChannelParams,
@@ -16,6 +22,7 @@ from cunsec.cun_cdf import (
     _expect,
     cdf_hybrid_scenario1,
     cdf_hybrid_scenario2,
+    cdf_rf,
     cdf_rf_scenario1,
     cdf_rf_scenario2,
     cdf_rf_scenario2_quad,
@@ -55,6 +62,72 @@ def test_expect_alpha_mu_moments():
     mean = gamma(ch.mu + 1.0 / at) / (gamma(ch.mu) * ch.delta ** (1.0 / at))
     assert_allclose(_expect(ch, lambda x: x), mean, rtol=1e-8)
     assert _expect(ch, lambda x: 1.0, 0.5) == 0.5
+
+
+def test_expect_truncated_moment():
+    # int_{u0}^1 F^-1(u) du = E[x; x > F^-1(u0)], closed by the upper
+    # incomplete gamma
+    ch = RfChannelParams(alpha=2.5, mu=3, avg_snr_db=4.0)
+    at = ch.alpha_tilde
+    for u0 in (0.1, 0.5, 0.9, 0.999):
+        want = gammaincc(ch.mu + 1.0 / at, gammaincinv(ch.mu, u0)) \
+            * gamma(ch.mu + 1.0 / at) / (gamma(ch.mu) * ch.delta ** (1.0 / at))
+        assert_allclose(_expect(ch, lambda x: x, u0), want, rtol=1e-10)
+
+
+def test_expect_vector_valued_matches_scalar_calls():
+    ch = RfChannelParams(alpha=3.0, mu=2, avg_snr_db=6.0)
+    scales = np.array([0.1, 1.0, 3.0, 20.0])
+    got = _expect(ch, lambda x: alpha_mu_cdf(RF_R, scales[:, None] * x))
+    assert got.shape == scales.shape
+    want = [_expect(ch, lambda x, s=s: alpha_mu_cdf(RF_R, s * x)) for s in scales]
+    assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_expect_unsettled_integrand_raises():
+    rng = np.random.default_rng(5)
+    ch = RfChannelParams(alpha=2.0, mu=1, avg_snr_db=0.0)
+    with pytest.raises(ConvergenceError) as info:
+        _expect(ch, lambda x: rng.random(x.shape))
+    assert len(info.value.estimates) == 2
+    assert set(info.value.diagnostics) == {"levels", "nodes"}
+
+
+def test_package_has_one_quadrature_rule():
+    # _expect is the only quadrature: nothing in the package imports
+    # scipy.integrate
+    pkg = Path(cunsec.__file__).parent
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + \
+                    [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            assert not any(n.startswith("scipy.integrate") for n in names), path.name
+
+
+def _mixed_scenario2():
+    cfg = figure_config("fig7")
+    return replace(cfg, rf_sp=replace(cfg.rf_sp, alpha=3.0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: figure_config("fig4"),   # Scenario I, closed form
+    lambda: figure_config("fig3"),   # Scenario I, alpha_sr != alpha_sp
+    lambda: figure_config("fig7"),   # Scenario II, closed form
+    _mixed_scenario2,                # Scenario II, alpha_sr != alpha_sp
+], ids=["I-closed", "I-quad", "II-closed", "II-quad"])
+def test_cdf_rf_array_matches_scalar(make):
+    cfg = make()
+    xs = np.array([[0.0, 1e-3, 0.05, 0.3], [1.0, 4.0, 30.0, 500.0]])
+    got = cdf_rf(cfg, xs)
+    assert got.shape == xs.shape
+    want = [[cdf_rf(cfg, float(x)) for x in row] for row in xs]
+    assert all(isinstance(v, float) for row in want for v in row)
+    assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestScenario1:

@@ -9,7 +9,9 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from cunsec.errors import ContourError, ConvergenceError, ParameterError
+from cunsec.figures import FIGURES, figure_config
 from cunsec.specfun import (
+    DEFAULT_POLICY,
     BivariateFoxHSpec,
     ContourPolicy,
     FoxHSpec,
@@ -21,6 +23,8 @@ from cunsec.specfun import (
     lower_incomplete_gamma,
     meijer_g,
     upper_incomplete_gamma,
+    _converge_line,
+    _trapz_line,
 )
 
 mp.mp.dps = 30
@@ -266,3 +270,24 @@ class TestLineEvaluator:
         got = ev.eval_many(zs)
         want = np.array([meijer_g(spec, z) for z in zs])
         assert_allclose(got, want, rtol=1e-7, atol=1e-10)
+
+    def test_trimmed_contour_matches_full_contour(self):
+        # the Malaga CDF kernels of every figure, at the reference argument
+        # of their metric evaluator and eight decades around it
+        seen = set()
+        for name in FIGURES:
+            cfg = figure_config(name)
+            fso = cfg.fso
+            z_ref = max(fso.V * cfg.sigma * cfg.rf_se.avg_snr / fso.mu_s, 1e-6)
+            for m_o in range(1, fso.beta_o + 1):
+                spec = fso.cdf_kernel_spec(m_o).as_fox_h()
+                if (spec, z_ref) in seen:
+                    continue
+                seen.add((spec, z_ref))
+                ev = LineEvaluator(spec, z_ref)
+                _, _, _, (c, half, nodes) = _converge_line(spec, z_ref,
+                                                           DEFAULT_POLICY)
+                assert len(ev.y) < nodes
+                zs = z_ref * np.logspace(-4, 4, 17)
+                full = [_trapz_line(spec, z, c, half, nodes)[0].real for z in zs]
+                assert_allclose(ev.eval_many(zs), full, rtol=0, atol=1e-13)
