@@ -14,6 +14,12 @@ with L separating the poles of the m-group (right of L) from the poles of the
 n-group (left of L).  The abscissa is chosen automatically near the point that
 minimises the integrand magnitude, which keeps cancellation under control for
 arguments far from 1.
+
+The bivariate evaluator integrates over a product of two vertical lines.  Its
+joint gamma factors depend on the contour point only through A1*t1 + A2*t2, so
+the trapezoid nodes sit on a lattice with spacings h/A1 and h/A2: every node
+then maps onto one line of joint values, and the double sum is a single
+convolution of the two kernel lines weighted by that line (`_bivar_grid`).
 """
 
 from __future__ import annotations
@@ -210,7 +216,11 @@ class BivariateFoxHSpec:
     joint holds triples (a, A1, A2) contributing Gamma(1 - a + A1*t1 + A2*t2)
     to the numerator of the double Mellin-Barnes integrand; kernel1/kernel2
     are the per-variable univariate blocks.  An empty joint group makes the
-    function separable into the product of the two kernels.
+    function separable into the product of the two kernels.  The triples
+    share one (A1, A2), both > 0: the joint factors then depend on the
+    contour point only through A1*t1 + A2*t2, and the evaluator sums the
+    product contour on a lattice whose spacings h/A1 and h/A2 map every
+    node onto one line of joint values (see `_bivar_grid`).
     """
 
     joint: tuple
@@ -221,9 +231,12 @@ class BivariateFoxHSpec:
         trip = []
         for j in self.joint:
             a, A1, A2 = j
-            if A1 < 0 or A2 < 0:
-                raise ParameterError("joint coefficients must be >= 0")
+            if not (A1 > 0 and A2 > 0):
+                raise ParameterError(
+                    f"joint coefficients must be > 0, got ({A1}, {A2})")
             trip.append((float(a), float(A1), float(A2)))
+        if len({(A1, A2) for _, A1, A2 in trip}) > 1:
+            raise ParameterError("joint triples must share one (A1, A2)")
         object.__setattr__(self, "joint", tuple(trip))
 
 
@@ -278,50 +291,52 @@ def _trapz_line(spec, z, c, half_length, nodes):
     vals = np.nan_to_num(vals, nan=0.0, posinf=0.0, neginf=0.0)
     integral = np.trapezoid(vals, y) / (2.0 * np.pi)
     l1 = np.trapezoid(np.abs(vals), y) / (2.0 * np.pi)
-    return integral, l1
+    return integral, l1, (nodes,)
 
 
 def _refine(grid, halves, nodes, grow, max_nodes, rounds, policy):
     """The Mellin-Barnes refinement loop of every evaluator.
 
-    grid(halves, nodes) returns (integral, l1) of the trapezoid rule with
-    the given per-axis half-lengths and node counts.  Each round compares
-    the current grid with a node-doubled one (2n-1 nodes) and a wider one
-    (half-lengths times `grow`) and refines whichever error dominates.
-    Returns (estimates, error, l1, halves, nodes), where estimates holds
-    the last two values (the second is the result) and halves/nodes is the
-    converged grid; raises ConvergenceError once a per-axis node count
-    exceeds max_nodes or `rounds` rounds pass.
+    grid(halves, nodes) returns (integral, l1, used) of the trapezoid rule
+    with the given per-axis half-lengths and node counts, where used holds
+    the per-axis node counts it summed (the bivariate lattice can use more
+    than asked on its finer axis).  Each round compares the current grid
+    with a node-doubled one (2n-1 nodes) and a wider one (half-lengths
+    times `grow`) and refines whichever error dominates.  Returns
+    (estimates, error, l1, halves, nodes), where estimates holds the last
+    two values (the second is the result) and halves/nodes is the
+    converged grid; raises ConvergenceError once a used per-axis node
+    count exceeds max_nodes or `rounds` rounds pass.
     """
-    v_prev, l1 = grid(halves, nodes)
+    v_prev, l1, used = grid(halves, nodes)
     for _ in range(rounds):
         dense = tuple(2 * n - 1 for n in nodes)
-        v_nodes, l1 = grid(halves, dense)
+        v_nodes, l1, used_dense = grid(halves, dense)
         err_nodes = abs(v_nodes - v_prev)
         wide = tuple(h * grow for h in halves)
         grown = tuple(int(n * grow) | 1 for n in dense)
-        v_tail, _ = grid(wide, grown)
+        v_tail, _, used_wide = grid(wide, grown)
         err_tail = abs(v_tail - v_nodes)
         estimates = (v_nodes, v_tail)
         budget = max(policy.rel_tol * abs(v_tail), 1e-15 * l1)
         if err_nodes <= budget and err_tail <= budget:
             return estimates, err_nodes + err_tail, l1, wide, grown
         if err_tail > err_nodes:
-            halves, nodes = wide, grown
+            halves, nodes, used = wide, grown, used_wide
         else:
-            nodes = dense
+            nodes, used = dense, used_dense
         v_prev = v_tail
-        if max(nodes) > max_nodes:
+        if max(used) > max_nodes:
             raise ConvergenceError(
                 "Mellin-Barnes refinement exceeded the per-axis node budget "
                 f"({max_nodes}); last estimates {list(estimates)}",
                 estimates=estimates,
-                diagnostics={"half_lengths": halves, "nodes": nodes},
+                diagnostics={"half_lengths": halves, "nodes": used},
             )
     raise ConvergenceError(
         f"Mellin-Barnes refinement stalled; last estimates {list(estimates)}",
         estimates=estimates,
-        diagnostics={"half_lengths": halves, "nodes": nodes},
+        diagnostics={"half_lengths": halves, "nodes": used},
     )
 
 
@@ -433,30 +448,55 @@ def fox_h(spec, z, policy=DEFAULT_POLICY):
 
 
 def _bivar_grid(spec, z1, z2, c1, c2, half1, half2, n1, n2):
-    """Product-contour trapezoid, row-chunked to bound peak memory."""
-    y1 = np.linspace(-half1, half1, n1)
-    y2 = np.linspace(-half2, half2, n2)
-    t1 = c1 + 1j * y1
-    t2 = c2 + 1j * y2
+    """Product-contour trapezoid on a lattice, summed as one convolution.
+
+    On the product contour the joint factors depend on (y1, y2) only
+    through Y = A1*y1 + A2*y2.  The axes take the spacings h1 = h/A1 and
+    h2 = h/A2 with h = min(A1*2*half1/(n1-1), A2*2*half2/(n2-1)), so each
+    axis is at least as fine as asked, and the symmetric lattices
+    y1 = i*h1, y2 = j*h2 with |i| <= ceil(half1/h1), |j| <= ceil(half2/h2)
+    cover the half-lengths.  Then Y = (i+j)*h and the double sum is
+    sum_k J_k (a * b)_k, with a and b the kernel1 and kernel2 lines and J
+    the joint line on the |k| <= ceil(half1/h1) + ceil(half2/h2) lattice
+    points: the joint gammas cost one line instead of a grid.  An empty joint group is J = 1 with the
+    spacings 2*half/(n-1) of each axis.  Each line is exponentiated after
+    subtracting its largest real part and the scales are multiplied back.
+    Returns (integral, l1, nodes) with nodes the per-axis counts summed.
+    """
+    h1 = 2.0 * half1 / (n1 - 1)
+    h2 = 2.0 * half2 / (n2 - 1)
+    h = 0.0
+    if spec.joint:
+        _, A1, A2 = spec.joint[0]
+        h = min(A1 * h1, A2 * h2)
+        h1, h2 = h / A1, h / A2
+    # a half-length that is a whole number of steps must not gain a node
+    # by rounding
+    k1 = int(np.ceil(half1 / h1 - 1e-9))
+    k2 = int(np.ceil(half2 / h2 - 1e-9))
+    t1 = c1 + 1j * h1 * np.arange(-k1, k1 + 1)
+    t2 = c2 + 1j * h2 * np.arange(-k2, k2 + 1)
+    big_y = h * np.arange(-(k1 + k2), k1 + k2 + 1)
     with np.errstate(all="ignore"):
-        l1 = spec.kernel1.log_phi(t1) + t1 * np.log(z1)
-        l2 = spec.kernel2.log_phi(t2) + t2 * np.log(z2)
-    inner = np.empty(n1, dtype=complex)
-    inner_abs = np.empty(n1)
-    rows = max(1, (1 << 22) // n2)
-    for i in range(0, n1, rows):
-        t1_blk = t1[i:i + rows]
-        with np.errstate(all="ignore"):
-            blk = np.zeros((len(t1_blk), n2), dtype=complex)
-            for a, A1, A2 in spec.joint:
-                blk += loggamma(1.0 - a + A1 * t1_blk[:, None] + A2 * t2[None, :])
-            blk = np.exp(blk + l1[i:i + rows, None] + l2[None, :])
-        blk = np.nan_to_num(blk, nan=0.0, posinf=0.0, neginf=0.0)
-        inner[i:i + rows] = np.trapezoid(blk, y2, axis=1)
-        inner_abs[i:i + rows] = np.trapezoid(np.abs(blk), y2, axis=1)
-    val = np.trapezoid(inner, y1) / (2.0 * np.pi) ** 2
-    l1abs = np.trapezoid(inner_abs, y1) / (2.0 * np.pi) ** 2
-    return val, l1abs
+        log_joint = np.zeros(len(big_y), dtype=complex)
+        for a, A1, A2 in spec.joint:
+            log_joint += loggamma(1.0 - a + A1 * c1 + A2 * c2 + 1j * big_y)
+        logs = [spec.kernel1.log_phi(t1) + t1 * np.log(z1),
+                spec.kernel2.log_phi(t2) + t2 * np.log(z2),
+                log_joint]
+        lines, log_scale = [], 0.0
+        for lg in logs:
+            top = np.max(np.where(np.isfinite(lg), lg.real, -np.inf))
+            lines.append(np.nan_to_num(np.exp(lg - top),
+                                       nan=0.0, posinf=0.0, neginf=0.0))
+            log_scale += top
+    a, b, joint = lines
+    a[[0, -1]] *= 0.5
+    b[[0, -1]] *= 0.5
+    scale = np.exp(log_scale) * h1 * h2 / (2.0 * np.pi) ** 2
+    val = np.dot(joint, np.convolve(a, b)) * scale
+    l1abs = np.dot(np.abs(joint), np.convolve(np.abs(a), np.abs(b))) * scale
+    return val, l1abs, (2 * k1 + 1, 2 * k2 + 1)
 
 
 def _bivar_abscissas(spec, z1, z2):

@@ -93,20 +93,30 @@ def test_expect_unsettled_integrand_raises():
     assert set(info.value.diagnostics) == {"levels", "nodes"}
 
 
-def test_package_has_one_quadrature_rule():
-    # _expect is the only quadrature: nothing in the package imports
-    # scipy.integrate
+def _package_imports():
+    """(module file name, imported names) of every import in the package."""
     pkg = Path(cunsec.__file__).parent
     for path in sorted(pkg.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
+                yield path.name, [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + \
+                yield path.name, [node.module or ""] + \
                     [f"{node.module}.{a.name}" for a in node.names]
-            else:
-                continue
-            assert not any(n.startswith("scipy.integrate") for n in names), path.name
+
+
+def test_package_has_one_quadrature_rule():
+    # _expect is the only quadrature: nothing in the package imports
+    # scipy.integrate
+    for name, names in _package_imports():
+        assert not any(n.startswith("scipy.integrate") for n in names), name
+
+
+def test_package_does_not_import_scipy_signal():
+    # the bivariate lattice sums with np.convolve; scipy.signal takes about
+    # a second to import
+    for name, names in _package_imports():
+        assert not any(n.startswith("scipy.signal") for n in names), name
 
 
 def _mixed_scenario2():

@@ -114,6 +114,19 @@ def oracle_r6(cfg, power, m_o):
     return val
 
 
+def _mixed_alpha_s2(name, alpha_se, alpha_sr=None, **se):
+    """A Scenario II figure with its own eavesdropper exponent alpha_se
+    (and other S-E fields); alpha_sr, if given, is set on S-R and S-P."""
+    cfg = figure_config(name)
+    cfg = dataclasses.replace(
+        cfg, rf_se=dataclasses.replace(cfg.rf_se, alpha=alpha_se, **se))
+    if alpha_sr is not None:
+        cfg = dataclasses.replace(
+            cfg, rf_sr=dataclasses.replace(cfg.rf_sr, alpha=alpha_sr),
+            rf_sp=dataclasses.replace(cfg.rf_sp, alpha=alpha_sr))
+    return cfg
+
+
 def sop1_defining_integral(cfg):
     sig = cfg.sigma
 
@@ -209,6 +222,15 @@ class TestRTerms:
         assert_allclose(r6_term(cfg, 0, 1), oracle_r6(cfg, 0, 1), rtol=1e-4)
         assert_allclose(r6_term(cfg, 1, 2), oracle_r6(cfg, 1, 2), rtol=1e-4)
         assert_allclose(r8_term(cfg, 2, 1), oracle_r6(cfg, 2, 1), rtol=1e-4)
+
+    def test_r6_vs_quadrature_unequal_joint_slopes(self):
+        # alpha_sr = 3, alpha_se = 2.2: the joint gamma of the bivariate H
+        # has slopes A1 = 15/11 != A2 = 10/11, so the two lattice axes
+        # take different spacings
+        cfg = _mixed_alpha_s2("fig7", 2.2, alpha_sr=3.0)
+        for m_r, m_o in [(0, 1), (1, 2)]:
+            assert_allclose(r6_term(cfg, m_r, m_o), oracle_r6(cfg, m_r, m_o),
+                            rtol=1e-6)
 
     def test_equal_exponent_collapse_matches_bivariate(self):
         # at alpha_sr == alpha_se g_exp_pair_moment merges the exponentials
@@ -350,6 +372,23 @@ class TestSopScenario2:
         cfg = figure_config("fig7")
         got = sop_lower_scenario2(cfg).value
         assert abs(got - 0.452352) <= 3 * 0.000498
+
+    @pytest.mark.parametrize("make", [
+        lambda: _mixed_alpha_s2("fig7", 1.6, mu=1, avg_snr_db=-5.0),
+        lambda: _mixed_alpha_s2("fig7", 2.6, mu=3, avg_snr_db=20.0),
+        lambda: _mixed_alpha_s2("fig7", 3.4, mu=2, avg_snr_db=35.0),
+        lambda: _mixed_alpha_s2("fig7", 4.0, mu=4, avg_snr_db=-10.0),
+        lambda: _mixed_alpha_s2("fig10", 2.5),
+        lambda: _mixed_alpha_s2("fig7", 2.2, alpha_sr=3.0),
+    ], ids=["fig7-1.6", "fig7-2.6", "fig7-3.4", "fig7-4.0", "fig10-2.5",
+            "fig7-sr3-2.2"])
+    def test_mixed_alpha_matches_defining_integral(self, make):
+        # alpha_se != alpha_sr: the closed route sums bivariate Fox H terms
+        cfg = make()
+        res = sop_lower_scenario2(cfg)
+        assert res.diagnostics["route"].startswith("closed")
+        assert_allclose(res.value, sop_lower_quadrature(cfg), rtol=0,
+                        atol=1e-9)
 
     def test_series_route_engages_and_matches(self):
         cfg = config_from_dict({

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import loggamma
 
 from cunsec.errors import ContourError, ConvergenceError, ParameterError
 from cunsec.figures import FIGURES, figure_config
@@ -23,6 +24,8 @@ from cunsec.specfun import (
     lower_incomplete_gamma,
     meijer_g,
     upper_incomplete_gamma,
+    _bivar_abscissas,
+    _bivar_grid,
     _converge_line,
     _trapz_line,
 )
@@ -226,6 +229,73 @@ class TestBivariate:
         with pytest.raises(ParameterError):
             fox_h_bivariate(spec, -1.0, 1.0)
 
+    @pytest.mark.parametrize("joint", [
+        ((-1.0, 0.0, 1.0),),
+        ((-1.0, 1.0, 0.0),),
+        ((-1.0, 1.0, 1.0), (0.5, 1.0, 2.0)),
+    ], ids=["A1=0", "A2=0", "two-slopes"])
+    def test_rejects_joint_without_one_lattice(self, joint):
+        # the lattice spacing divides by A1 and A2 and maps every joint
+        # factor onto one line only when all share one (A1, A2)
+        exp_kernel = FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),))
+        with pytest.raises(ParameterError):
+            BivariateFoxHSpec(joint=joint, kernel1=exp_kernel,
+                              kernel2=exp_kernel)
+
+    @pytest.mark.parametrize("A1, A2, n1, n2", [
+        (1.0, 1.0, 65, 65),
+        (1.0, 1.0, 33, 65),
+        (15.0 / 11.0, 10.0 / 11.0, 65, 65),
+        (2.5, 1.0, 33, 49),
+    ])
+    def test_lattice_convolution_matches_double_sum(self, A1, A2, n1, n2):
+        # the same lattice summed node by node on the 2-D grid
+        q1, q2 = (45.89,), (44.89, 2.296, 1.0)
+        kernel2 = FoxHSpec(m=3, n=1,
+                           upper=((1.0, 1.0),) + tuple((a, 1.0) for a in q1),
+                           lower=tuple((b, 1.0) for b in q2) + ((0.0, 1.0),))
+        spec = BivariateFoxHSpec(
+            joint=((-1.0, A1, A2), (-0.5, A1, A2)),
+            kernel1=FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),)),
+            kernel2=kernel2,
+        )
+        z1, z2 = 2.0, 0.75
+        c1, c2 = _bivar_abscissas(spec, z1, z2)
+        half1, half2 = 4.0, 5.0  # short enough that the end nodes count
+        h = min(A1 * 2 * half1 / (n1 - 1), A2 * 2 * half2 / (n2 - 1))
+        k1 = math.ceil(half1 * A1 / h - 1e-9)
+        k2 = math.ceil(half2 * A2 / h - 1e-9)
+        assert max(2 * k1 + 1, 2 * k2 + 1) <= 129
+        y1 = h / A1 * np.arange(-k1, k1 + 1)
+        y2 = h / A2 * np.arange(-k2, k2 + 1)
+        t1 = c1 + 1j * y1[:, None]
+        t2 = c2 + 1j * y2[None, :]
+        log_f = spec.kernel1.log_phi(t1) + spec.kernel2.log_phi(t2) + \
+            t1 * np.log(z1) + t2 * np.log(z2)
+        for a, B1, B2 in spec.joint:
+            log_f = log_f + loggamma(1.0 - a + B1 * t1 + B2 * t2)
+        w1 = np.full(len(y1), h / A1)
+        w2 = np.full(len(y2), h / A2)
+        w1[[0, -1]] *= 0.5
+        w2[[0, -1]] *= 0.5
+        f = np.exp(log_f) * w1[:, None] * w2[None, :] / (2 * np.pi) ** 2
+        val, l1, used = _bivar_grid(spec, z1, z2, c1, c2, half1, half2, n1, n2)
+        assert used == (len(y1), len(y2))
+        assert_allclose(val, f.sum(), rtol=1e-13)
+        assert_allclose(l1, np.abs(f).sum(), rtol=1e-13)
+
+    def test_empty_joint_is_the_product_of_two_lines(self):
+        exp_kernel = FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),))
+        spec = BivariateFoxHSpec(joint=(), kernel1=exp_kernel,
+                                 kernel2=exp_kernel)
+        c, z1, z2 = -0.5, 0.7, 1.9
+        val, l1, used = _bivar_grid(spec, z1, z2, c, c, 20.0, 30.0, 33, 65)
+        assert used == (33, 65)
+        v1, a1, _ = _trapz_line(exp_kernel, z1, c, 20.0, 33)
+        v2, a2, _ = _trapz_line(exp_kernel, z2, c, 30.0, 65)
+        assert_allclose(val, v1 * v2, rtol=1e-13)
+        assert_allclose(l1, a1 * a2, rtol=1e-13)
+
 
 class TestRefinementBudget:
     """Both evaluators share one refinement loop; once it runs out of nodes
@@ -256,6 +326,19 @@ class TestRefinementBudget:
             fox_h_bivariate(spec, 0.7, 1.9, pol)
         self._check(info, 33)
         assert len(info.value.diagnostics["half_lengths"]) == 2
+        # with A1 = 4 A2 the lattice makes axis 1 four times finer than
+        # asked: the budget and the diagnostics count the nodes summed,
+        # so refinement stops while the requested counts are in budget
+        spec = BivariateFoxHSpec(joint=((-5.0, 4.0, 1.0),),
+                                 kernel1=exp_kernel, kernel2=exp_kernel)
+        pol = ContourPolicy(bivariate_node_count=33, bivariate_max_nodes=100,
+                            rel_tol=1e-15)
+        with pytest.raises(ConvergenceError) as info:
+            fox_h_bivariate(spec, 0.7, 1.9, pol)
+        self._check(info, 100)
+        n1, n2 = info.value.diagnostics["nodes"]
+        assert n2 <= 100 < n1
+        assert n1 == 4 * (n2 - 1) + 1
 
     def test_policy_rejects_budget_below_start(self):
         with pytest.raises(ParameterError):
