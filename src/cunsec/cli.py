@@ -251,7 +251,7 @@ def run_validate(cfg, n, seed, sp=None, policy=None):
     else:
         rf_samples = np.minimum(cfg.pc.psi_q / batch.snr_p, cfg.pc.psi_t) \
             * batch.snr_r
-    ks_row("rf_scenario", rf_samples, lambda x: cdf_rf(cfg, x, sp),
+    ks_row("rf_scenario", rf_samples, lambda x: cdf_rf(cfg, x),
            expensive=True)
     report = {"metrics": rows, "ks": ks_rows, "n": n, "seed": seed,
               "pass": bool(passed)}

@@ -10,10 +10,11 @@ equivalent forms: an exact finite expression built on the upper incomplete
 gamma, and the quadruple series obtained by binomially expanding it (the
 form the outage assembly integrates term by term).  The series only
 converges for snr < psi_q * (phi_r / phi_p); outside that region the exact
-form is used.  The series coefficients here were derived from scratch and
-settled against the defining-integral quadrature oracle: the
-gamma-dependent exponential carries delta_r * psi_t^-a~ and the m4 index
-contributes psi_q^-a~ m4.
+form is used.  The closed Scenario II CDF uses the exact form throughout,
+so it evaluates an SNR array as one array expression.  The series
+coefficients here were derived from scratch and settled against the
+defining-integral quadrature oracle: the gamma-dependent exponential
+carries delta_r * psi_t^-a~ and the m4 index contributes psi_q^-a~ m4.
 """
 
 from __future__ import annotations
@@ -229,10 +230,9 @@ def cdf_hybrid_scenario1(cfg, snr, policy=DEFAULT_POLICY):
 # --------------------------------------------------------------------------
 
 def lambda1(rf_sr, rf_sp, pc, snr):
-    """Pr{x_r <= snr/psi_t, psi_q/x_p >= psi_t}: expanded finite-sum form."""
-    x = float(snr)
-    if x < 0:
-        raise ParameterError("snr must be >= 0")
+    """Pr{x_r <= snr/psi_t, psi_q/x_p >= psi_t}: expanded finite-sum form
+    (snr scalar, giving a float, or array)."""
+    x = _snr(snr)
     at_r = rf_sr.alpha_tilde
     at_p = rf_sp.alpha_tilde
     psi_q, psi_t = pc.psi_q, pc.psi_t
@@ -254,19 +254,19 @@ def lambda1(rf_sr, rf_sp, pc, snr):
         if m_r:
             tr = tr * ur / m_r
         s2 += tr * np.exp(-ur)
-    return float(min(max(1.0 - s1 - s2 + s3, 0.0), 1.0))
+    return _cdf_out(1.0 - s1 - s2 + s3, x)
 
 
 def lambda2_exact(rf_sr, rf_sp, pc, snr):
     """Pr{x_r/x_p <= snr/psi_q, psi_q/x_p <= psi_t} via the upper incomplete
-    gamma (valid everywhere; requires equal alpha/2)."""
+    gamma (valid everywhere; requires equal alpha/2; snr scalar, giving a
+    float, or array)."""
     require_equal_alpha(rf_sr, rf_sp)
-    x = float(snr)
-    if x < 0:
-        raise ParameterError("snr must be >= 0")
+    x = _snr(snr)
     w = (pc.psi_q / pc.psi_t) ** rf_sr.alpha_tilde
-    p1 = float(gammaincc(rf_sp.mu, rf_sp.delta * w))
-    return p1 - _lambda2_tail(rf_sr, rf_sp, pc, x)
+    p1 = gammaincc(rf_sp.mu, rf_sp.delta * w)
+    val = p1 - _lambda2_tail(rf_sr, rf_sp, pc, x)
+    return val if val.ndim else float(val)
 
 
 def _lambda2_tail(rf_sr, rf_sp, pc, x):
@@ -361,15 +361,12 @@ def lambda2(rf_sr, rf_sp, pc, snr, sp=DEFAULT_SERIES, on_divergence="exact"):
                  "truncation_bound": bound}
 
 
-def cdf_rf_scenario2(rf_sr, rf_sp, pc, snr, sp=DEFAULT_SERIES):
-    """CDF of min(psi_q/x_p, psi_t) * x_r (an array snr point by point)."""
-    x = np.asarray(snr, dtype=float)
-    if x.ndim:
-        return np.array([cdf_rf_scenario2(rf_sr, rf_sp, pc, v, sp)
-                         for v in x.flat]).reshape(x.shape)
-    l2, _ = lambda2(rf_sr, rf_sp, pc, snr, sp)
-    val = lambda1(rf_sr, rf_sp, pc, snr) + l2
-    return float(min(max(val, 0.0), 1.0))
+def cdf_rf_scenario2(rf_sr, rf_sp, pc, snr):
+    """CDF of min(psi_q/x_p, psi_t) * x_r, lambda1 + lambda2_exact, as one
+    array expression (snr scalar, giving a float, or array)."""
+    x = _snr(snr)
+    return _cdf_out(lambda1(rf_sr, rf_sp, pc, x)
+                    + lambda2_exact(rf_sr, rf_sp, pc, x), x)
 
 
 def cdf_rf_scenario2_quad(rf_sr, rf_sp, pc, snr):
@@ -383,13 +380,13 @@ def cdf_rf_scenario2_quad(rf_sr, rf_sp, pc, snr):
     return _cdf_out(l1 + l2, x)
 
 
-def cdf_hybrid_scenario2(cfg, snr, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
+def cdf_hybrid_scenario2(cfg, snr, policy=DEFAULT_POLICY):
     """Selection-combining CDF for the double-constraint scenario."""
-    rf = cdf_rf_scenario2(cfg.rf_sr, cfg.rf_sp, cfg.pc, snr, sp)
+    rf = cdf_rf_scenario2(cfg.rf_sr, cfg.rf_sp, cfg.pc, snr)
     return rf * fso_blocked_cdf(cfg.fso, snr, policy)
 
 
-def cdf_rf(cfg, snr, sp=DEFAULT_SERIES):
+def cdf_rf(cfg, snr):
     """Scenario-dispatching RF CDF (closed forms when in family, else
     quadrature); snr scalar (returns a float) or array."""
     rf_sr, rf_sp, pc = cfg.rf_sr, cfg.rf_sp, cfg.pc
@@ -399,6 +396,6 @@ def cdf_rf(cfg, snr, sp=DEFAULT_SERIES):
             return cdf_rf_scenario1(rf_sr, rf_sp, pc, snr)
         return cdf_rf_scenario1_quad(rf_sr, rf_sp, pc, snr)
     if equal:
-        return cdf_rf_scenario2(rf_sr, rf_sp, pc, snr, sp)
+        return cdf_rf_scenario2(rf_sr, rf_sp, pc, snr)
     return cdf_rf_scenario2_quad(rf_sr, rf_sp, pc, snr)
 

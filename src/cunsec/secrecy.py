@@ -394,7 +394,7 @@ def _expect_rf_fso(cfg, rf, policy):
 
 def sop_lower_quadrature(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
     """Probability-substituted quadrature of the defining outage integral."""
-    return _expect_rf_fso(cfg, lambda x: cdf_rf(cfg, x, sp), policy)
+    return _expect_rf_fso(cfg, lambda x: cdf_rf(cfg, x), policy)
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Special-function kernel: gamma family, Meijer G, Fox H, bivariate Fox H.
 
 All G/H evaluations use the same method: a truncated Mellin-Barnes integral
-along a vertical line, trapezoidal quadrature, refined by one loop
-(`_refine`, shared by the univariate and the bivariate evaluator) that
-doubles the node count or widens the half-length until the value is
-stable.  The convention is
+along a vertical line, summed by the trapezoid rule and refined by one loop
+(`_refine`, shared by the univariate and the bivariate evaluator).  The loop
+fixes the half-length once, where the integrand has fallen below 1e-17 of
+its peak, then starts at node spacing 0.2 and halves it; each level keeps
+the nodes it already holds, evaluates the integrand only at its new odd
+nodes, and the difference of two levels is the error check.  The
+convention is
 
     H(z) = (1/2*pi*i) * int_L Phi(t) z^t dt,
     Phi(t) = prod_{j<=m} Gamma(b_j - B_j t) * prod_{j<=n} Gamma(1 - a_j + A_j t)
@@ -19,7 +22,8 @@ The bivariate evaluator integrates over a product of two vertical lines.  Its
 joint gamma factors depend on the contour point only through A1*t1 + A2*t2, so
 the trapezoid nodes sit on a lattice with spacings h/A1 and h/A2: every node
 then maps onto one line of joint values, and the double sum is a single
-convolution of the two kernel lines weighted by that line (`_bivar_grid`).
+convolution of the two kernel lines weighted by that line (`_lattice_sum`).
+Halving the spacing halves both axis spacings, so the lattice nests too.
 """
 
 from __future__ import annotations
@@ -84,32 +88,21 @@ def upper_incomplete_gamma(a, x):
 class ContourPolicy:
     """Numerical policy for Mellin-Barnes evaluation.
 
-    half_length is the starting contour half-length of the univariate
-    evaluator; the refinement loop grows it and the node count until the
-    value is stable to rel_tol.  Node counts are per axis; max_nodes and
-    bivariate_max_nodes are the budgets past which refinement raises
-    ConvergenceError.
+    The refinement loop (`_refine`) fixes the contour half-length from the
+    decay of the integrand and halves the node spacing until two levels
+    agree to rel_tol.  max_nodes and bivariate_max_nodes are the per-axis
+    node budgets past which it raises ConvergenceError.
     """
 
-    half_length: float = 32.0
-    node_count: int = 2049
     rel_tol: float = 1e-8
     max_nodes: int = 2 ** 16
-    bivariate_node_count: int = 513
     bivariate_max_nodes: int = 2 ** 12 + 1
 
     def __post_init__(self):
-        if self.node_count < 64:
-            raise ParameterError("node_count must be >= 64")
         if not (0.0 < self.rel_tol < 1.0):
             raise ParameterError("rel_tol must be in (0, 1)")
-        if self.half_length <= 0:
-            raise ParameterError("half_length must be positive")
-        if self.max_nodes < self.node_count:
-            raise ParameterError("max_nodes must be >= node_count")
-        if self.bivariate_max_nodes < self.bivariate_node_count:
-            raise ParameterError(
-                "bivariate_max_nodes must be >= bivariate_node_count")
+        if self.max_nodes < 1 or self.bivariate_max_nodes < 1:
+            raise ParameterError("node budgets must be >= 1")
 
 
 DEFAULT_POLICY = ContourPolicy()
@@ -220,7 +213,7 @@ class BivariateFoxHSpec:
     share one (A1, A2), both > 0: the joint factors then depend on the
     contour point only through A1*t1 + A2*t2, and the evaluator sums the
     product contour on a lattice whose spacings h/A1 and h/A2 map every
-    node onto one line of joint values (see `_bivar_grid`).
+    node onto one line of joint values (see `_lattice_sum`).
     """
 
     joint: tuple
@@ -238,6 +231,14 @@ class BivariateFoxHSpec:
         if len({(A1, A2) for _, A1, A2 in trip}) > 1:
             raise ParameterError("joint triples must share one (A1, A2)")
         object.__setattr__(self, "joint", tuple(trip))
+
+    def log_joint(self, t):
+        """Log of the joint factors at t = A1*t1 + A2*t2."""
+        t = np.asarray(t, dtype=complex)
+        out = np.zeros_like(t)
+        for a, _, _ in self.joint:
+            out = out + loggamma(1.0 - a + t)
+        return out
 
 
 # --------------------------------------------------------------------------
@@ -283,78 +284,138 @@ def _pick_abscissa(spec, z):
     return float(cands[int(np.argmin(mag))])
 
 
-def _trapz_line(spec, z, c, half_length, nodes):
-    y = np.linspace(-half_length, half_length, nodes)
-    t = c + 1j * y
-    with np.errstate(all="ignore"):
-        vals = np.exp(spec.log_phi(t) + t * np.log(z))
-    vals = np.nan_to_num(vals, nan=0.0, posinf=0.0, neginf=0.0)
-    integral = np.trapezoid(vals, y) / (2.0 * np.pi)
-    l1 = np.trapezoid(np.abs(vals), y) / (2.0 * np.pi)
-    return integral, l1, (nodes,)
+# Nested trapezoid rule on the contour variable y of t = c + i*y (Trefethen &
+# Weideman, SIAM Review 56(3), 2014): the half-length is fixed once on a
+# line of spacing _H0 and then the spacing halves, so every level keeps the
+# nodes of the one before and evaluates only its new odd nodes.
+_H0 = 0.2
+_HALF0 = 8.0
+_LOG_TAIL = np.log(1e-17)
 
 
-def _refine(grid, halves, nodes, grow, max_nodes, rounds, policy):
+class _Line:
+    """log Phi at the nodes t = c + i*h*k, |k| <= K, of one vertical line.
+
+    cover() sets K and halve() halves h; both evaluate log Phi only at the
+    nodes the line does not hold yet.  A new line covers half-length _HALF0.
+    """
+
+    def __init__(self, log_phi, c, h):
+        self.log_phi, self.c, self.h, self.level = log_phi, c, h, 0
+        self.K = int(np.ceil(_HALF0 / h - 1e-9))
+        self.vals = self._eval(np.arange(-self.K, self.K + 1))
+
+    def _eval(self, k):
+        with np.errstate(all="ignore"):
+            return self.log_phi(self.c + 1j * self.h * k)
+
+    @property
+    def nodes(self):
+        return 2 * self.K + 1
+
+    @property
+    def t(self):
+        return self.c + 1j * self.h * np.arange(-self.K, self.K + 1)
+
+    def cover(self, K):
+        if K < self.K:
+            self.vals = self.vals[self.K - K:self.K + K + 1]
+        elif K > self.K:
+            k = np.arange(self.K + 1, K + 1)
+            self.vals = np.concatenate([self._eval(-k[::-1]), self.vals,
+                                        self._eval(k)])
+        self.K = K
+
+    def halve(self):
+        self.h /= 2.0
+        self.level += 1
+        vals = np.empty(2 * self.nodes - 1, dtype=complex)
+        vals[0::2] = self.vals
+        vals[1::2] = self._eval(np.arange(-2 * self.K + 1, 2 * self.K, 2))
+        self.vals, self.K = vals, 2 * self.K
+
+    def span(self):
+        """Half-length to the first node past the outermost one within
+        1e-17 of the peak magnitude, or None while an end is above that."""
+        mag = np.where(np.isfinite(self.vals), self.vals.real, -np.inf)
+        keep = np.flatnonzero(mag >= mag.max() + _LOG_TAIL)
+        if keep[0] == 0 or keep[-1] == len(mag) - 1:
+            return None
+        return self.h * (max(self.K - keep[0], keep[-1] - self.K) + 1)
+
+
+def _over_budget(axes, estimates, max_nodes):
+    raise ConvergenceError(
+        "Mellin-Barnes refinement exceeded the per-axis node budget "
+        f"({max_nodes}); last estimates {list(estimates)}",
+        estimates=estimates,
+        diagnostics={"half_lengths": tuple(ln.h * ln.K for ln in axes),
+                     "nodes": tuple(ln.nodes for ln in axes)},
+    )
+
+
+def _refine(axes, total, max_nodes, policy):
     """The Mellin-Barnes refinement loop of every evaluator.
 
-    grid(halves, nodes) returns (integral, l1, used) of the trapezoid rule
-    with the given per-axis half-lengths and node counts, where used holds
-    the per-axis node counts it summed (the bivariate lattice can use more
-    than asked on its finer axis).  Each round compares the current grid
-    with a node-doubled one (2n-1 nodes) and a wider one (half-lengths
-    times `grow`) and refines whichever error dominates.  Returns
-    (estimates, error, l1, halves, nodes), where estimates holds the last
-    two values (the second is the result) and halves/nodes is the
-    converged grid; raises ConvergenceError once a used per-axis node
-    count exceeds max_nodes or `rounds` rounds pass.
+    axes holds the _Line of each contour axis, the finest at spacing _H0;
+    total() returns (integral, l1) of the trapezoid rule over the lines as
+    they stand.  First one half-length, a multiple of _H0, is fixed for
+    every axis: it doubles from _HALF0 until both ends of each line are
+    below 1e-17 of its peak, then shrinks to the widest axis's span.  Then
+    every spacing halves until two levels differ by at most
+    max(rel_tol*|value|, 1e-15*l1).  Returns (estimates, error, l1), where
+    estimates holds the last two values (the second is the result); raises
+    ConvergenceError with the last two estimates, the half-lengths and the
+    per-axis node counts once an unconverged line holds more than max_nodes.
     """
-    v_prev, l1, used = grid(halves, nodes)
-    for _ in range(rounds):
-        dense = tuple(2 * n - 1 for n in nodes)
-        v_nodes, l1, used_dense = grid(halves, dense)
-        err_nodes = abs(v_nodes - v_prev)
-        wide = tuple(h * grow for h in halves)
-        grown = tuple(int(n * grow) | 1 for n in dense)
-        v_tail, _, used_wide = grid(wide, grown)
-        err_tail = abs(v_tail - v_nodes)
-        estimates = (v_nodes, v_tail)
-        budget = max(policy.rel_tol * abs(v_tail), 1e-15 * l1)
-        if err_nodes <= budget and err_tail <= budget:
-            return estimates, err_nodes + err_tail, l1, wide, grown
-        if err_tail > err_nodes:
-            halves, nodes, used = wide, grown, used_wide
-        else:
-            nodes, used = dense, used_dense
-        v_prev = v_tail
-        if max(used) > max_nodes:
-            raise ConvergenceError(
-                "Mellin-Barnes refinement exceeded the per-axis node budget "
-                f"({max_nodes}); last estimates {list(estimates)}",
-                estimates=estimates,
-                diagnostics={"half_lengths": halves, "nodes": used},
-            )
-    raise ConvergenceError(
-        f"Mellin-Barnes refinement stalled; last estimates {list(estimates)}",
-        estimates=estimates,
-        diagnostics={"half_lengths": halves, "nodes": used},
-    )
+    half, prev = _HALF0, None
+    while True:
+        for ln in axes:
+            ln.cover(int(np.ceil(half / ln.h - 1e-9)))
+        spans = [ln.span() for ln in axes]
+        if None not in spans:
+            break
+        value = total()[0]
+        if prev is not None and max(ln.nodes for ln in axes) > max_nodes:
+            _over_budget(axes, (prev, value), max_nodes)
+        prev, half = value, 2.0 * half
+    half = _H0 * np.ceil(max(spans) / _H0 - 1e-9)
+    for ln in axes:
+        ln.cover(int(np.ceil(half / ln.h - 1e-9)))
+    prev = total()[0]
+    while True:
+        for ln in axes:
+            ln.halve()
+        value, l1 = total()
+        err = abs(value - prev)
+        if err <= max(policy.rel_tol * abs(value), 1e-15 * l1):
+            return (prev, value), err, l1
+        if max(ln.nodes for ln in axes) > max_nodes:
+            _over_budget(axes, (prev, value), max_nodes)
+        prev = value
+
+
+def _line_sum(line, z):
+    """(integral, l1) of the trapezoid rule over one line at argument z."""
+    with np.errstate(all="ignore"):
+        vals = np.exp(line.vals + line.t * np.log(z))
+    vals = np.nan_to_num(vals, nan=0.0, posinf=0.0, neginf=0.0)
+    scale = line.h / (2.0 * np.pi)
+    return vals.sum() * scale, np.abs(vals).sum() * scale
 
 
 def _converge_line(spec, z, policy):
     """Adaptive vertical-line integral.
 
-    Returns (estimates, error, l1, contour) with contour = (c, half, nodes)
-    at convergence so callers can reuse the grid for nearby arguments.
+    Returns (estimates, error, l1, line) with line the converged _Line, so
+    callers can reuse its nodes for other arguments.
     """
     if not np.isfinite(z) or z <= 0:
         raise ParameterError(f"argument must be a positive real, got {z}")
-    c = _pick_abscissa(spec, z)
-    rate = max(spec.decay_rate(), 1e-2)
-    half = max(policy.half_length, 30.0 / rate)
-    estimates, err, l1, (half,), (nodes,) = _refine(
-        lambda halves, nodes: _trapz_line(spec, z, c, halves[0], nodes[0]),
-        (half,), (policy.node_count,), 1.5, policy.max_nodes, 24, policy)
-    return estimates, err, l1, (c, half, nodes)
+    line = _Line(spec.log_phi, _pick_abscissa(spec, z), _H0)
+    estimates, err, l1 = _refine(
+        [line], lambda: _line_sum(line, z), policy.max_nodes, policy)
+    return estimates, err, l1, line
 
 
 def _eval_line(spec, z, policy):
@@ -365,17 +426,16 @@ def _eval_line(spec, z, policy):
 class LineEvaluator:
     """Fixed-contour evaluator for many arguments of one G/H spec.
 
-    The contour is converged once at a reference argument and then reused,
-    which drops the per-argument cost to one vectorised pass.  Intended for
-    quadrature fallbacks and CDF grids where thousands of evaluations of the
-    same kernel are needed; accuracy at arguments far from the reference is
-    that of the frozen grid.
+    The contour is converged once at a reference argument and its last
+    level is frozen, which drops the per-argument cost to one vectorised
+    pass.  Intended for quadrature fallbacks and CDF grids where thousands
+    of evaluations of the same kernel are needed; accuracy at arguments far
+    from the reference is that of the frozen grid.
 
-    The frozen grid is trimmed to the contiguous nodes where
-    Re log Phi(c+iy) >= peak + ln 1e-17.  Since |z^(c+iy)| = z^c along the
-    whole line, the dropped nodes are below 1e-17 of the largest one at
-    every argument, not only at z_ref; the trapezoid rule converges
-    geometrically, so most of a converged grid lies there.
+    The line ends at the first node past the outermost one where
+    Re log Phi(c+iy) >= peak + ln 1e-17 (`_refine`).  Since
+    |z^(c+iy)| = z^c along the whole line, the nodes beyond are below
+    1e-17 of the largest one at every argument, not only at z_ref.
     """
 
     def __init__(self, spec, z_ref, policy=None):
@@ -383,17 +443,10 @@ class LineEvaluator:
             spec = spec.as_fox_h()
         self.spec = spec
         self.policy = policy or DEFAULT_POLICY
-        _, _, _, (c, half, nodes) = _converge_line(spec, z_ref, self.policy)
-        self.c = c
-        y = np.linspace(-half, half, nodes)
-        with np.errstate(all="ignore"):
-            log_phi = spec.log_phi(c + 1j * y)
-        mag = np.where(np.isfinite(log_phi), log_phi.real, -np.inf)
-        keep = np.flatnonzero(mag >= mag.max() + np.log(1e-17))
-        part = slice(keep[0], keep[-1] + 1)
-        self.y = y[part]
-        self.log_phi = log_phi[part]
-        self.t = c + 1j * self.y
+        _, _, _, line = _converge_line(spec, z_ref, self.policy)
+        self.c, self.h = line.c, line.h
+        self.log_phi = line.vals
+        self.t = line.t
 
     def eval_many(self, zs):
         zs = np.asarray(zs, dtype=float)
@@ -408,7 +461,7 @@ class LineEvaluator:
             with np.errstate(all="ignore"):
                 mat = np.exp(self.log_phi[None, :] + self.t[None, :] * lz[:, None])
             mat = np.nan_to_num(mat, nan=0.0, posinf=0.0, neginf=0.0)
-            res[i:i + chunk] = np.trapezoid(mat, self.y, axis=1).real / (2 * np.pi)
+            res[i:i + chunk] = mat.sum(axis=1).real * (self.h / (2 * np.pi))
         out.reshape(-1)[:] = res
         return out if out.ndim else float(out)
 
@@ -447,56 +500,37 @@ def fox_h(spec, z, policy=DEFAULT_POLICY):
     return value
 
 
-def _bivar_grid(spec, z1, z2, c1, c2, half1, half2, n1, n2):
+def _lattice_sum(z1, z2, line1, line2, joint):
     """Product-contour trapezoid on a lattice, summed as one convolution.
 
     On the product contour the joint factors depend on (y1, y2) only
-    through Y = A1*y1 + A2*y2.  The axes take the spacings h1 = h/A1 and
-    h2 = h/A2 with h = min(A1*2*half1/(n1-1), A2*2*half2/(n2-1)), so each
-    axis is at least as fine as asked, and the symmetric lattices
-    y1 = i*h1, y2 = j*h2 with |i| <= ceil(half1/h1), |j| <= ceil(half2/h2)
-    cover the half-lengths.  Then Y = (i+j)*h and the double sum is
-    sum_k J_k (a * b)_k, with a and b the kernel1 and kernel2 lines and J
-    the joint line on the |k| <= ceil(half1/h1) + ceil(half2/h2) lattice
-    points: the joint gammas cost one line instead of a grid.  An empty joint group is J = 1 with the
-    spacings 2*half/(n-1) of each axis.  Each line is exponentiated after
-    subtracting its largest real part and the scales are multiplied back.
-    Returns (integral, l1, nodes) with nodes the per-axis counts summed.
+    through Y = A1*y1 + A2*y2.  line1 and line2 hold the kernel factors at
+    y1 = i*h/A1 and y2 = j*h/A2, so Y = (i+j)*h and the double sum is
+    sum_k J_k (a * b)_k, with a and b the kernel1 and kernel2 terms and J
+    the joint line at spacing h on |k| <= K1 + K2: the joint gammas cost
+    one line instead of a grid.  The joint line is brought to the level of
+    the kernel lines first, keeping the nodes it holds.  Each line is
+    exponentiated after subtracting its largest real part and the scales
+    are multiplied back.  Returns (integral, l1).
     """
-    h1 = 2.0 * half1 / (n1 - 1)
-    h2 = 2.0 * half2 / (n2 - 1)
-    h = 0.0
-    if spec.joint:
-        _, A1, A2 = spec.joint[0]
-        h = min(A1 * h1, A2 * h2)
-        h1, h2 = h / A1, h / A2
-    # a half-length that is a whole number of steps must not gain a node
-    # by rounding
-    k1 = int(np.ceil(half1 / h1 - 1e-9))
-    k2 = int(np.ceil(half2 / h2 - 1e-9))
-    t1 = c1 + 1j * h1 * np.arange(-k1, k1 + 1)
-    t2 = c2 + 1j * h2 * np.arange(-k2, k2 + 1)
-    big_y = h * np.arange(-(k1 + k2), k1 + k2 + 1)
+    while joint.level < line1.level:
+        joint.halve()
+    joint.cover(line1.K + line2.K)
+    logs = [line1.vals + line1.t * np.log(z1),
+            line2.vals + line2.t * np.log(z2),
+            joint.vals]
+    lines, log_scale = [], 0.0
     with np.errstate(all="ignore"):
-        log_joint = np.zeros(len(big_y), dtype=complex)
-        for a, A1, A2 in spec.joint:
-            log_joint += loggamma(1.0 - a + A1 * c1 + A2 * c2 + 1j * big_y)
-        logs = [spec.kernel1.log_phi(t1) + t1 * np.log(z1),
-                spec.kernel2.log_phi(t2) + t2 * np.log(z2),
-                log_joint]
-        lines, log_scale = [], 0.0
         for lg in logs:
             top = np.max(np.where(np.isfinite(lg), lg.real, -np.inf))
             lines.append(np.nan_to_num(np.exp(lg - top),
                                        nan=0.0, posinf=0.0, neginf=0.0))
             log_scale += top
-    a, b, joint = lines
-    a[[0, -1]] *= 0.5
-    b[[0, -1]] *= 0.5
-    scale = np.exp(log_scale) * h1 * h2 / (2.0 * np.pi) ** 2
-    val = np.dot(joint, np.convolve(a, b)) * scale
-    l1abs = np.dot(np.abs(joint), np.convolve(np.abs(a), np.abs(b))) * scale
-    return val, l1abs, (2 * k1 + 1, 2 * k2 + 1)
+    a, b, j = lines
+    scale = np.exp(log_scale) * line1.h * line2.h / (2.0 * np.pi) ** 2
+    val = np.dot(j, np.convolve(a, b)) * scale
+    l1abs = np.dot(np.abs(j), np.convolve(np.abs(a), np.abs(b))) * scale
+    return val, l1abs
 
 
 def _bivar_abscissas(spec, z1, z2):
@@ -504,10 +538,10 @@ def _bivar_abscissas(spec, z1, z2):
     small along the real axis including the joint gamma factor (which blows
     up near its pole and must be kept at a distance)."""
 
-    def joint_mag(c1, c2s):
-        out = np.zeros_like(np.asarray(c2s, dtype=float))
+    def joint_mag(c1, c2):
+        out = 0.0
         for a, A1, A2 in spec.joint:
-            arg = 1.0 - a + A1 * c1 + A2 * np.asarray(c2s, dtype=float)
+            arg = 1.0 - a + A1 * c1 + A2 * np.asarray(c2, dtype=float)
             with np.errstate(all="ignore"):
                 out = out + np.where(arg > 0,
                                      loggamma(np.maximum(arg, 1e-12)).real,
@@ -540,7 +574,7 @@ def _bivar_abscissas(spec, z1, z2):
     with np.errstate(all="ignore"):
         mag1 = spec.kernel1.log_phi(c1s.astype(complex)).real + c1s * np.log(z1)
     mag1 = np.where(np.isfinite(mag1), mag1, np.inf)
-    mag1 = mag1 + np.array([joint_mag(c, [c2])[0] for c in c1s])
+    mag1 = mag1 + joint_mag(c1s, c2)
     c1 = float(c1s[int(np.argmin(mag1))])
     return c1, c2
 
@@ -557,12 +591,13 @@ def fox_h_bivariate(spec, z1, z2, policy=DEFAULT_POLICY):
             raise ContourError(
                 "no product contour clears the joint gamma poles for this spec"
             )
-    rate1 = max(spec.kernel1.decay_rate() + sum(A1 for _, A1, _ in spec.joint), 1e-2)
-    rate2 = max(spec.kernel2.decay_rate() + sum(A2 for _, _, A2 in spec.joint), 1e-2)
-    half1 = max(24.0, 30.0 / rate1)
-    half2 = max(24.0, 30.0 / rate2)
-    n = policy.bivariate_node_count
-    estimates, err, l1, _, _ = _refine(
-        lambda halves, nodes: _bivar_grid(spec, z1, z2, c1, c2, *halves, *nodes),
-        (half1, half2), (n, n), 1.4, policy.bivariate_max_nodes, 10, policy)
+    A1, A2 = spec.joint[0][1:] if spec.joint else (1.0, 1.0)
+    h = _H0 * min(A1, A2)
+    axes = [_Line(spec.kernel1.log_phi, c1, h / A1),
+            _Line(spec.kernel2.log_phi, c2, h / A2)]
+
+    joint = _Line(spec.log_joint, A1 * c1 + A2 * c2, h)
+    estimates, err, l1 = _refine(
+        axes, lambda: _lattice_sum(z1, z2, *axes, joint),
+        policy.bivariate_max_nodes, policy)
     return _finalize(estimates, err, l1, policy)[0]

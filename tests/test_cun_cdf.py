@@ -295,6 +295,17 @@ class TestScenario2:
             b = cdf_rf_scenario2_quad(RF_R7, RF_P7, PC7, x)
             assert_allclose(a, b, rtol=1e-7, atol=1e-10)
 
+    def test_array_matches_pointwise(self):
+        grid = np.logspace(-2, 3, 60).reshape(6, 10)
+        got = cdf_rf_scenario2(RF_R7, RF_P7, PC7, grid)
+        want = [[cdf_rf_scenario2(RF_R7, RF_P7, PC7, float(x)) for x in row]
+                for row in grid]
+        assert got.shape == grid.shape
+        assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert isinstance(want[0][0], float)
+        assert isinstance(lambda1(RF_R7, RF_P7, PC7, 2.0), float)
+        assert isinstance(lambda2_exact(RF_R7, RF_P7, PC7, 2.0), float)
+
     def test_monotone_bounded(self):
         grid = np.logspace(-2, 3, 60)
         vals = [cdf_rf_scenario2(RF_R7, RF_P7, PC7, float(x)) for x in grid]

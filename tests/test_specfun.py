@@ -24,13 +24,22 @@ from cunsec.specfun import (
     lower_incomplete_gamma,
     meijer_g,
     upper_incomplete_gamma,
+    _H0,
+    _Line,
     _bivar_abscissas,
-    _bivar_grid,
-    _converge_line,
-    _trapz_line,
+    _lattice_sum,
 )
 
 mp.mp.dps = 30
+
+
+def _line_sum_ref(spec, z, c, h, K):
+    """Trapezoid sum over y = h*k, |k| <= K, and its l1, evaluated directly."""
+    t = c + 1j * h * np.arange(-K, K + 1)
+    with np.errstate(all="ignore"):
+        f = np.exp(spec.log_phi(t) + t * np.log(z))
+    f = np.nan_to_num(f, nan=0.0, posinf=0.0, neginf=0.0)
+    return f.sum() * h / (2 * np.pi), np.abs(f).sum() * h / (2 * np.pi)
 
 
 class TestGammaFamily:
@@ -100,7 +109,7 @@ class TestMeijerG:
         # s=1, eps=1, alpha_o=2.296, m_o=1 mixture member of the optical CDF
         spec = MeijerGSpec(m=3, n=1, a=(1.0, 2.0), b=(1.0, 2.296, 1.0, 0.0))
         got = meijer_g(spec, 0.5)
-        ref_policy = ContourPolicy(node_count=8193, half_length=64.0)
+        ref_policy = ContourPolicy(rel_tol=1e-12)
         ref = meijer_g(spec, 0.5, ref_policy)
         assert_allclose(got, ref, rtol=1e-8)
         # and against an entirely independent implementation
@@ -128,7 +137,7 @@ class TestMeijerG:
     def test_node_doubling_self_consistency(self):
         spec = MeijerGSpec(m=3, n=1, a=(1.0, 2.0), b=(1.0, 2.296, 1.0, 0.0))
         pol = ContourPolicy()
-        dense = ContourPolicy(node_count=2 * pol.node_count - 1)
+        dense = ContourPolicy(rel_tol=1e-12)
         v1 = meijer_g(spec, 2.0, pol)
         v2 = meijer_g(spec, 2.0, dense)
         assert abs(v1 - v2) <= pol.rel_tol * abs(v1)
@@ -261,7 +270,7 @@ class TestBivariate:
         )
         z1, z2 = 2.0, 0.75
         c1, c2 = _bivar_abscissas(spec, z1, z2)
-        half1, half2 = 4.0, 5.0  # short enough that the end nodes count
+        half1, half2 = 4.0, 5.0
         h = min(A1 * 2 * half1 / (n1 - 1), A2 * 2 * half2 / (n2 - 1))
         k1 = math.ceil(half1 * A1 / h - 1e-9)
         k2 = math.ceil(half2 * A2 / h - 1e-9)
@@ -274,25 +283,37 @@ class TestBivariate:
             t1 * np.log(z1) + t2 * np.log(z2)
         for a, B1, B2 in spec.joint:
             log_f = log_f + loggamma(1.0 - a + B1 * t1 + B2 * t2)
-        w1 = np.full(len(y1), h / A1)
-        w2 = np.full(len(y2), h / A2)
-        w1[[0, -1]] *= 0.5
-        w2[[0, -1]] *= 0.5
-        f = np.exp(log_f) * w1[:, None] * w2[None, :] / (2 * np.pi) ** 2
-        val, l1, used = _bivar_grid(spec, z1, z2, c1, c2, half1, half2, n1, n2)
-        assert used == (len(y1), len(y2))
+        f = np.exp(log_f) * (h / A1) * (h / A2) / (2 * np.pi) ** 2
+        line1 = _Line(spec.kernel1.log_phi, c1, h / A1)
+        line2 = _Line(spec.kernel2.log_phi, c2, h / A2)
+        line1.cover(k1)
+        line2.cover(k2)
+        joint = _Line(spec.log_joint, A1 * c1 + A2 * c2, h)
+        val, l1 = _lattice_sum(z1, z2, line1, line2, joint)
+        assert (line1.nodes, line2.nodes) == (len(y1), len(y2))
         assert_allclose(val, f.sum(), rtol=1e-13)
         assert_allclose(l1, np.abs(f).sum(), rtol=1e-13)
+        # a level down, the joint line keeps its nodes and gains the odd ones
+        held = joint.vals.copy()
+        line1.halve()
+        line2.halve()
+        _lattice_sum(z1, z2, line1, line2, joint)
+        assert joint.nodes == line1.nodes + line2.nodes - 1
+        assert np.array_equal(joint.vals[0::2], held)
 
     def test_empty_joint_is_the_product_of_two_lines(self):
         exp_kernel = FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),))
         spec = BivariateFoxHSpec(joint=(), kernel1=exp_kernel,
                                  kernel2=exp_kernel)
         c, z1, z2 = -0.5, 0.7, 1.9
-        val, l1, used = _bivar_grid(spec, z1, z2, c, c, 20.0, 30.0, 33, 65)
-        assert used == (33, 65)
-        v1, a1, _ = _trapz_line(exp_kernel, z1, c, 20.0, 33)
-        v2, a2, _ = _trapz_line(exp_kernel, z2, c, 30.0, 65)
+        line1 = _Line(exp_kernel.log_phi, c, 0.25)
+        line2 = _Line(exp_kernel.log_phi, c, 0.25)
+        line1.cover(16)
+        line2.cover(32)
+        val, l1 = _lattice_sum(z1, z2, line1, line2,
+                               _Line(spec.log_joint, 2 * c, 0.25))
+        v1, a1 = _line_sum_ref(exp_kernel, z1, c, 0.25, 16)
+        v2, a2 = _line_sum_ref(exp_kernel, z2, c, 0.25, 32)
         assert_allclose(val, v1 * v2, rtol=1e-13)
         assert_allclose(l1, a1 * a2, rtol=1e-13)
 
@@ -310,7 +331,7 @@ class TestRefinementBudget:
 
     def test_univariate(self):
         spec = MeijerGSpec(m=3, n=1, a=(1.0, 2.0), b=(1.0, 2.296, 1.0, 0.0))
-        pol = ContourPolicy(node_count=64, max_nodes=64, rel_tol=1e-15)
+        pol = ContourPolicy(max_nodes=64, rel_tol=1e-15)
         with pytest.raises(ConvergenceError) as info:
             meijer_g(spec, 0.5, pol)
         self._check(info, 64)
@@ -320,29 +341,29 @@ class TestRefinementBudget:
         exp_kernel = FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),))
         spec = BivariateFoxHSpec(joint=(), kernel1=exp_kernel,
                                  kernel2=exp_kernel)
-        pol = ContourPolicy(bivariate_node_count=33, bivariate_max_nodes=33,
-                            rel_tol=1e-15)
+        pol = ContourPolicy(bivariate_max_nodes=33, rel_tol=1e-15)
         with pytest.raises(ConvergenceError) as info:
             fox_h_bivariate(spec, 0.7, 1.9, pol)
         self._check(info, 33)
         assert len(info.value.diagnostics["half_lengths"]) == 2
         # with A1 = 4 A2 the lattice makes axis 1 four times finer than
-        # asked: the budget and the diagnostics count the nodes summed,
-        # so refinement stops while the requested counts are in budget
+        # axis 2 on one half-length: the budget and the diagnostics count
+        # the nodes summed, so refinement stops while axis 2 is in budget
         spec = BivariateFoxHSpec(joint=((-5.0, 4.0, 1.0),),
                                  kernel1=exp_kernel, kernel2=exp_kernel)
-        pol = ContourPolicy(bivariate_node_count=33, bivariate_max_nodes=100,
-                            rel_tol=1e-15)
+        pol = ContourPolicy(bivariate_max_nodes=200, rel_tol=1e-15)
         with pytest.raises(ConvergenceError) as info:
             fox_h_bivariate(spec, 0.7, 1.9, pol)
-        self._check(info, 100)
+        self._check(info, 200)
         n1, n2 = info.value.diagnostics["nodes"]
-        assert n2 <= 100 < n1
+        assert n2 <= 200 < n1
         assert n1 == 4 * (n2 - 1) + 1
 
     def test_policy_rejects_budget_below_start(self):
         with pytest.raises(ParameterError):
-            ContourPolicy(bivariate_node_count=513, bivariate_max_nodes=257)
+            ContourPolicy(max_nodes=0)
+        with pytest.raises(ParameterError):
+            ContourPolicy(bivariate_max_nodes=0)
 
 
 class TestLineEvaluator:
@@ -354,23 +375,72 @@ class TestLineEvaluator:
         want = np.array([meijer_g(spec, z) for z in zs])
         assert_allclose(got, want, rtol=1e-7, atol=1e-10)
 
-    def test_trimmed_contour_matches_full_contour(self):
-        # the Malaga CDF kernels of every figure, at the reference argument
-        # of their metric evaluator and eight decades around it
-        seen = set()
+    @staticmethod
+    def _malaga_kernels():
+        """(spec, z_ref) of every figure's Malaga CDF kernels, at the
+        reference argument of their metric evaluator."""
+        seen = []
         for name in FIGURES:
             cfg = figure_config(name)
             fso = cfg.fso
             z_ref = max(fso.V * cfg.sigma * cfg.rf_se.avg_snr / fso.mu_s, 1e-6)
             for m_o in range(1, fso.beta_o + 1):
-                spec = fso.cdf_kernel_spec(m_o).as_fox_h()
-                if (spec, z_ref) in seen:
-                    continue
-                seen.add((spec, z_ref))
-                ev = LineEvaluator(spec, z_ref)
-                _, _, _, (c, half, nodes) = _converge_line(spec, z_ref,
-                                                           DEFAULT_POLICY)
-                assert len(ev.y) < nodes
-                zs = z_ref * np.logspace(-4, 4, 17)
-                full = [_trapz_line(spec, z, c, half, nodes)[0].real for z in zs]
-                assert_allclose(ev.eval_many(zs), full, rtol=0, atol=1e-13)
+                gspec = fso.cdf_kernel_spec(m_o)
+                if (gspec, z_ref) not in seen:
+                    seen.append((gspec, z_ref))
+        return seen
+
+    def test_trimmed_contour_matches_full_contour(self):
+        # eight decades around z_ref: the frozen line against the same
+        # spacing over twice its half-length
+        for gspec, z_ref in self._malaga_kernels():
+            spec = gspec.as_fox_h()
+            ev = LineEvaluator(spec, z_ref)
+            K = len(ev.t) // 2
+            zs = z_ref * np.logspace(-4, 4, 17)
+            full = [_line_sum_ref(spec, z, ev.c, ev.h, 2 * K)[0].real
+                    for z in zs]
+            assert_allclose(ev.eval_many(zs), full, rtol=0, atol=1e-13)
+
+    def test_frozen_line_vs_mpmath(self):
+        for gspec, z_ref in self._malaga_kernels():
+            zs = z_ref * np.logspace(-4, 4, 17)
+            got = LineEvaluator(gspec, z_ref).eval_many(zs)
+            a, b = gspec.a, gspec.b
+            want = np.array([float(mp.meijerg(
+                [a[:gspec.n], a[gspec.n:]], [b[:gspec.m], b[gspec.m:]], z))
+                for z in zs])
+            big = np.abs(want) > 1e-6
+            assert_allclose(got[big], want[big], rtol=1e-9)
+            assert_allclose(got[~big], want[~big], rtol=0, atol=1e-12)
+
+
+class TestNodeCounts:
+    """Each contour node is evaluated once: the counts of log Phi arguments
+    of one metric building block and of one frozen line."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        n = [0]
+        log_phi = FoxHSpec.log_phi
+
+        def wrapped(self, t):
+            n[0] += np.size(t)
+            return log_phi(self, t)
+
+        monkeypatch.setattr(FoxHSpec, "log_phi", wrapped)
+        return n
+
+    def test_g_exp_moment(self, counted):
+        from cunsec.secrecy import g_exp_moment
+        cfg = figure_config("fig4")
+        g_exp_moment(cfg, 1, cfg.rf_se.theta)
+        assert 0 < counted[0] <= 2000
+
+    def test_line_evaluator_init(self, counted):
+        cfg = figure_config("fig4")
+        fso = cfg.fso
+        z_ref = fso.V * cfg.sigma * cfg.rf_se.avg_snr / fso.mu_s
+        ev = LineEvaluator(fso.cdf_kernel_spec(1), z_ref)
+        assert 0 < counted[0] <= 2000
+        assert ev.h < _H0
