@@ -392,7 +392,7 @@ def _expect_rf_fso(cfg, rf, policy):
     return _expect(cfg.rf_se, integrand)
 
 
-def sop_lower_quadrature(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
+def sop_lower_quadrature(cfg, policy=DEFAULT_POLICY):
     """Probability-substituted quadrature of the defining outage integral."""
     return _expect_rf_fso(cfg, lambda x: cdf_rf(cfg, x), policy)
 
@@ -408,7 +408,7 @@ def sop_lower_scenario1(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
     r, p, e, fso = cfg.rf_sr, cfg.rf_sp, cfg.rf_se, cfg.fso
     diags = {}
     if abs(r.alpha_tilde - p.alpha_tilde) > 1e-12:
-        val = sop_lower_quadrature(cfg, sp, policy)
+        val = sop_lower_quadrature(cfg, policy)
         diags["route"] = "quadrature"
         return SecrecyResult(_clamp_unit(val, "SOP_L^I"), "SOP_L", "I", diags)
     at = r.alpha_tilde
@@ -446,7 +446,7 @@ def sop_lower_scenario2(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
     r, p, e, fso, pc = cfg.rf_sr, cfg.rf_sp, cfg.rf_se, cfg.fso, cfg.pc
     diags = {}
     if abs(r.alpha_tilde - p.alpha_tilde) > 1e-12:
-        val = sop_lower_quadrature(cfg, sp, policy)
+        val = sop_lower_quadrature(cfg, policy)
         diags["route"] = "quadrature"
         return SecrecyResult(_clamp_unit(val, "SOP_L^II"), "SOP_L", "II", diags)
 

@@ -84,6 +84,17 @@ def upper_incomplete_gamma(a, x):
 # specs and policy
 # --------------------------------------------------------------------------
 
+# Nested trapezoid rule on the contour variable y of t = c + i*y (Trefethen &
+# Weideman, SIAM Review 56(3), 2014): the half-length is fixed once on a
+# line of spacing _H0 and then the spacing halves, so every level keeps the
+# nodes of the one before and evaluates only its new odd nodes.
+_H0 = 0.2
+_HALF0 = 8.0
+_LOG_TAIL = np.log(1e-17)
+# nodes of a new line at spacing _H0 over half-length _HALF0
+_START_NODES = 2 * int(np.ceil(_HALF0 / _H0 - 1e-9)) + 1
+
+
 @dataclass(frozen=True)
 class ContourPolicy:
     """Numerical policy for Mellin-Barnes evaluation.
@@ -91,7 +102,10 @@ class ContourPolicy:
     The refinement loop (`_refine`) fixes the contour half-length from the
     decay of the integrand and halves the node spacing until two levels
     agree to rel_tol.  max_nodes and bivariate_max_nodes are the per-axis
-    node budgets past which it raises ConvergenceError.
+    node budgets past which it raises ConvergenceError, once it holds two
+    estimates.  Every line starts at _START_NODES (81) nodes, so smaller
+    budgets are rejected; on a bivariate lattice with A1 != A2 the finer
+    axis starts at about max(A1, A2)/min(A1, A2) times as many.
     """
 
     rel_tol: float = 1e-8
@@ -101,8 +115,10 @@ class ContourPolicy:
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise ParameterError("rel_tol must be in (0, 1)")
-        if self.max_nodes < 1 or self.bivariate_max_nodes < 1:
-            raise ParameterError("node budgets must be >= 1")
+        if min(self.max_nodes, self.bivariate_max_nodes) < _START_NODES:
+            raise ParameterError(
+                f"node budgets must be >= {_START_NODES}, the nodes of a "
+                "starting line")
 
 
 DEFAULT_POLICY = ContourPolicy()
@@ -214,6 +230,14 @@ class BivariateFoxHSpec:
     contour point only through A1*t1 + A2*t2, and the evaluator sums the
     product contour on a lattice whose spacings h/A1 and h/A2 map every
     node onto one line of joint values (see `_lattice_sum`).
+
+    Each axis's half-length comes from its kernel line alone when the
+    kernel decays by itself (decay_rate() > 0): the joint factors peak at
+    Y = 0, so that bound holds for every point of the other axis.  A kernel
+    that does not decay by itself is trimmed by its product with the joint
+    factors on the slice where the other axis is at y = 0.  A kernel that
+    decays only slowly by itself still sets a long line, which may run past
+    bivariate_max_nodes.
     """
 
     joint: tuple
@@ -284,15 +308,6 @@ def _pick_abscissa(spec, z):
     return float(cands[int(np.argmin(mag))])
 
 
-# Nested trapezoid rule on the contour variable y of t = c + i*y (Trefethen &
-# Weideman, SIAM Review 56(3), 2014): the half-length is fixed once on a
-# line of spacing _H0 and then the spacing halves, so every level keeps the
-# nodes of the one before and evaluates only its new odd nodes.
-_H0 = 0.2
-_HALF0 = 8.0
-_LOG_TAIL = np.log(1e-17)
-
-
 class _Line:
     """log Phi at the nodes t = c + i*h*k, |k| <= K, of one vertical line.
 
@@ -302,6 +317,7 @@ class _Line:
 
     def __init__(self, log_phi, c, h):
         self.log_phi, self.c, self.h, self.level = log_phi, c, h, 0
+        self.tail = None
         self.K = int(np.ceil(_HALF0 / h - 1e-9))
         self.vals = self._eval(np.arange(-self.K, self.K + 1))
 
@@ -336,8 +352,17 @@ class _Line:
 
     def span(self):
         """Half-length to the first node past the outermost one within
-        1e-17 of the peak magnitude, or None while an end is above that."""
-        mag = np.where(np.isfinite(self.vals), self.vals.real, -np.inf)
+        1e-17 of the peak magnitude, or None while an end is above that.
+
+        With a tail line set (same level, node k of both lines at the same
+        Y), the magnitude tested is that of the product of the two lines.
+        """
+        vals = self.vals
+        if self.tail is not None:
+            self.tail.cover(max(self.tail.K, self.K))
+            vals = vals + self.tail.vals[self.tail.K - self.K:
+                                         self.tail.K + self.K + 1]
+        mag = np.where(np.isfinite(vals), vals.real, -np.inf)
         keep = np.flatnonzero(mag >= mag.max() + _LOG_TAIL)
         if keep[0] == 0 or keep[-1] == len(mag) - 1:
             return None
@@ -357,13 +382,13 @@ def _over_budget(axes, estimates, max_nodes):
 def _refine(axes, total, max_nodes, policy):
     """The Mellin-Barnes refinement loop of every evaluator.
 
-    axes holds the _Line of each contour axis, the finest at spacing _H0;
+    axes holds the _Line of each contour axis, the coarsest at spacing _H0;
     total() returns (integral, l1) of the trapezoid rule over the lines as
     they stand.  First one half-length, a multiple of _H0, is fixed for
     every axis: it doubles from _HALF0 until both ends of each line are
-    below 1e-17 of its peak, then shrinks to the widest axis's span.  Then
-    every spacing halves until two levels differ by at most
-    max(rel_tol*|value|, 1e-15*l1).  Returns (estimates, error, l1), where
+    below 1e-17 of its peak (`_Line.span`), then shrinks to the widest
+    axis's span.  Then every spacing halves until two levels differ by at
+    most max(rel_tol*|value|, 1e-15*l1).  Returns (estimates, error, l1), where
     estimates holds the last two values (the second is the result); raises
     ConvergenceError with the last two estimates, the half-lengths and the
     per-axis node counts once an unconverged line holds more than max_nodes.
@@ -597,6 +622,11 @@ def fox_h_bivariate(spec, z1, z2, policy=DEFAULT_POLICY):
             _Line(spec.kernel2.log_phi, c2, h / A2)]
 
     joint = _Line(spec.log_joint, A1 * c1 + A2 * c2, h)
+    # a kernel that does not decay by itself is trimmed together with the
+    # joint factors on its axis (the other axis at y = 0)
+    for ln, kernel in zip(axes, (spec.kernel1, spec.kernel2)):
+        if kernel.decay_rate() <= 0:
+            ln.tail = joint
     estimates, err, l1 = _refine(
         axes, lambda: _lattice_sum(z1, z2, *axes, joint),
         policy.bivariate_max_nodes, policy)

@@ -231,6 +231,22 @@ class TestBivariate:
         got = de ** (-(pw + 1.0)) * fox_h_bivariate(spec, z1, c_arg / de)
         assert_allclose(got, ref, rtol=1e-6)
 
+    @pytest.mark.parametrize("z1, z2", [(0.7, 1.9), (3.0, 0.2)])
+    def test_kernel_that_decays_only_with_the_joint(self, z1, z2):
+        # Gamma(-t1)/Gamma(c + t1) does not decay along its line (decay
+        # rate 0); with the joint Gamma(s + t1 + t2) and Gamma(-t2) the
+        # residue sum is Gamma(s)/Gamma(c) (1+z2)^-s 1F1(s; c; -z1/(1+z2))
+        s, c = 1.5, 2.3
+        kernel1 = FoxHSpec(m=1, n=0, upper=(),
+                           lower=((0.0, 1.0), (1.0 - c, 1.0)))
+        assert kernel1.decay_rate() == 0.0
+        spec = BivariateFoxHSpec(
+            joint=((1.0 - s, 1.0, 1.0),), kernel1=kernel1,
+            kernel2=FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),)))
+        ref = float(mp.gamma(s) / mp.gamma(c) * (1 + z2) ** -s *
+                    mp.hyp1f1(s, c, -z1 / (1 + z2)))
+        assert_allclose(fox_h_bivariate(spec, z1, z2), ref, rtol=1e-8)
+
     def test_rejects_bad_arguments(self):
         exp_kernel = FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),))
         spec = BivariateFoxHSpec(joint=(), kernel1=exp_kernel,
@@ -331,20 +347,20 @@ class TestRefinementBudget:
 
     def test_univariate(self):
         spec = MeijerGSpec(m=3, n=1, a=(1.0, 2.0), b=(1.0, 2.296, 1.0, 0.0))
-        pol = ContourPolicy(max_nodes=64, rel_tol=1e-15)
+        pol = ContourPolicy(max_nodes=81, rel_tol=1e-15)
         with pytest.raises(ConvergenceError) as info:
             meijer_g(spec, 0.5, pol)
-        self._check(info, 64)
+        self._check(info, 81)
         assert len(info.value.diagnostics["nodes"]) == 1
 
     def test_bivariate(self):
         exp_kernel = FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),))
         spec = BivariateFoxHSpec(joint=(), kernel1=exp_kernel,
                                  kernel2=exp_kernel)
-        pol = ContourPolicy(bivariate_max_nodes=33, rel_tol=1e-15)
+        pol = ContourPolicy(bivariate_max_nodes=81, rel_tol=1e-15)
         with pytest.raises(ConvergenceError) as info:
             fox_h_bivariate(spec, 0.7, 1.9, pol)
-        self._check(info, 33)
+        self._check(info, 81)
         assert len(info.value.diagnostics["half_lengths"]) == 2
         # with A1 = 4 A2 the lattice makes axis 1 four times finer than
         # axis 2 on one half-length: the budget and the diagnostics count
@@ -360,10 +376,13 @@ class TestRefinementBudget:
         assert n1 == 4 * (n2 - 1) + 1
 
     def test_policy_rejects_budget_below_start(self):
-        with pytest.raises(ParameterError):
-            ContourPolicy(max_nodes=0)
-        with pytest.raises(ParameterError):
-            ContourPolicy(bivariate_max_nodes=0)
+        # a new line holds 81 nodes (half-length 8 at spacing 0.2)
+        for budget in (0, 80):
+            with pytest.raises(ParameterError):
+                ContourPolicy(max_nodes=budget)
+            with pytest.raises(ParameterError):
+                ContourPolicy(bivariate_max_nodes=budget)
+        ContourPolicy(max_nodes=81, bivariate_max_nodes=81)
 
 
 class TestLineEvaluator:
