@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import binom, gamma as _gamma, gammainc
 
 from .errors import NumericalIntegrityError, ParameterError
-from .specfun import DEFAULT_POLICY, MeijerGSpec, meijer_g
+from .specfun import DEFAULT_POLICY, LineEvaluator, MeijerGSpec, meijer_g
 
 __all__ = [
     "RfChannelParams",
@@ -267,38 +267,23 @@ def malaga_pdf(fso, snr, policy=DEFAULT_POLICY):
 
 
 def malaga_cdf(fso, snr, policy=DEFAULT_POLICY):
-    """SNR CDF of the (unblocked) Malaga link."""
-    x = float(snr)
-    if x < 0:
-        raise ParameterError("snr must be >= 0")
-    if x == 0.0:
-        return 0.0
-    z = fso.V * x / fso.mu_s
-    tot = 0.0
-    for m_o in range(1, fso.beta_o + 1):
-        tot += fso.varsigma(m_o) * meijer_g(fso.cdf_kernel_spec(m_o), z, policy)
-    val = fso.K * tot
-    if val < -1e-7 or val > 1.0 + 1e-7:
-        raise NumericalIntegrityError(f"malaga_cdf({x}) = {val} outside [0, 1]")
-    return float(min(max(val, 0.0), 1.0))
+    """SNR CDF of the (unblocked) Malaga link, from its contours converged
+    at snr."""
+    return MalagaCdfEvaluator(fso, snr, policy)(snr)
 
 
 def fso_blocked_cdf(fso, snr, policy=DEFAULT_POLICY):
     """CDF of the blocked link: mass blockage_p at zero plus the Malaga tail."""
-    x = float(snr)
-    if x < 0:
-        raise ParameterError("snr must be >= 0")
-    return fso.blockage_p + (1.0 - fso.blockage_p) * malaga_cdf(fso, x, policy)
+    return MalagaCdfEvaluator(fso, snr, policy, blocked=True)(snr)
 
 
 class MalagaCdfEvaluator:
     """Reusable fixed-contour evaluator of the Malaga (optionally blocked)
-    CDF, for quadrature integrands and sample grids.  snr_ref sets where the
-    contours are converged."""
+    CDF, for quadrature integrands and sample grids: one `LineEvaluator`
+    per m_o.  snr_ref sets where the contours are converged (not below
+    kernel argument 1e-6)."""
 
     def __init__(self, fso, snr_ref=None, policy=DEFAULT_POLICY, blocked=False):
-        from .specfun import LineEvaluator
-
         self.fso = fso
         self.blocked = blocked
         ref = snr_ref if snr_ref is not None else fso.mu_s
@@ -310,6 +295,8 @@ class MalagaCdfEvaluator:
 
     def eval_many(self, snr):
         xs = np.asarray(snr, dtype=float)
+        if not np.all(np.isfinite(xs) & (xs >= 0)):
+            raise ParameterError("snr must be finite and >= 0")
         flat = xs.reshape(-1)
         out = np.zeros(len(flat))
         pos = flat > 0
@@ -318,7 +305,13 @@ class MalagaCdfEvaluator:
             acc = np.zeros(z.shape)
             for weight, kern in self._kernels:
                 acc += weight * kern.eval_many(z)
-            out[pos] = np.clip(self.fso.K * acc, 0.0, 1.0)
+            raw = self.fso.K * acc
+            bad = ~((raw >= -1e-7) & (raw <= 1.0 + 1e-7))
+            if np.any(bad):
+                raise NumericalIntegrityError(
+                    f"Malaga CDF at snr {flat[pos][bad]} = {raw[bad]} "
+                    "outside [0, 1]")
+            out[pos] = np.clip(raw, 0.0, 1.0)
         if self.blocked:
             out = self.fso.blockage_p + (1.0 - self.fso.blockage_p) * out
         res = out.reshape(xs.shape)

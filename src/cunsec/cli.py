@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .channels import alpha_mu_cdf
+from .channels import MalagaCdfEvaluator, alpha_mu_cdf
 from .config import config_to_dict, load_config, replace_by_path
 from .cun_cdf import SeriesPolicy, cdf_rf
 from .errors import ConfigError, CunsecError
@@ -237,7 +237,8 @@ def run_validate(cfg, n, seed, sp=None, policy=None):
         ks_rows.append({"channel": name, "ks": d, "threshold": ks_threshold,
                         "pass": ok})
 
-    from .channels import MalagaCdfEvaluator
+    # looked up on the module at each call, so that a wrapper set on
+    # mc.sample_batch (as the benchmark tracer sets one) sees this call
     from .mc import sample_batch
 
     batch = sample_batch(cfg, min(n, 1 << 18), seed, chunk_index=0)

@@ -6,8 +6,10 @@ along a vertical line, summed by the trapezoid rule and refined by one loop
 fixes the half-length once, where the integrand has fallen below 1e-17 of
 its peak, then starts at node spacing 0.2 and halves it; each level keeps
 the nodes it already holds, evaluates the integrand only at its new odd
-nodes, and the difference of two levels is the error check.  The
-convention is
+nodes, and the difference of two levels is the error check.  A univariate
+line is one `LineEvaluator`: `fox_h` and `meijer_g` return its value at
+the argument it converged at, and its frozen last level serves other
+arguments.  The convention is
 
     H(z) = (1/2*pi*i) * int_L Phi(t) z^t dt,
     Phi(t) = prod_{j<=m} Gamma(b_j - B_j t) * prod_{j<=n} Gamma(1 - a_j + A_j t)
@@ -420,42 +422,25 @@ def _refine(axes, total, max_nodes, policy):
         prev = value
 
 
-def _line_sum(line, z):
-    """(integral, l1) of the trapezoid rule over one line at argument z."""
+def _terms(log_phi, t, lz):
+    """Trapezoid terms exp(log Phi + t*ln z) at the nodes t, with non-finite
+    terms set to 0; lz broadcasts against t.  Callers weight the sum by
+    h/(2*pi): weighting each term would round the sum differently."""
     with np.errstate(all="ignore"):
-        vals = np.exp(line.vals + line.t * np.log(z))
-    vals = np.nan_to_num(vals, nan=0.0, posinf=0.0, neginf=0.0)
-    scale = line.h / (2.0 * np.pi)
-    return vals.sum() * scale, np.abs(vals).sum() * scale
-
-
-def _converge_line(spec, z, policy):
-    """Adaptive vertical-line integral.
-
-    Returns (estimates, error, l1, line) with line the converged _Line, so
-    callers can reuse its nodes for other arguments.
-    """
-    if not np.isfinite(z) or z <= 0:
-        raise ParameterError(f"argument must be a positive real, got {z}")
-    line = _Line(spec.log_phi, _pick_abscissa(spec, z), _H0)
-    estimates, err, l1 = _refine(
-        [line], lambda: _line_sum(line, z), policy.max_nodes, policy)
-    return estimates, err, l1, line
-
-
-def _eval_line(spec, z, policy):
-    estimates, err, l1, _ = _converge_line(spec, z, policy)
-    return _finalize(estimates, err, l1, policy)
+        vals = np.exp(log_phi + t * lz)
+    return np.nan_to_num(vals, nan=0.0, posinf=0.0, neginf=0.0)
 
 
 class LineEvaluator:
-    """Fixed-contour evaluator for many arguments of one G/H spec.
+    """The converged Mellin-Barnes line of one G/H spec.
 
-    The contour is converged once at a reference argument and its last
-    level is frozen, which drops the per-argument cost to one vectorised
-    pass.  Intended for quadrature fallbacks and CDF grids where thousands
-    of evaluations of the same kernel are needed; accuracy at arguments far
-    from the reference is that of the frozen grid.
+    The constructor checks z_ref, picks the abscissa and refines one line
+    at z_ref (`_refine`); value and error are the result there and its
+    bound, after the imaginary-residue check of `_finalize`.  The last level
+    is kept frozen, so eval_many evaluates other arguments in one
+    vectorised pass: that serves quadrature fallbacks and CDF grids where
+    thousands of evaluations of the same kernel are needed.  Accuracy at
+    arguments far from z_ref is that of the frozen grid.
 
     The line ends at the first node past the outermost one where
     Re log Phi(c+iy) >= peak + ln 1e-17 (`_refine`).  Since
@@ -463,31 +448,39 @@ class LineEvaluator:
     1e-17 of the largest one at every argument, not only at z_ref.
     """
 
-    def __init__(self, spec, z_ref, policy=None):
+    def __init__(self, spec, z_ref, policy=DEFAULT_POLICY):
         if isinstance(spec, MeijerGSpec):
             spec = spec.as_fox_h()
-        self.spec = spec
-        self.policy = policy or DEFAULT_POLICY
-        _, _, _, line = _converge_line(spec, z_ref, self.policy)
+        z_ref = float(z_ref)
+        if not np.isfinite(z_ref) or z_ref <= 0:
+            raise ParameterError(
+                f"argument must be a positive real, got {z_ref}")
+        line = _Line(spec.log_phi, _pick_abscissa(spec, z_ref), _H0)
+        lz = np.log(z_ref)
+
+        def total():
+            terms = _terms(line.vals, line.t, lz)
+            scale = line.h / (2.0 * np.pi)
+            return terms.sum() * scale, np.abs(terms).sum() * scale
+
+        estimates, err, l1 = _refine([line], total, policy.max_nodes, policy)
+        self.value, self.error = _finalize(estimates, err, l1, policy)
         self.c, self.h = line.c, line.h
         self.log_phi = line.vals
         self.t = line.t
 
     def eval_many(self, zs):
         zs = np.asarray(zs, dtype=float)
-        if np.any(zs <= 0):
-            raise ParameterError("arguments must be positive reals")
-        out = np.empty(zs.shape)
+        if not np.all(np.isfinite(zs) & (zs > 0)):
+            raise ParameterError("arguments must be finite positive reals")
         flat = zs.reshape(-1)
-        res = np.empty(len(flat))
+        out = np.empty(len(flat))
         chunk = max(1, (1 << 21) // len(self.t))
         for i in range(0, len(flat), chunk):
-            lz = np.log(flat[i:i + chunk])
-            with np.errstate(all="ignore"):
-                mat = np.exp(self.log_phi[None, :] + self.t[None, :] * lz[:, None])
-            mat = np.nan_to_num(mat, nan=0.0, posinf=0.0, neginf=0.0)
-            res[i:i + chunk] = mat.sum(axis=1).real * (self.h / (2 * np.pi))
-        out.reshape(-1)[:] = res
+            lz = np.log(flat[i:i + chunk])[:, None]
+            out[i:i + chunk] = _terms(self.log_phi, self.t, lz).sum(
+                axis=1).real * (self.h / (2.0 * np.pi))
+        out = out.reshape(zs.shape)
         return out if out.ndim else float(out)
 
     def __call__(self, z):
@@ -511,18 +504,13 @@ def _finalize(estimates, err, l1, policy):
 # public evaluators
 # --------------------------------------------------------------------------
 
-def meijer_g(spec, z, policy=DEFAULT_POLICY):
-    """Evaluate a Meijer G function at positive real z."""
-    if isinstance(spec, MeijerGSpec):
-        spec = spec.as_fox_h()
-    value, _ = _eval_line(spec, float(z), policy)
-    return value
-
-
 def fox_h(spec, z, policy=DEFAULT_POLICY):
-    """Evaluate a univariate Fox H function at positive real z."""
-    value, _ = _eval_line(spec, float(z), policy)
-    return value
+    """Evaluate a univariate Fox H (FoxHSpec) or Meijer G (MeijerGSpec) at
+    positive real z: the value of its line converged at z."""
+    return LineEvaluator(spec, z, policy).value
+
+
+meijer_g = fox_h
 
 
 def _lattice_sum(z1, z2, line1, line2, joint):

@@ -20,7 +20,7 @@ from cunsec.channels import (
     malaga_cdf,
     malaga_pdf,
 )
-from cunsec.errors import ParameterError
+from cunsec.errors import NumericalIntegrityError, ParameterError
 from cunsec.mc import ks_distance, sample_alpha_mu, sample_malaga_snr
 
 mp.mp.dps = 30
@@ -120,6 +120,25 @@ class TestMalaga:
         fso = FsoLinkParams(s=1, avg_snr_db=10.0, **FIG_FSO)
         assert malaga_cdf(fso, 0.0) == 0.0
         assert malaga_cdf(fso, 1e3 * fso.mu_s) >= 0.999
+
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_cdf_rejects_bad_snr(self, blocked):
+        fso = FsoLinkParams(s=1, avg_snr_db=10.0, blockage_p=0.1, **FIG_FSO)
+        ev = MalagaCdfEvaluator(fso, blocked=blocked)
+        cdf = fso_blocked_cdf if blocked else malaga_cdf
+        for bad in (np.inf, np.nan, -1.0):
+            with pytest.raises(ParameterError):
+                ev.eval_many(np.array([fso.mu_s, bad]))
+            with pytest.raises(ParameterError):
+                cdf(fso, bad)
+
+    def test_cdf_out_of_range_is_loud(self):
+        # the raw value is checked before it is clipped to [0, 1]
+        fso = FsoLinkParams(s=1, avg_snr_db=10.0, **FIG_FSO)
+        ev = MalagaCdfEvaluator(fso)
+        ev._kernels = [(2.0 * w, kern) for w, kern in ev._kernels]
+        with pytest.raises(NumericalIntegrityError):
+            ev.eval_many(np.array([1e3 * fso.mu_s]))
 
     @pytest.mark.parametrize("s", [1, 2])
     def test_cdf_vs_pdf_quadrature(self, s):

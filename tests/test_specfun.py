@@ -9,6 +9,8 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import loggamma
 
+from cunsec import specfun
+from cunsec.channels import MalagaCdfEvaluator, malaga_cdf
 from cunsec.errors import ContourError, ConvergenceError, ParameterError
 from cunsec.figures import FIGURES, figure_config
 from cunsec.specfun import (
@@ -420,6 +422,39 @@ class TestLineEvaluator:
             full = [_line_sum_ref(spec, z, ev.c, ev.h, 2 * K)[0].real
                     for z in zs]
             assert_allclose(ev.eval_many(zs), full, rtol=0, atol=1e-13)
+
+    def test_value_is_fox_h(self, monkeypatch):
+        # fox_h is the value of one converged line, and malaga_cdf that of
+        # its evaluator converged at the same snr: one refinement per kernel
+        refines = [0]
+        refine = specfun._refine
+
+        def counting(*args):
+            refines[0] += 1
+            return refine(*args)
+
+        monkeypatch.setattr(specfun, "_refine", counting)
+        for gspec, z in self._malaga_kernels():
+            ev = LineEvaluator(gspec, z)
+            refines[0] = 0
+            assert ev.value == fox_h(gspec, z) == ev(z)
+            assert refines[0] == 1
+            assert ev.error > 0
+        for name in FIGURES:
+            fso = figure_config(name).fso
+            for x in (0.3 * fso.mu_s, fso.mu_s):
+                refines[0] = 0
+                got = malaga_cdf(fso, x)
+                assert refines[0] == fso.beta_o
+                assert got == MalagaCdfEvaluator(fso, x)(x)
+
+    def test_eval_many_rejects_non_finite(self):
+        ev = LineEvaluator(EXP_SPEC, 1.0)
+        for bad in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(ParameterError):
+                ev.eval_many(np.array([1.0, bad]))
+            with pytest.raises(ParameterError):
+                fox_h(EXP_SPEC, bad)
 
     def test_frozen_line_vs_mpmath(self):
         for gspec, z_ref in self._malaga_kernels():
