@@ -280,16 +280,23 @@ def fso_blocked_cdf(fso, snr, policy=DEFAULT_POLICY):
 class MalagaCdfEvaluator:
     """Reusable fixed-contour evaluator of the Malaga (optionally blocked)
     CDF, for quadrature integrands and sample grids: one `LineEvaluator`
-    per m_o.  snr_ref sets where the contours are converged (not below
+    per m_o, built when the first positive SNR arrives (the CDF at 0 needs
+    none).  snr_ref sets where the contours are converged (not below
     kernel argument 1e-6)."""
 
     def __init__(self, fso, snr_ref=None, policy=DEFAULT_POLICY, blocked=False):
         self.fso = fso
         self.blocked = blocked
-        ref = snr_ref if snr_ref is not None else fso.mu_s
-        z_ref = max(fso.V * ref / fso.mu_s, 1e-6)
-        self._kernels = [
-            (fso.varsigma(m_o), LineEvaluator(fso.cdf_kernel_spec(m_o), z_ref, policy))
+        self._snr_ref = snr_ref if snr_ref is not None else fso.mu_s
+        self._policy = policy
+
+    @cached_property
+    def _kernels(self):
+        fso = self.fso
+        z_ref = max(fso.V * self._snr_ref / fso.mu_s, 1e-6)
+        return [
+            (fso.varsigma(m_o),
+             LineEvaluator(fso.cdf_kernel_spec(m_o), z_ref, self._policy))
             for m_o in range(1, fso.beta_o + 1)
         ]
 

@@ -7,18 +7,22 @@ CDFs multiply the RF CDF with the blocked-FSO CDF (selection combining).
 
 The Scenario II tail piece (lambda2) exists in two algebraically
 equivalent forms: an exact finite expression built on the upper incomplete
-gamma, and the quadruple series obtained by binomially expanding it (the
-form the outage assembly integrates term by term).  The series only
-converges for snr < psi_q * (phi_r / phi_p); outside that region the exact
-form is used.  The closed Scenario II CDF uses the exact form throughout,
-so it evaluates an SNR array as one array expression.  The series
-coefficients here were derived from scratch and settled against the
-defining-integral quadrature oracle: the gamma-dependent exponential
-carries delta_r * psi_t^-a~ and the m4 index contributes psi_q^-a~ m4.
+gamma, and the quadruple series obtained by binomially expanding it.  The
+series (_p2_series) is the one the outage assembly integrates term by term,
+with eavesdropper moments in place of its constant bracket, and every
+binomial sum of the package runs through _binomial_series and its one stop
+rule.  lambda2's sums converge only for snr < lambda2_series_radius;
+outside that region the exact form is used.  The closed Scenario II CDF
+uses the exact form throughout, so it evaluates an SNR array as one array
+expression.  The series coefficients were derived from scratch and settled
+against the defining-integral quadrature oracle: the gamma-dependent
+exponential carries delta_r * psi_t^-a~ and the m4 index contributes
+psi_q^-a~ m4.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb as _icomb
 
@@ -97,6 +101,37 @@ class SeriesPolicy:
 DEFAULT_SERIES = SeriesPolicy()
 
 
+def _binomial_series(om, z, b, k0, sp):
+    """Sum over m of C(om + m - 1, m) (-z)^m b(k0 + m), the binomial
+    expansion of (1 + z)^-om weighted by b, with compensated summation.
+
+    Converged once three successive terms are below sp.rel_tol of the sum.
+    Aborted when the term ratio |t_m / t_(m-1)| is above 1 and has risen on
+    two successive steps (weights b that outgrow the binomial); a plain
+    binomial's ratio (om + m - 1) z / m falls, so it is never aborted, even
+    where its first terms grow.  Returns (sum, converged, terms_used,
+    magnitude of the last term).
+    """
+    total = comp = mag = ratio = 0.0
+    rises = small = 0
+    for m in range(sp.max_terms):
+        term = float(binom(om + m - 1, m)) * (-z) ** m * b(k0 + m)
+        if not np.isfinite(term):
+            return total, False, m + 1, np.inf
+        t = total + (term - comp)
+        comp = (t - total) - (term - comp)
+        total = t
+        prev_mag, mag = mag, abs(term)
+        prev_ratio, ratio = ratio, mag / prev_mag if prev_mag else 0.0
+        rises = rises + 1 if ratio > max(1.0, prev_ratio) else 0
+        if rises >= 2:
+            return total, False, m + 1, mag
+        small = small + 1 if mag <= sp.rel_tol * max(abs(total), 1e-300) else 0
+        if small >= 3:
+            return total, True, m + 1, mag
+    return total, False, sp.max_terms, mag
+
+
 def require_equal_alpha(rf_sr, rf_sp):
     """The Scenario closed forms assume equal alpha/2 on the S-R and S-P links."""
     if abs(rf_sr.alpha_tilde - rf_sp.alpha_tilde) > 1e-12:
@@ -109,8 +144,8 @@ def require_equal_alpha(rf_sr, rf_sp):
 
 def _snr(snr):
     x = np.asarray(snr, dtype=float)
-    if np.any(x < 0):
-        raise ParameterError("snr must be >= 0")
+    if not np.all(np.isfinite(x) & (x >= 0)):
+        raise ParameterError("snr must be finite and >= 0")
     return x
 
 
@@ -138,12 +173,17 @@ def _scenario1_tail(rf_sr, rf_sp, pc, x):
     xi1 = rf_sr.delta * psi_q ** (-at)
     tot = 0.0
     for m_r in range(rf_sr.mu):
-        xi2 = m_r + rf_sp.mu
-        tot += _gamma(xi2) / (_gamma(rf_sp.mu) * _gamma(m_r + 1.0)) \
-            * rf_sr.delta ** m_r * rf_sp.delta ** rf_sp.mu \
+        tot += _scenario1_coeff(rf_sr, rf_sp, m_r) \
             * (x / psi_q) ** (at * m_r) \
-            * (xi1 * x ** at + rf_sp.delta) ** (-xi2)
+            * (xi1 * x ** at + rf_sp.delta) ** (-(m_r + rf_sp.mu))
     return tot
+
+
+def _scenario1_coeff(rf_sr, rf_sp, m_r):
+    """Gamma(xi2) delta_r^m_r delta_p^mu_p / (Gamma(mu_p) m_r!), with
+    xi2 = m_r + mu_p: the m_r-th coefficient of the Scenario I tail."""
+    return _gamma(m_r + rf_sp.mu) / (_gamma(rf_sp.mu) * _gamma(m_r + 1.0)) \
+        * rf_sr.delta ** m_r * rf_sp.delta ** rf_sp.mu
 
 
 # Nested tanh-sinh rule on u = u0 + (1 - u0) * (1 + tanh(pi/2 sinh t)) / 2
@@ -286,79 +326,91 @@ def _lambda2_tail(rf_sr, rf_sp, pc, x):
     return tot
 
 
+# Ratio z of the m5 sums below which they are summed (they converge for z < 1)
+_P2_MAX_RATIO = 0.8
+
+
+def _p2_ratio(rf_sr, rf_sp, pc, s):
+    """Ratio z of the m5 binomial sums of _p2_series at SNR scale s."""
+    at = rf_sr.alpha_tilde
+    return rf_sr.delta * s ** at / (rf_sp.delta * pc.psi_q ** at)
+
+
+def _p2_series(rf_sr, rf_sp, pc, s, bracket, sp):
+    """The quadruple binomial series of the Scenario II tail at SNR scale s,
+    each term weighted by bracket(k), k = m_r + m4 + m5 (called at most once
+    per k).  With Om = mu_p + m_r, a = alpha~, w = (psi_q / psi_t)^a and
+    z = _p2_ratio(s), it is the sum over m_r < mu_r, m3 < Om, m4 <= m3 of
+
+      e^(-d_p w) d_p^-m_r d_r^m_r (s / psi_q)^(a m_r) Gamma(Om) / (Gamma(mu_p) m_r!)
+      * C(m3, m4) / m3! (d_p w)^(m3 - m4) (d_r psi_t^-a s^a)^m4
+      * sum_m5 C(Om + m5 - 1, m5) (-z)^m5 bracket(k).
+
+    lambda2 = P1 - e^(-d_r psi_t^-a x^a) times this at s = x, bracket = 1.
+    The outage bound takes s = sigma and eavesdropper moments as brackets.
+
+    Returns (value, info): info["terms"] gives the number of m5 terms of
+    each settled (m_r, m3, m4), info["bound"] the largest last term.  When
+    an m5 sum is aborted or does not settle, value is None and info["abort"]
+    names it.
+    """
+    at = rf_sr.alpha_tilde
+    d_r, d_p = rf_sr.delta, rf_sp.delta
+    psi_q, psi_t = pc.psi_q, pc.psi_t
+    w = (psi_q / psi_t) ** at
+    z = _p2_ratio(rf_sr, rf_sp, pc, s)
+    b = functools.cache(bracket)
+    exp_w = np.exp(-d_p * w)
+    total, bound, terms = 0.0, 0.0, {}
+    for m_r in range(rf_sr.mu):
+        om = rf_sp.mu + m_r
+        s_base = d_p ** (-m_r) * d_r ** m_r * psi_q ** (-at * m_r) \
+            * s ** (at * m_r) * _gamma(om) / (_gamma(rf_sp.mu) * _gamma(m_r + 1.0))
+        for m3 in range(om):
+            for m4 in range(m3 + 1):
+                c34 = _icomb(m3, m4) / _gamma(m3 + 1.0) \
+                    * (d_p * w) ** (m3 - m4) * (d_r * psi_t ** (-at) * s ** at) ** m4
+                val5, converged, n5, last = _binomial_series(om, z, b, m_r + m4, sp)
+                if not converged:
+                    return None, {"terms": terms, "abort":
+                                  f"m_r={m_r} m3={m3} m4={m4} bound={last:.3g}"}
+                terms[m_r, m3, m4] = n5
+                bound = max(bound, last)
+                total += exp_w * s_base * c34 * val5
+    return total, {"terms": terms, "bound": bound}
+
+
 def lambda2_series_radius(rf_sr, rf_sp, pc):
     """SNR below which the series expansion of lambda2 converges."""
     at = rf_sr.alpha_tilde
     return pc.psi_q * (rf_sp.delta / rf_sr.delta) ** (1.0 / at)
 
 
-def lambda2(rf_sr, rf_sp, pc, snr, sp=DEFAULT_SERIES, on_divergence="exact"):
-    """Quadruple-series form of the tail piece, with diagnostics.
+def lambda2(rf_sr, rf_sp, pc, snr, sp=DEFAULT_SERIES):
+    """Quadruple-series form of the tail piece, with diagnostics:
+    P1 - e^(-d_r psi_t^-a snr^a) * _p2_series(s = snr, bracket = 1).
 
-    Falls back to the exact incomplete-gamma form outside the series region
-    (on_divergence="exact", default) or raises (on_divergence="raise").
-    Returns (value, diagnostics).
+    Its m5 sums are plain binomials in the ratio z, convergent below
+    lambda2_series_radius (z < 1) and summed for z < 0.8.  Otherwise, or if
+    a sum does not settle within sp.max_terms, it returns the exact
+    incomplete-gamma form with route "exact".  Returns (value, diagnostics).
     """
     require_equal_alpha(rf_sr, rf_sp)
-    x = float(snr)
-    if x < 0:
-        raise ParameterError("snr must be >= 0")
-    at = rf_sr.alpha_tilde
-    psi_q, psi_t = pc.psi_q, pc.psi_t
-    z = rf_sr.delta * psi_q ** (-at) * x ** at / rf_sp.delta
-
-    def _diverged(reason):
-        if on_divergence == "raise":
-            raise ConvergenceError(
-                f"lambda2 series did not converge ({reason}); convergent for "
-                f"snr < {lambda2_series_radius(rf_sr, rf_sp, pc):.4g}"
-            )
-        return lambda2_exact(rf_sr, rf_sp, pc, x), {
-            "route": "exact", "series_ratio": z, "reason": reason}
-
-    if z >= 0.8:
-        return _diverged(f"series ratio {z:.3f} >= 0.8")
-    w = (psi_q / psi_t) ** at
-    p1 = float(gammaincc(rf_sp.mu, rf_sp.delta * w))
-    expf = np.exp(-rf_sp.delta * w - rf_sr.delta * psi_t ** (-at) * x ** at)
-    tot = 0.0
-    terms_used = 0
-    bound = 0.0
-    for m_r in range(rf_sr.mu):
-        om = rf_sp.mu + m_r
-        base = rf_sp.delta ** rf_sp.mu * rf_sr.delta ** m_r \
-            / (_gamma(rf_sp.mu) * _gamma(m_r + 1.0)) \
-            * psi_q ** (-at * m_r) * x ** (at * m_r) * _gamma(om) \
-            * rf_sp.delta ** (-om)
-        for m3 in range(om):
-            for m4 in range(m3 + 1):
-                c34 = _icomb(m3, m4) / _gamma(m3 + 1.0) \
-                    * (rf_sp.delta * w) ** (m3 - m4) \
-                    * (rf_sr.delta * psi_t ** (-at) * x ** at) ** m4
-                s5 = 0.0
-                comp = 0.0
-                small = 0
-                term = 0.0
-                for m5 in range(sp.max_terms):
-                    term = float(binom(om + m5 - 1, m5)) * (-z) ** m5
-                    t = s5 + (term - comp)
-                    comp = (t - s5) - (term - comp)
-                    s5 = t
-                    terms_used += 1
-                    if abs(term) <= sp.rel_tol * max(abs(s5), 1e-300):
-                        small += 1
-                        if small >= 3:
-                            break
-                    else:
-                        small = 0
-                if small < 3:
-                    return _diverged(
-                        f"m5 sum not stable within {sp.max_terms} terms")
-                bound = max(bound, abs(term))
-                tot += base * c34 * s5
-    val = p1 - expf * tot
-    return val, {"route": "series", "series_ratio": z, "terms": terms_used,
-                 "truncation_bound": bound}
+    x = float(_snr(snr))
+    z = _p2_ratio(rf_sr, rf_sp, pc, x)
+    reason = f"series ratio {z:.3f} >= {_P2_MAX_RATIO}"
+    if z < _P2_MAX_RATIO:
+        p2, info = _p2_series(rf_sr, rf_sp, pc, x, lambda k: 1.0, sp)
+        if p2 is not None:
+            at = rf_sr.alpha_tilde
+            p1 = gammaincc(rf_sp.mu, rf_sp.delta * (pc.psi_q / pc.psi_t) ** at)
+            val = p1 - np.exp(-rf_sr.delta * pc.psi_t ** (-at) * x ** at) * p2
+            return float(val), {"route": "series", "series_ratio": z,
+                                "terms": sum(info["terms"].values()),
+                                "truncation_bound": info["bound"]}
+        reason = f"m5 sum stopped at {info['abort']}"
+    return lambda2_exact(rf_sr, rf_sp, pc, x), {
+        "route": "exact", "series_ratio": z, "reason": reason}
 
 
 def cdf_rf_scenario2(rf_sr, rf_sp, pc, snr):

@@ -5,22 +5,24 @@ Every metric is the expectation of the hybrid-link CDF at sigma * snr_e over
 the eavesdropper density.  The closed routes expand that expectation into the
 integral-term families (the I-terms for Scenario I, the R-terms for Scenario
 II); each family member has a Mellin-Barnes closed form.  The binomial series
-of the I3/I4 and R4/R8 families converge only in part of parameter space;
+of the I3/I4 and R4/R8 families are asymptotic (their moments grow) and are
+used where they truncate below tolerance before their terms turn up;
 elsewhere the RF tail is one expectation over the eavesdropper SNR
 (cun_cdf._expect) and the result reports which route produced it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
-from math import comb as _icomb
 
 import numpy as np
-from scipy.special import binom, gamma as _gamma, gammaincc
+from scipy.special import gamma as _gamma, gammaincc
 
 from .channels import FsoLinkParams, MalagaCdfEvaluator, RfChannelParams
-from .cun_cdf import (DEFAULT_SERIES, PowerConstraints, _expect,
-                      _lambda2_tail, _scenario1_tail, cdf_rf,
+from .cun_cdf import (DEFAULT_SERIES, _P2_MAX_RATIO, PowerConstraints,
+                      _binomial_series, _expect, _lambda2_tail, _p2_ratio,
+                      _p2_series, _scenario1_coeff, _scenario1_tail, cdf_rf,
                       require_equal_alpha)
 from .errors import NumericalIntegrityError, ParameterError
 from .specfun import (
@@ -164,43 +166,6 @@ def g_exp_pair_moment(cfg, m_o, power, coeff, at_r, policy=DEFAULT_POLICY):
     return e.delta ** (-xi9 / at_e) / at_e * fox_h_bivariate(spec, z1, z2, policy)
 
 
-def _binomial_series(term_fn, sp):
-    """Adaptive alternating-series summation.
-
-    term_fn(k) returns the k-th term.  Stops when three consecutive terms are
-    below tolerance, aborts when terms grow twice in a row (asymptotic
-    divergence).  Returns (sum, converged, terms_used, bound).
-    """
-    total = 0.0
-    comp = 0.0
-    prev_mag = None
-    growth = 0
-    small = 0
-    term = 0.0
-    for k in range(sp.max_terms):
-        term = term_fn(k)
-        if not np.isfinite(term):
-            return total, False, k + 1, np.inf
-        t = total + (term - comp)
-        comp = (t - total) - (term - comp)
-        total = t
-        mag = abs(term)
-        if prev_mag is not None and mag > prev_mag:
-            growth += 1
-            if growth >= 2:
-                return total, False, k + 1, mag
-        else:
-            growth = 0
-        if mag <= sp.rel_tol * max(abs(total), 1e-300):
-            small += 1
-            if small >= 3:
-                return total, True, k + 1, mag
-        else:
-            small = 0
-        prev_mag = mag
-    return total, False, sp.max_terms, abs(term)
-
-
 # --------------------------------------------------------------------------
 # Scenario I term families
 # --------------------------------------------------------------------------
@@ -225,15 +190,11 @@ def _pow_kernel_series(cfg, m_r, m_o, sp, policy):
     if zr >= 1.0:
         return None
     base_pow = e.theta + at * m_r
-
-    def term(m2):
-        c = float(binom(xi2 + m2 - 1, m2)) * (-zr) ** m2
-        pw = base_pow + at * m2
-        if m_o is None:
-            return c * exp_moment(e, pw)
-        return c * g_exp_moment(cfg, m_o, pw, policy)
-
-    total, converged, _, _ = _binomial_series(term, sp)
+    if m_o is None:
+        moment = lambda m2: exp_moment(e, base_pow + at * m2)
+    else:
+        moment = lambda m2: g_exp_moment(cfg, m_o, base_pow + at * m2, policy)
+    total, converged, _, _ = _binomial_series(xi2, zr, moment, 0, sp)
     return total * p.delta ** (-xi2) if converged else None
 
 
@@ -430,9 +391,7 @@ def sop_lower_scenario1(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
             return SecrecyResult(_clamp_unit(total, "SOP_L^I"), "SOP_L", "I", diags)
     diags["route"] = "closed"
     for m_r in range(r.mu):
-        xi2 = m_r + p.mu
-        d_mr = _gamma(xi2) * r.delta ** m_r * p.delta ** p.mu * \
-            cfg.pc.psi_q ** (-at * m_r) / (_gamma(p.mu) * _gamma(m_r + 1.0))
+        d_mr = _scenario1_coeff(r, p, m_r) * cfg.pc.psi_q ** (-at * m_r)
         fso_part = sum(fso.varsigma(m_o) * terms[m_r, m_o] for m_o in m_os)
         total -= ce * d_mr * cfg.sigma ** (at * m_r) * (
             P_o * terms[m_r, None] + (1.0 - P_o) * fso.K * fso_part)
@@ -473,63 +432,27 @@ def sop_lower_scenario2(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
         total -= (1.0 - big_a) * b_mr * sig ** (at * m_r) * \
             fso_bracket(r2_term(cfg, m_r, policy), r6_mix)
 
-    # P2 piece: try the corrected quadruple series, else quadrature
-    z5 = r.delta * sig ** at / (p.delta * pc.psi_q ** at)
-    r4_cache, bracket_cache = {}, {}
+    # P2 piece: the quadruple series, else quadrature
+    z5 = _p2_ratio(r, p, pc, sig)
+    r4_at = functools.cache(lambda k: r4_term(cfg, k, policy))
 
-    def r4_at(k):
-        if k not in r4_cache:
-            r4_cache[k] = r4_term(cfg, k, policy)
-        return r4_cache[k]
+    def bracket(k):
+        r8_mix = sum(fso.varsigma(m_o) * r8_term(cfg, k, m_o, policy)
+                     for m_o in range(1, fso.beta_o + 1))
+        return fso_bracket(r4_at(k), r8_mix)
 
-    def bracket_at(k):
-        if k not in bracket_cache:
-            r8_mix = sum(fso.varsigma(m_o) * r8_term(cfg, k, m_o, policy)
-                         for m_o in range(1, fso.beta_o + 1))
-            bracket_cache[k] = fso_bracket(r4_at(k), r8_mix)
-        return bracket_cache[k]
-
-    series_ok = z5 < 0.8
-    if series_ok and r4_at(1) > 0:
-        # cheap asymptotic-growth pre-check on the elementary family
-        ratio0 = z5 * (p.mu) * r4_at(1) / max(r4_at(0), 1e-300)
-        if ratio0 >= 0.9:
-            series_ok = False
-    p2_total = 0.0
-    if series_ok:
-        exp_w = np.exp(-p.delta * w)
-        for m_r in range(r.mu):
-            if not series_ok:
-                break
-            om = p.mu + m_r
-            # prefactor of the tail piece: d_p^(mu_p - Om) d_r^m_r
-            # psi_q^(-at m_r) sig^(at m_r) Gamma(Om) / (Gamma(mu_p) m_r!)
-            s_base = p.delta ** (-m_r) * r.delta ** m_r * \
-                pc.psi_q ** (-at * m_r) * sig ** (at * m_r) * \
-                _gamma(om) / (_gamma(p.mu) * _gamma(m_r + 1.0))
-            for m3 in range(om):
-                if not series_ok:
-                    break
-                for m4 in range(m3 + 1):
-                    c34 = _icomb(m3, m4) / _gamma(m3 + 1.0) * \
-                        (p.delta * w) ** (m3 - m4) * \
-                        (r.delta * pc.psi_t ** (-at) * sig ** at) ** m4
-
-                    def term(m5, _mr=m_r, _om=om, _m4=m4):
-                        k = _mr + _m4 + m5
-                        coef = float(binom(_om + m5 - 1, m5)) * (-z5) ** m5
-                        return coef * bracket_at(k)
-
-                    val5, converged, n5, bound = _binomial_series(term, sp)
-                    if not converged:
-                        series_ok = False
-                        diags["p2_series_abort"] = \
-                            f"m_r={m_r} m3={m3} m4={m4} bound={bound:.3g}"
-                        break
-                    p2_total += exp_w * s_base * c34 * val5
-                    diags[f"p2_terms[{m_r},{m3},{m4}]"] = n5
-    if series_ok:
-        total -= p2_total
+    p2 = None
+    # cheap asymptotic-growth pre-check on the elementary family
+    if z5 < _P2_MAX_RATIO and not (
+            r4_at(1) > 0
+            and z5 * p.mu * r4_at(1) / max(r4_at(0), 1e-300) >= 0.9):
+        p2, info = _p2_series(r, p, pc, sig, bracket, sp)
+        diags.update((f"p2_terms[{m_r},{m3},{m4}]", n5)
+                     for (m_r, m3, m4), n5 in info["terms"].items())
+        if p2 is None:
+            diags["p2_series_abort"] = info["abort"]
+    if p2 is not None:
+        total -= p2
         diags["route"] = "closed"
     else:
         # E over the eavesdropper of the exact lambda2 tail times F_fso*

@@ -20,6 +20,7 @@ from cunsec.channels import (
     malaga_cdf,
     malaga_pdf,
 )
+from cunsec import specfun
 from cunsec.errors import NumericalIntegrityError, ParameterError
 from cunsec.mc import ks_distance, sample_alpha_mu, sample_malaga_snr
 
@@ -131,6 +132,21 @@ class TestMalaga:
                 ev.eval_many(np.array([fso.mu_s, bad]))
             with pytest.raises(ParameterError):
                 cdf(fso, bad)
+
+    def test_cdf_at_zero_builds_no_contour(self, monkeypatch):
+        fso = FsoLinkParams(s=1, avg_snr_db=10.0, blockage_p=0.1, **FIG_FSO)
+        calls = []
+        refine = specfun._refine
+        monkeypatch.setattr(specfun, "_refine",
+                            lambda *a, **k: calls.append(1) or refine(*a, **k))
+        assert malaga_cdf(fso, 0.0) == 0.0
+        assert fso_blocked_cdf(fso, 0.0) == 0.1
+        for cdf in (malaga_cdf, fso_blocked_cdf):
+            with pytest.raises(ParameterError):
+                cdf(fso, -1.0)
+        assert not calls
+        assert malaga_cdf(fso, fso.mu_s) > 0.0
+        assert len(calls) == fso.beta_o
 
     def test_cdf_out_of_range_is_loud(self):
         # the raw value is checked before it is clipped to [0, 1]

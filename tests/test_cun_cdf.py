@@ -1,4 +1,5 @@
 import ast
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from cunsec.channels import (
 from cunsec.cun_cdf import (
     PowerConstraints,
     SeriesPolicy,
+    _binomial_series,
     _expect,
     cdf_hybrid_scenario1,
     cdf_hybrid_scenario2,
@@ -124,12 +126,30 @@ def _mixed_scenario2():
     return replace(cfg, rf_sp=replace(cfg.rf_sp, alpha=3.0))
 
 
-@pytest.mark.parametrize("make", [
+CDF_RF_ROUTES = pytest.mark.parametrize("make", [
     lambda: figure_config("fig4"),   # Scenario I, closed form
     lambda: figure_config("fig3"),   # Scenario I, alpha_sr != alpha_sp
     lambda: figure_config("fig7"),   # Scenario II, closed form
     _mixed_scenario2,                # Scenario II, alpha_sr != alpha_sp
 ], ids=["I-closed", "I-quad", "II-closed", "II-quad"])
+
+
+@CDF_RF_ROUTES
+def test_cdf_rf_rejects_non_finite_snr(make):
+    cfg = make()
+    for bad in (np.nan, np.inf, -np.inf, np.array([1.0, np.nan])):
+        with pytest.raises(ParameterError):
+            cdf_rf(cfg, bad)
+
+
+def test_scenario2_pieces_reject_non_finite_snr():
+    for bad in (np.nan, np.inf, -np.inf):
+        for fn in (lambda1, lambda2_exact, lambda2):
+            with pytest.raises(ParameterError):
+                fn(RF_R7, RF_P7, PC7, bad)
+
+
+@CDF_RF_ROUTES
 def test_cdf_rf_array_matches_scalar(make):
     cfg = make()
     xs = np.array([[0.0, 1e-3, 0.05, 0.3], [1.0, 4.0, 30.0, 500.0]])
@@ -251,10 +271,16 @@ class TestLambda2:
         assert diag["route"] == "exact"
         assert_allclose(got, lambda2_exact(RF_R7, RF_P7, PC7, x), rtol=1e-12)
 
-    def test_divergent_region_can_raise(self):
-        x = 2.0 * lambda2_series_radius(RF_R7, RF_P7, PC7)
-        with pytest.raises(ConvergenceError):
-            lambda2(RF_R7, RF_P7, PC7, x, on_divergence="raise")
+    def test_series_route_up_to_ratio_079(self):
+        # m5 sums with Omega up to 5 grow for their first terms at z near
+        # 0.8; the shared stop rule must not abort them
+        r = RfChannelParams(alpha=2, mu=2, avg_snr_db=-5.0)
+        p = RfChannelParams(alpha=2, mu=4, avg_snr_db=-5.0)
+        for z in np.linspace(0.05, 0.79, 9):
+            x = PC7.psi_q * (z * p.delta / r.delta) ** (1.0 / r.alpha_tilde)
+            got, diag = lambda2(r, p, PC7, x)
+            assert diag["route"] == "series"
+            assert_allclose(got, lambda2_exact(r, p, PC7, x), rtol=1e-7)
 
     def test_truncation_soundness(self):
         tight = SeriesPolicy(rel_tol=1e-10, max_terms=400)
@@ -406,6 +432,22 @@ def test_power_constraints_validation():
         PowerConstraints(psi_q_db=0.0, scenario="III")
     pc = PowerConstraints(psi_q_db=0.0, scenario="2", psi_t_db=10.0)
     assert pc.scenario == "II"
+
+
+def test_binomial_series_sums_past_an_early_hump():
+    # (1 + 0.7)^-6: the terms grow until m = 11, but their ratio falls
+    total, converged, _, _ = _binomial_series(6, 0.7, lambda k: 1.0, 0,
+                                              SeriesPolicy(rel_tol=1e-12))
+    assert converged
+    assert_allclose(total, 1.7 ** -6, rtol=1e-10)
+
+
+def test_binomial_series_aborts_on_rising_ratio():
+    # t_m = m! (-0.5)^m: the ratio m/2 rises past 1
+    _, converged, used, _ = _binomial_series(1, 0.5, math.factorial, 0,
+                                             SeriesPolicy())
+    assert not converged
+    assert used < 10
 
 
 def test_series_policy_validation():
