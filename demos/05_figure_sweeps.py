@@ -1,17 +1,16 @@
 """Reproduce figure-style parameter sweeps and write them as CSV.
 
 Each reference curve is a metric swept along one config axis.  The sweep
-engine evaluates grid points (optionally concurrently, capped by the
-SECRECY_WORKERS environment variable) and emits one CSV row per point with
-a manifest line on top, so a plotting tool of choice can consume the file.
+engine evaluates the grid points one after another and emits one CSV row
+per point with a manifest line on top, so a plotting tool of choice can
+consume the file.
 """
 
 import io
 
 from cunsec.cli import RunManifest, _write_sweep_csv, run_sweep
-from cunsec.cun_cdf import SeriesPolicy
 from cunsec.figures import FIGURES, figure_config
-from cunsec.specfun import ContourPolicy
+from cunsec.specfun import DEFAULT_POLICY
 
 SWEEPS = [
     # EST rises with the interference ceiling, then saturates
@@ -25,7 +24,7 @@ SWEEPS = [
 for name, axis, lo, hi, points, metrics in SWEEPS:
     cfg = figure_config(name)
     rows = run_sweep(cfg, axis, lo, hi, points, metrics)
-    manifest = RunManifest.build(cfg, SeriesPolicy(), ContourPolicy())
+    manifest = RunManifest.build(cfg, DEFAULT_POLICY)
     out = io.StringIO()
     _write_sweep_csv(out, manifest, axis, metrics, rows)
     path = f"sweep_{name}_{axis.split('.')[-1]}.csv"

@@ -17,7 +17,6 @@ from .channels import (
 from .config import config_from_dict, load_config
 from .cun_cdf import (
     PowerConstraints,
-    SeriesPolicy,
     cdf_hybrid_scenario1,
     cdf_hybrid_scenario2,
     cdf_rf_scenario1,
@@ -41,8 +40,6 @@ from .secrecy import (
     SecrecyConfig,
     SecrecyResult,
     est,
-    im_terms,
-    r_terms,
     sop_lower,
     sop_lower_scenario1,
     sop_lower_scenario2,
@@ -50,9 +47,9 @@ from .secrecy import (
 )
 from .specfun import (
     BivariateFoxHSpec,
-    ContourPolicy,
     FoxHSpec,
     MeijerGSpec,
+    NumericalPolicy,
     fox_h,
     fox_h_bivariate,
     gamma_fn,

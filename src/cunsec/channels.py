@@ -83,11 +83,17 @@ class RfChannelParams:
         return self.alpha_tilde * self.mu - 1.0
 
 
+def _nonneg_snr(snr):
+    """snr as a float array, every entry >= 0 (+inf allowed, NaN not)."""
+    x = np.asarray(snr, dtype=float)
+    if not np.all(x >= 0):
+        raise ParameterError("snr must be >= 0 and not NaN")
+    return x
+
+
 def alpha_mu_pdf(ch, snr):
     """SNR density a~ d^mu / Gamma(mu) * exp(-d x^a~) x^(a~ mu - 1)."""
-    x = np.asarray(snr, dtype=float)
-    if np.any(x < 0):
-        raise ParameterError("snr must be >= 0")
+    x = _nonneg_snr(snr)
     pref = ch.alpha_tilde * ch.delta ** ch.mu / _gamma(ch.mu)
     with np.errstate(divide="ignore"):
         out = pref * np.exp(-ch.delta * x ** ch.alpha_tilde) * x ** ch.theta
@@ -96,18 +102,14 @@ def alpha_mu_pdf(ch, snr):
 
 def alpha_mu_cdf(ch, snr):
     """Regularised-incomplete-gamma CDF form."""
-    x = np.asarray(snr, dtype=float)
-    if np.any(x < 0):
-        raise ParameterError("snr must be >= 0")
+    x = _nonneg_snr(snr)
     out = gammainc(ch.mu, ch.delta * x ** ch.alpha_tilde)
     return out if out.ndim else float(out)
 
 
 def alpha_mu_cdf_sum(ch, snr):
     """Finite-sum CDF form, 1 - e^-u * sum_{k<mu} u^k/k! with u = d x^a~."""
-    x = np.asarray(snr, dtype=float)
-    if np.any(x < 0):
-        raise ParameterError("snr must be >= 0")
+    x = _nonneg_snr(snr)
     u = ch.delta * x ** ch.alpha_tilde
     acc = np.zeros_like(u)
     term = np.ones_like(u)

@@ -12,22 +12,20 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from .channels import MalagaCdfEvaluator, alpha_mu_cdf
 from .config import config_to_dict, load_config, replace_by_path
-from .cun_cdf import SeriesPolicy, cdf_rf
+from .cun_cdf import cdf_rf
 from .errors import ConfigError, CunsecError
 from .mc import (ks_distance, ks_distance_interpolated, sample_alpha_mu,
                  sample_malaga_snr, simulate_metrics)
 from .secrecy import est, sop_lower, spsc
-from .specfun import ContourPolicy
+from .specfun import DEFAULT_POLICY, NumericalPolicy
 
 __all__ = ["RunManifest", "run_eval", "run_sweep", "run_validate", "main",
            "load_config"]
@@ -40,21 +38,19 @@ class RunManifest:
     config_hash: str
     tool_version: str
     seed: int | None
-    series_rel_tol: float
-    series_max_terms: int
-    contour_rel_tol: float
+    rel_tol: float
+    max_terms: int
     generated_at: str | None = None
 
     @classmethod
-    def build(cls, cfg, sp, policy, seed=None, timestamp=True):
+    def build(cls, cfg, policy, seed=None, timestamp=True):
         payload = json.dumps(config_to_dict(cfg), sort_keys=True).encode()
         return cls(
             config_hash=hashlib.sha256(payload).hexdigest()[:16],
             tool_version=__version__,
             seed=seed,
-            series_rel_tol=sp.rel_tol,
-            series_max_terms=sp.max_terms,
-            contour_rel_tol=policy.rel_tol,
+            rel_tol=policy.rel_tol,
+            max_terms=policy.max_terms,
             generated_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
             if timestamp else None,
         )
@@ -66,10 +62,17 @@ class RunManifest:
         return json.dumps(d, sort_keys=True)
 
 
-def _policies(tolerance=None):
-    sp = SeriesPolicy() if tolerance is None else SeriesPolicy(rel_tol=tolerance)
-    cp = ContourPolicy() if tolerance is None else ContourPolicy(rel_tol=tolerance)
-    return sp, cp
+def _policy(tolerance=None):
+    return DEFAULT_POLICY if tolerance is None else NumericalPolicy(rel_tol=tolerance)
+
+
+def _open_out(path):
+    """The output file at path, opened for writing; an unwritable path is a
+    configuration error."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _scenario_override(cfg, scenario):
@@ -83,18 +86,15 @@ def _scenario_override(cfg, scenario):
 # eval
 # --------------------------------------------------------------------------
 
-def run_eval(cfg, metric, sp=None, policy=None):
-    sp = sp or SeriesPolicy()
-    policy = policy or ContourPolicy()
-    fn = METRICS[metric]
-    return fn(cfg, sp, policy)
+def run_eval(cfg, metric, policy=DEFAULT_POLICY):
+    return METRICS[metric](cfg, policy)
 
 
 def _cmd_eval(args):
-    sp, cp = _policies(args.tolerance)
+    policy = _policy(args.tolerance)
     cfg = _scenario_override(load_config(args.config), args.scenario)
-    result = run_eval(cfg, args.metric, sp, cp)
-    manifest = RunManifest.build(cfg, sp, cp)
+    result = run_eval(cfg, args.metric, policy)
+    manifest = RunManifest.build(cfg, policy)
     print(json.dumps({
         "metric": args.metric,
         "kind": result.kind,
@@ -111,11 +111,9 @@ def _cmd_eval(args):
 # sweep
 # --------------------------------------------------------------------------
 
-def run_sweep(cfg, axis, start, stop, points, metrics, sp=None, policy=None,
-              workers=None):
-    """Evaluate metrics along one axis; yields (axis_value, row dict)."""
-    sp = sp or SeriesPolicy()
-    policy = policy or ContourPolicy()
+def run_sweep(cfg, axis, start, stop, points, metrics, policy=DEFAULT_POLICY):
+    """Evaluate metrics along one axis, one point after another; returns
+    [(axis_value, row dict)]."""
     if points < 2:
         raise ConfigError("a sweep needs at least 2 points")
     values = np.linspace(float(start), float(stop), int(points))
@@ -125,7 +123,7 @@ def run_sweep(cfg, axis, start, stop, points, metrics, sp=None, policy=None,
         try:
             c = replace_by_path(cfg, axis, float(v))
             for m in metrics:
-                res = METRICS[m](c, sp, policy)
+                res = METRICS[m](c, policy)
                 row[m] = res.value
                 row.setdefault("route", res.diagnostics.get("route", ""))
             row["error"] = ""
@@ -136,13 +134,7 @@ def run_sweep(cfg, axis, start, stop, points, metrics, sp=None, policy=None,
             row["error"] = f"{exc.category}: {exc}"
         return row
 
-    workers = workers or int(os.environ.get("SECRECY_WORKERS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, values))
-    else:
-        rows = [one(v) for v in values]
-    return list(zip(values.tolist(), rows))
+    return [(v, one(v)) for v in values.tolist()]
 
 
 def _write_sweep_csv(out, manifest, axis, metrics, rows):
@@ -160,17 +152,17 @@ def _write_sweep_csv(out, manifest, axis, metrics, rows):
 
 
 def _cmd_sweep(args):
-    sp, cp = _policies(args.tolerance)
+    policy = _policy(args.tolerance)
     cfg = _scenario_override(load_config(args.config), args.scenario)
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     for m in metrics:
         if m not in METRICS:
             raise ConfigError(f"unknown metric {m!r}; pick from {sorted(METRICS)}")
     rows = run_sweep(cfg, args.axis, args.start, args.stop, args.points,
-                     metrics, sp, cp)
-    manifest = RunManifest.build(cfg, sp, cp)
+                     metrics, policy)
+    manifest = RunManifest.build(cfg, policy)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_out(args.out) as fh:
             _write_sweep_csv(fh, manifest, args.axis, metrics, rows)
     else:
         _write_sweep_csv(sys.stdout, manifest, args.axis, metrics, rows)
@@ -188,7 +180,7 @@ def _null_se(p, n):
     return max(math.sqrt(p * (1.0 - p) / n), 1.0 / n)
 
 
-def run_validate(cfg, n, seed, sp=None, policy=None):
+def run_validate(cfg, n, seed, policy=DEFAULT_POLICY):
     """Analytic-vs-MC table plus channel-law KS rows.
 
     z uses the standard error under the analytic value (the null), not the
@@ -198,14 +190,12 @@ def run_validate(cfg, n, seed, sp=None, policy=None):
 
     Returns (report dict, passed flag).  n must be >= 1e4.
     """
-    sp = sp or SeriesPolicy()
-    policy = policy or ContourPolicy()
     n = int(n)
     mc = simulate_metrics(cfg, n, seed)
     rows = []
     analytic = {
-        "SOP_L": sop_lower(cfg, sp, policy).value,
-        "SPSC": spsc(cfg, sp, policy).value,
+        "SOP_L": sop_lower(cfg, policy).value,
+        "SPSC": spsc(cfg, policy).value,
     }
     analytic["EST"] = cfg.target_rate * (1.0 - analytic["SOP_L"])
     se_sop = _null_se(analytic["SOP_L"], n)
@@ -275,13 +265,13 @@ def _render_validate(report, manifest):
 
 
 def _cmd_validate(args):
-    sp, cp = _policies(args.tolerance)
+    policy = _policy(args.tolerance)
     cfg = _scenario_override(load_config(args.config), args.scenario)
-    report, passed = run_validate(cfg, args.samples, args.seed, sp, cp)
-    manifest = RunManifest.build(cfg, sp, cp, seed=args.seed, timestamp=False)
+    report, passed = run_validate(cfg, args.samples, args.seed, policy)
+    manifest = RunManifest.build(cfg, policy, seed=args.seed, timestamp=False)
     text = _render_validate(report, manifest)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_out(args.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -293,15 +283,14 @@ def _cmd_validate(args):
 # --------------------------------------------------------------------------
 
 def _cmd_sample(args):
-    sp, cp = _policies(args.tolerance)
     cfg = load_config(args.config)
     if args.channel == "alpha-mu":
         ch = {"sr": cfg.rf_sr, "sp": cfg.rf_sp, "se": cfg.rf_se}[args.link]
         draws = sample_alpha_mu(ch, args.n, args.seed)
     else:
         draws = sample_malaga_snr(cfg.fso, args.n, args.seed)
-    manifest = RunManifest.build(cfg, sp, cp, seed=args.seed)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    manifest = RunManifest.build(cfg, _policy(args.tolerance), seed=args.seed)
+    with _open_out(args.out) as fh:
         fh.write(f"# {manifest.as_json()}\n")
         fh.write("snr\n")
         for v in draws:
@@ -323,7 +312,8 @@ def _build_parser():
     def common(p):
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--tolerance", type=float, default=None,
-                       help="override series/contour relative tolerance")
+                       help="override the relative tolerance of every "
+                            "series and contour (default 1e-8)")
         p.add_argument("--scenario", choices=["1", "2"], default=None,
                        help="override the config scenario")
 

@@ -36,7 +36,6 @@ from .specfun import DEFAULT_POLICY
 
 __all__ = [
     "PowerConstraints",
-    "SeriesPolicy",
     "require_equal_alpha",
     "cdf_rf_scenario1",
     "cdf_hybrid_scenario1",
@@ -84,37 +83,20 @@ class PowerConstraints:
         return float(db_to_linear(self.psi_t_db))
 
 
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Truncation policy for the infinite series (m2 and m5 expansions)."""
-
-    rel_tol: float = 1e-8
-    max_terms: int = 200
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ParameterError("rel_tol must be in (0, 1)")
-        if self.max_terms < 10:
-            raise ParameterError("max_terms must be >= 10")
-
-
-DEFAULT_SERIES = SeriesPolicy()
-
-
-def _binomial_series(om, z, b, k0, sp):
+def _binomial_series(om, z, b, k0, policy):
     """Sum over m of C(om + m - 1, m) (-z)^m b(k0 + m), the binomial
     expansion of (1 + z)^-om weighted by b, with compensated summation.
 
-    Converged once three successive terms are below sp.rel_tol of the sum.
-    Aborted when the term ratio |t_m / t_(m-1)| is above 1 and has risen on
-    two successive steps (weights b that outgrow the binomial); a plain
-    binomial's ratio (om + m - 1) z / m falls, so it is never aborted, even
-    where its first terms grow.  Returns (sum, converged, terms_used,
+    Converged once three successive terms are below policy.rel_tol of the
+    sum.  Aborted when the term ratio |t_m / t_(m-1)| is above 1 and has
+    risen on two successive steps (weights b that outgrow the binomial); a
+    plain binomial's ratio (om + m - 1) z / m falls, so it is never aborted,
+    even where its first terms grow.  Returns (sum, converged, terms_used,
     magnitude of the last term).
     """
     total = comp = mag = ratio = 0.0
     rises = small = 0
-    for m in range(sp.max_terms):
+    for m in range(policy.max_terms):
         term = float(binom(om + m - 1, m)) * (-z) ** m * b(k0 + m)
         if not np.isfinite(term):
             return total, False, m + 1, np.inf
@@ -126,10 +108,10 @@ def _binomial_series(om, z, b, k0, sp):
         rises = rises + 1 if ratio > max(1.0, prev_ratio) else 0
         if rises >= 2:
             return total, False, m + 1, mag
-        small = small + 1 if mag <= sp.rel_tol * max(abs(total), 1e-300) else 0
+        small = small + 1 if mag <= policy.rel_tol * max(abs(total), 1e-300) else 0
         if small >= 3:
             return total, True, m + 1, mag
-    return total, False, sp.max_terms, mag
+    return total, False, policy.max_terms, mag
 
 
 def require_equal_alpha(rf_sr, rf_sp):
@@ -336,7 +318,7 @@ def _p2_ratio(rf_sr, rf_sp, pc, s):
     return rf_sr.delta * s ** at / (rf_sp.delta * pc.psi_q ** at)
 
 
-def _p2_series(rf_sr, rf_sp, pc, s, bracket, sp):
+def _p2_series(rf_sr, rf_sp, pc, s, bracket, policy):
     """The quadruple binomial series of the Scenario II tail at SNR scale s,
     each term weighted by bracket(k), k = m_r + m4 + m5 (called at most once
     per k).  With Om = mu_p + m_r, a = alpha~, w = (psi_q / psi_t)^a and
@@ -370,7 +352,7 @@ def _p2_series(rf_sr, rf_sp, pc, s, bracket, sp):
             for m4 in range(m3 + 1):
                 c34 = _icomb(m3, m4) / _gamma(m3 + 1.0) \
                     * (d_p * w) ** (m3 - m4) * (d_r * psi_t ** (-at) * s ** at) ** m4
-                val5, converged, n5, last = _binomial_series(om, z, b, m_r + m4, sp)
+                val5, converged, n5, last = _binomial_series(om, z, b, m_r + m4, policy)
                 if not converged:
                     return None, {"terms": terms, "abort":
                                   f"m_r={m_r} m3={m3} m4={m4} bound={last:.3g}"}
@@ -386,13 +368,13 @@ def lambda2_series_radius(rf_sr, rf_sp, pc):
     return pc.psi_q * (rf_sp.delta / rf_sr.delta) ** (1.0 / at)
 
 
-def lambda2(rf_sr, rf_sp, pc, snr, sp=DEFAULT_SERIES):
+def lambda2(rf_sr, rf_sp, pc, snr, policy=DEFAULT_POLICY):
     """Quadruple-series form of the tail piece, with diagnostics:
     P1 - e^(-d_r psi_t^-a snr^a) * _p2_series(s = snr, bracket = 1).
 
     Its m5 sums are plain binomials in the ratio z, convergent below
     lambda2_series_radius (z < 1) and summed for z < 0.8.  Otherwise, or if
-    a sum does not settle within sp.max_terms, it returns the exact
+    a sum does not settle within policy.max_terms, it returns the exact
     incomplete-gamma form with route "exact".  Returns (value, diagnostics).
     """
     require_equal_alpha(rf_sr, rf_sp)
@@ -400,7 +382,7 @@ def lambda2(rf_sr, rf_sp, pc, snr, sp=DEFAULT_SERIES):
     z = _p2_ratio(rf_sr, rf_sp, pc, x)
     reason = f"series ratio {z:.3f} >= {_P2_MAX_RATIO}"
     if z < _P2_MAX_RATIO:
-        p2, info = _p2_series(rf_sr, rf_sp, pc, x, lambda k: 1.0, sp)
+        p2, info = _p2_series(rf_sr, rf_sp, pc, x, lambda k: 1.0, policy)
         if p2 is not None:
             at = rf_sr.alpha_tilde
             p1 = gammaincc(rf_sp.mu, rf_sp.delta * (pc.psi_q / pc.psi_t) ** at)

@@ -20,10 +20,9 @@ import numpy as np
 from scipy.special import gamma as _gamma, gammaincc
 
 from .channels import FsoLinkParams, MalagaCdfEvaluator, RfChannelParams
-from .cun_cdf import (DEFAULT_SERIES, _P2_MAX_RATIO, PowerConstraints,
-                      _binomial_series, _expect, _lambda2_tail, _p2_ratio,
-                      _p2_series, _scenario1_coeff, _scenario1_tail, cdf_rf,
-                      require_equal_alpha)
+from .cun_cdf import (_P2_MAX_RATIO, PowerConstraints, _binomial_series,
+                      _expect, _lambda2_tail, _p2_ratio, _p2_series,
+                      _scenario1_coeff, _scenario1_tail, cdf_rf)
 from .errors import NumericalIntegrityError, ParameterError
 from .specfun import (
     BivariateFoxHSpec,
@@ -37,10 +36,6 @@ from .specfun import (
 __all__ = [
     "SecrecyConfig",
     "SecrecyResult",
-    "ImTermSet",
-    "RTermSet",
-    "im_terms",
-    "r_terms",
     "sop_lower_scenario1",
     "sop_lower_scenario2",
     "sop_lower",
@@ -179,7 +174,7 @@ def im2_term(cfg, m_o, policy=DEFAULT_POLICY):
     return g_exp_moment(cfg, m_o, cfg.rf_se.theta, policy)
 
 
-def _pow_kernel_series(cfg, m_r, m_o, sp, policy):
+def _pow_kernel_series(cfg, m_r, m_o, policy):
     """I3 (m_o None) / I4 term int x^(theta_e + at*m_r) e^(-d_e x^at_e)
     (xi1 s^at x^at + d_p)^-xi2 [G(V s x / mu_s)] dx, expanded binomially in
     m2; None when the expansion ratio is >= 1 or the series diverges."""
@@ -194,14 +189,14 @@ def _pow_kernel_series(cfg, m_r, m_o, sp, policy):
         moment = lambda m2: exp_moment(e, base_pow + at * m2)
     else:
         moment = lambda m2: g_exp_moment(cfg, m_o, base_pow + at * m2, policy)
-    total, converged, _, _ = _binomial_series(xi2, zr, moment, 0, sp)
+    total, converged, _, _ = _binomial_series(xi2, zr, moment, 0, policy)
     return total * p.delta ** (-xi2) if converged else None
 
 
-def _pow_kernel_term(cfg, m_r, m_o, sp, policy):
+def _pow_kernel_term(cfg, m_r, m_o, policy):
     """I3/I4 term and its route: the series, else the expectation over the
     eavesdropper SNR of the defining integrand without its density."""
-    val = _pow_kernel_series(cfg, m_r, m_o, sp, policy)
+    val = _pow_kernel_series(cfg, m_r, m_o, policy)
     if val is not None:
         return val, "series"
     r, p, e, fso = cfg.rf_sr, cfg.rf_sp, cfg.rf_se, cfg.fso
@@ -224,38 +219,12 @@ def _pow_kernel_term(cfg, m_r, m_o, sp, policy):
     return _expect(e, f) / _f_e_norm(e), "quadrature"
 
 
-def im3_term(cfg, m_r, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
-    return _pow_kernel_term(cfg, m_r, None, sp, policy)
+def im3_term(cfg, m_r, policy=DEFAULT_POLICY):
+    return _pow_kernel_term(cfg, m_r, None, policy)
 
 
-def im4_term(cfg, m_r, m_o, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
-    return _pow_kernel_term(cfg, m_r, m_o, sp, policy)
-
-
-@dataclass
-class ImTermSet:
-    im1: float
-    im2: dict
-    im3: dict
-    im4: dict
-    routes: dict
-
-
-def im_terms(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
-    """All Scenario-I integral terms for the configured mixture orders."""
-    if cfg.pc.scenario != "I":
-        raise ParameterError("im_terms is defined for Scenario I configs")
-    require_equal_alpha(cfg.rf_sr, cfg.rf_sp)
-    routes = {}
-    i2 = {m_o: im2_term(cfg, m_o, policy) for m_o in range(1, cfg.fso.beta_o + 1)}
-    i3, i4 = {}, {}
-    for m_r in range(cfg.rf_sr.mu):
-        i3[m_r], routes[f"im3[{m_r}]"] = im3_term(cfg, m_r, sp, policy)
-        for m_o in range(1, cfg.fso.beta_o + 1):
-            i4[(m_r, m_o)], routes[f"im4[{m_r},{m_o}]"] = \
-                im4_term(cfg, m_r, m_o, sp, policy)
-    return ImTermSet(im1=im1_term(cfg.rf_se), im2=i2, im3=i3, im4=i4,
-                     routes=routes)
+def im4_term(cfg, m_r, m_o, policy=DEFAULT_POLICY):
+    return _pow_kernel_term(cfg, m_r, m_o, policy)
 
 
 # --------------------------------------------------------------------------
@@ -296,45 +265,6 @@ def r8_term(cfg, k, m_o, policy=DEFAULT_POLICY):
     return r6_term(cfg, k, m_o, policy)
 
 
-@dataclass
-class RTermSet:
-    r1: float
-    r2: dict
-    r4: dict
-    r5: dict
-    r6: dict
-    r8: dict
-    k_max: int
-
-    @property
-    def r3(self):
-        return self.r2
-
-    @property
-    def r7(self):
-        return self.r6
-
-
-def r_terms(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY, k_extra=2):
-    """All Scenario-II integral terms (the unbounded series index k is
-    materialised up to mu_r - 1 + k_extra)."""
-    if cfg.pc.scenario != "II":
-        raise ParameterError("r_terms is defined for Scenario II configs")
-    require_equal_alpha(cfg.rf_sr, cfg.rf_sp)
-    k_max = cfg.rf_sr.mu - 1 + k_extra
-    r2 = {m_r: r2_term(cfg, m_r, policy) for m_r in range(cfg.rf_sr.mu)}
-    r4 = {k: r4_term(cfg, k, policy) for k in range(k_max + 1)}
-    r5 = {m_o: r5_term(cfg, m_o, policy) for m_o in range(1, cfg.fso.beta_o + 1)}
-    r6 = {(m_r, m_o): r6_term(cfg, m_r, m_o, policy)
-          for m_r in range(cfg.rf_sr.mu)
-          for m_o in range(1, cfg.fso.beta_o + 1)}
-    r8 = {(k, m_o): r8_term(cfg, k, m_o, policy)
-          for k in range(k_max + 1)
-          for m_o in range(1, cfg.fso.beta_o + 1)}
-    return RTermSet(r1=r1_term(cfg), r2=r2, r4=r4, r5=r5, r6=r6, r8=r8,
-                    k_max=k_max)
-
-
 # --------------------------------------------------------------------------
 # quadrature routes
 # --------------------------------------------------------------------------
@@ -362,7 +292,7 @@ def sop_lower_quadrature(cfg, policy=DEFAULT_POLICY):
 # metric assemblies
 # --------------------------------------------------------------------------
 
-def sop_lower_scenario1(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
+def sop_lower_scenario1(cfg, policy=DEFAULT_POLICY):
     """Secrecy-outage lower bound for the interference-only constraint."""
     if cfg.pc.scenario != "I":
         raise ParameterError("config is not Scenario I")
@@ -383,7 +313,7 @@ def sop_lower_scenario1(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
     terms = {}
     for key in [(m_r, None) for m_r in range(r.mu)] + \
             [(m_r, m_o) for m_r in range(r.mu) for m_o in m_os]:
-        terms[key] = _pow_kernel_series(cfg, *key, sp, policy)
+        terms[key] = _pow_kernel_series(cfg, *key, policy)
         if terms[key] is None:
             total -= _expect_rf_fso(
                 cfg, lambda x: _scenario1_tail(r, p, cfg.pc, x), policy)
@@ -398,7 +328,7 @@ def sop_lower_scenario1(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
     return SecrecyResult(_clamp_unit(total, "SOP_L^I"), "SOP_L", "I", diags)
 
 
-def sop_lower_scenario2(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
+def sop_lower_scenario2(cfg, policy=DEFAULT_POLICY):
     """Secrecy-outage lower bound for the double power constraint."""
     if cfg.pc.scenario != "II":
         raise ParameterError("config is not Scenario II")
@@ -446,7 +376,7 @@ def sop_lower_scenario2(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
     if z5 < _P2_MAX_RATIO and not (
             r4_at(1) > 0
             and z5 * p.mu * r4_at(1) / max(r4_at(0), 1e-300) >= 0.9):
-        p2, info = _p2_series(r, p, pc, sig, bracket, sp)
+        p2, info = _p2_series(r, p, pc, sig, bracket, policy)
         diags.update((f"p2_terms[{m_r},{m3},{m4}]", n5)
                      for (m_r, m3, m4), n5 in info["terms"].items())
         if p2 is None:
@@ -463,24 +393,24 @@ def sop_lower_scenario2(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
     return SecrecyResult(_clamp_unit(total, "SOP_L^II"), "SOP_L", "II", diags)
 
 
-def sop_lower(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
+def sop_lower(cfg, policy=DEFAULT_POLICY):
     """Scenario-dispatching secrecy-outage lower bound."""
     if cfg.pc.scenario == "I":
-        return sop_lower_scenario1(cfg, sp, policy)
-    return sop_lower_scenario2(cfg, sp, policy)
+        return sop_lower_scenario1(cfg, policy)
+    return sop_lower_scenario2(cfg, policy)
 
 
-def spsc(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
+def spsc(cfg, policy=DEFAULT_POLICY):
     """Probability of strictly positive secrecy capacity: the zero-rate
     complement of the outage bound, reusing the same code path."""
-    base = sop_lower(cfg.with_target_rate(0.0), sp, policy)
+    base = sop_lower(cfg.with_target_rate(0.0), policy)
     diags = dict(base.diagnostics)
     return SecrecyResult(1.0 - base.value, "SPSC", cfg.pc.scenario, diags)
 
 
-def est(cfg, sp=DEFAULT_SERIES, policy=DEFAULT_POLICY):
+def est(cfg, policy=DEFAULT_POLICY):
     """Effective secrecy throughput: rate times outage-free probability."""
-    base = sop_lower(cfg, sp, policy)
+    base = sop_lower(cfg, policy)
     diags = dict(base.diagnostics)
     value = cfg.target_rate * (1.0 - base.value)
     if value < 0 or value > cfg.target_rate:

@@ -39,7 +39,7 @@ from scipy.special import gamma as _scipy_gamma
 from .errors import ContourError, ConvergenceError, ParameterError
 
 __all__ = [
-    "ContourPolicy",
+    "NumericalPolicy",
     "MeijerGSpec",
     "FoxHSpec",
     "BivariateFoxHSpec",
@@ -98,32 +98,38 @@ _START_NODES = 2 * int(np.ceil(_HALF0 / _H0 - 1e-9)) + 1
 
 
 @dataclass(frozen=True)
-class ContourPolicy:
-    """Numerical policy for Mellin-Barnes evaluation.
+class NumericalPolicy:
+    """Numerical policy of every series and Mellin-Barnes evaluation.
 
-    The refinement loop (`_refine`) fixes the contour half-length from the
-    decay of the integrand and halves the node spacing until two levels
-    agree to rel_tol.  max_nodes and bivariate_max_nodes are the per-axis
-    node budgets past which it raises ConvergenceError, once it holds two
+    rel_tol is the one relative tolerance: a binomial series
+    (cun_cdf._binomial_series) stops once three successive terms are below
+    it, and the contour refinement loop (`_refine`), which fixes the
+    half-length from the decay of the integrand, halves the node spacing
+    until two levels agree to it.  max_terms caps the terms of a series.
+    max_nodes and bivariate_max_nodes are the per-axis node budgets past
+    which the refinement raises ConvergenceError, once it holds two
     estimates.  Every line starts at _START_NODES (81) nodes, so smaller
     budgets are rejected; on a bivariate lattice with A1 != A2 the finer
     axis starts at about max(A1, A2)/min(A1, A2) times as many.
     """
 
     rel_tol: float = 1e-8
+    max_terms: int = 200
     max_nodes: int = 2 ** 16
     bivariate_max_nodes: int = 2 ** 12 + 1
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise ParameterError("rel_tol must be in (0, 1)")
+        if self.max_terms < 10:
+            raise ParameterError("max_terms must be >= 10")
         if min(self.max_nodes, self.bivariate_max_nodes) < _START_NODES:
             raise ParameterError(
                 f"node budgets must be >= {_START_NODES}, the nodes of a "
                 "starting line")
 
 
-DEFAULT_POLICY = ContourPolicy()
+DEFAULT_POLICY = NumericalPolicy()
 
 
 def _as_pairs(pairs, side):

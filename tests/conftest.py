@@ -1,19 +1,8 @@
 import numpy as np
 import pytest
 
-from cunsec import SeriesPolicy, simulate_metrics
+from cunsec import simulate_metrics
 from cunsec.figures import figure_config
-from cunsec.specfun import ContourPolicy
-
-
-@pytest.fixture(scope="session")
-def policy():
-    return ContourPolicy()
-
-
-@pytest.fixture(scope="session")
-def series():
-    return SeriesPolicy()
 
 
 @pytest.fixture(scope="session")

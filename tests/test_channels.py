@@ -87,6 +87,16 @@ class TestAlphaMu:
         d = ks_distance(xs, lambda x: alpha_mu_cdf(ch, x))
         assert d < 2.0 / math.sqrt(len(xs))
 
+    @pytest.mark.parametrize("fn", [alpha_mu_pdf, alpha_mu_cdf, alpha_mu_cdf_sum])
+    def test_nan_snr_rejected(self, fn):
+        ch = rf(2, 2, 1.0)
+        for snr in (np.nan, [1.0, np.nan]):
+            with pytest.raises(ParameterError):
+                fn(ch, snr)
+
+    def test_infinite_snr_accepted(self):
+        assert alpha_mu_cdf(rf(2, 2, 1.0), np.inf) == 1.0
+
     def test_mu_must_be_integer(self):
         with pytest.raises(ParameterError):
             RfChannelParams(alpha=2, mu=2.5, avg_snr_db=10.0)

@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from cunsec.cli import main, run_sweep, run_validate
+from cunsec.cli import main, run_eval, run_sweep, run_validate
 from cunsec.config import config_from_dict, load_config, replace_by_path
 from cunsec.errors import ConfigError
 from cunsec.figures import FIGURES, figure_config, figure_dict, write_figure_configs
 from cunsec.mc import simulate_metrics
 from cunsec.secrecy import sop_lower
+from cunsec.specfun import NumericalPolicy
 
 
 @pytest.fixture()
@@ -130,6 +131,17 @@ class TestEval:
         # fig4 has no psi_t -> overriding to scenario II must fail loudly
         assert rc == 2
 
+    def test_tolerance_sets_the_policy(self, fig4_path, capsys):
+        rc = main(["eval", "--config", fig4_path, "--metric", "sop",
+                   "--tolerance", "1e-10"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["manifest"]["rel_tol"] == 1e-10
+        assert out["manifest"]["max_terms"] == NumericalPolicy().max_terms
+        want = run_eval(load_config(fig4_path), "sop",
+                        NumericalPolicy(rel_tol=1e-10))
+        assert out["value"] == want.value
+
 
 class TestSweep:
     def test_degenerate_two_point_sweep(self, capsys, tmp_path):
@@ -186,15 +198,6 @@ class TestSweep:
             mc = simulate_metrics(c, 200_000, seed=31)["SOP_L"]
             se = max(mc.std_error, 1e-5)
             assert abs(r["sop"] - mc.estimate) <= 4 * se
-
-    def test_workers_env(self, monkeypatch):
-        monkeypatch.setenv("SECRECY_WORKERS", "2")
-        cfg = figure_config("fig4")
-        rows = run_sweep(cfg, "power.psi_q_db", -5.0, 5.0, 3, ["sop"])
-        seq = [r["sop"] for _, r in rows]
-        monkeypatch.delenv("SECRECY_WORKERS")
-        rows1 = run_sweep(cfg, "power.psi_q_db", -5.0, 5.0, 3, ["sop"])
-        assert seq == [r["sop"] for _, r in rows1]
 
 
 class TestValidate:
@@ -265,6 +268,21 @@ class TestSample:
                    "--n", "500", "--seed", "4", "--out", str(out)])
         assert rc == 0
         assert len(out.read_text().strip().splitlines()) == 502
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--axis", "power.psi_q_db", "--from", "0", "--to", "10",
+     "--points", "2", "--metrics", "est"],
+    ["validate", "--samples", "20000", "--seed", "1"],
+    ["sample", "--channel", "alpha-mu", "--n", "10", "--seed", "1"],
+])
+def test_unwritable_out_is_a_config_error(args, minimal_path, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    rc = main(args + ["--config", minimal_path, "--out", str(out)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert str(out) in err["message"]
 
 
 def test_figure_corpus_loads():

@@ -19,7 +19,6 @@ from cunsec.channels import (
 )
 from cunsec.cun_cdf import (
     PowerConstraints,
-    SeriesPolicy,
     _binomial_series,
     _expect,
     cdf_hybrid_scenario1,
@@ -35,6 +34,7 @@ from cunsec.cun_cdf import (
 )
 from cunsec.errors import ConvergenceError, ParameterError, UnsupportedParametersError
 from cunsec.figures import figure_config
+from cunsec.specfun import NumericalPolicy
 
 
 RF_R = RfChannelParams(alpha=2, mu=2, avg_snr_db=15.0)
@@ -119,6 +119,13 @@ def test_package_does_not_import_scipy_signal():
     # a second to import
     for name, names in _package_imports():
         assert not any(n.startswith("scipy.signal") for n in names), name
+
+
+def test_package_does_not_import_concurrent_futures():
+    # sweeps run serially: a thread pool over sweep points was slower than
+    # one thread on the 16-point figure sweeps, since the GIL serialises them
+    for name, names in _package_imports():
+        assert not any(n.startswith("concurrent.futures") for n in names), name
 
 
 def _mixed_scenario2():
@@ -283,8 +290,8 @@ class TestLambda2:
             assert_allclose(got, lambda2_exact(r, p, PC7, x), rtol=1e-7)
 
     def test_truncation_soundness(self):
-        tight = SeriesPolicy(rel_tol=1e-10, max_terms=400)
-        loose = SeriesPolicy(rel_tol=1e-10, max_terms=200)
+        tight = NumericalPolicy(rel_tol=1e-10, max_terms=400)
+        loose = NumericalPolicy(rel_tol=1e-10, max_terms=200)
         for x in (0.1, 0.5, 1.0):
             a, _ = lambda2(RF_R7, RF_P7, PC7, x, loose)
             b, _ = lambda2(RF_R7, RF_P7, PC7, x, tight)
@@ -437,7 +444,7 @@ def test_power_constraints_validation():
 def test_binomial_series_sums_past_an_early_hump():
     # (1 + 0.7)^-6: the terms grow until m = 11, but their ratio falls
     total, converged, _, _ = _binomial_series(6, 0.7, lambda k: 1.0, 0,
-                                              SeriesPolicy(rel_tol=1e-12))
+                                              NumericalPolicy(rel_tol=1e-12))
     assert converged
     assert_allclose(total, 1.7 ** -6, rtol=1e-10)
 
@@ -445,13 +452,13 @@ def test_binomial_series_sums_past_an_early_hump():
 def test_binomial_series_aborts_on_rising_ratio():
     # t_m = m! (-0.5)^m: the ratio m/2 rises past 1
     _, converged, used, _ = _binomial_series(1, 0.5, math.factorial, 0,
-                                             SeriesPolicy())
+                                             NumericalPolicy())
     assert not converged
     assert used < 10
 
 
 def test_series_policy_validation():
     with pytest.raises(ParameterError):
-        SeriesPolicy(rel_tol=2.0)
+        NumericalPolicy(rel_tol=2.0)
     with pytest.raises(ParameterError):
-        SeriesPolicy(max_terms=5)
+        NumericalPolicy(max_terms=5)

@@ -21,14 +21,12 @@ from cunsec.secrecy import (
     im2_term,
     im3_term,
     im4_term,
-    im_terms,
     r1_term,
     r2_term,
     r4_term,
     r5_term,
     r6_term,
     r8_term,
-    r_terms,
     sop_lower,
     sop_lower_quadrature,
     sop_lower_scenario1,
@@ -177,16 +175,10 @@ class TestImTerms:
         got, _ = im4_term(cfg, 1, 2)
         assert_allclose(got, oracle_im4(cfg, 1, 2), rtol=1e-5)
 
-    def test_im_terms_bundle(self):
-        cfg = figure_config("fig4")
-        bundle = im_terms(cfg)
-        assert set(bundle.im2) == {1, 2}
-        assert set(bundle.im3) == {0, 1}
-        assert set(bundle.im4) == {(m, o) for m in (0, 1) for o in (1, 2)}
-
     def test_scenario_guard(self):
+        # the I-terms are assembled for Scenario I configs only
         with pytest.raises(ParameterError):
-            im_terms(figure_config("fig7"))
+            sop_lower_scenario1(figure_config("fig7"))
 
 
 class TestRTerms:
@@ -253,16 +245,10 @@ class TestRTerms:
         assert_allclose(g_exp_pair_moment(cfg, m_o, power, coeff, at),
                         direct, rtol=1e-10)
 
-    def test_bundle_aliases(self):
-        cfg = figure_config("fig7")
-        terms = r_terms(cfg, k_extra=1)
-        assert terms.r3 is terms.r2
-        assert terms.r7 is terms.r6
-        assert terms.k_max == cfg.rf_sr.mu - 1 + 1
-
     def test_scenario_guard(self):
+        # the R-terms are assembled for Scenario II configs only
         with pytest.raises(ParameterError):
-            r_terms(figure_config("fig4"))
+            sop_lower_scenario2(figure_config("fig4"))
 
 
 class TestSopScenario1:

@@ -16,10 +16,10 @@ from cunsec.figures import FIGURES, figure_config
 from cunsec.specfun import (
     DEFAULT_POLICY,
     BivariateFoxHSpec,
-    ContourPolicy,
     FoxHSpec,
     LineEvaluator,
     MeijerGSpec,
+    NumericalPolicy,
     fox_h,
     fox_h_bivariate,
     gamma_fn,
@@ -111,7 +111,7 @@ class TestMeijerG:
         # s=1, eps=1, alpha_o=2.296, m_o=1 mixture member of the optical CDF
         spec = MeijerGSpec(m=3, n=1, a=(1.0, 2.0), b=(1.0, 2.296, 1.0, 0.0))
         got = meijer_g(spec, 0.5)
-        ref_policy = ContourPolicy(rel_tol=1e-12)
+        ref_policy = NumericalPolicy(rel_tol=1e-12)
         ref = meijer_g(spec, 0.5, ref_policy)
         assert_allclose(got, ref, rtol=1e-8)
         # and against an entirely independent implementation
@@ -138,8 +138,8 @@ class TestMeijerG:
 
     def test_node_doubling_self_consistency(self):
         spec = MeijerGSpec(m=3, n=1, a=(1.0, 2.0), b=(1.0, 2.296, 1.0, 0.0))
-        pol = ContourPolicy()
-        dense = ContourPolicy(rel_tol=1e-12)
+        pol = NumericalPolicy()
+        dense = NumericalPolicy(rel_tol=1e-12)
         v1 = meijer_g(spec, 2.0, pol)
         v2 = meijer_g(spec, 2.0, dense)
         assert abs(v1 - v2) <= pol.rel_tol * abs(v1)
@@ -349,7 +349,7 @@ class TestRefinementBudget:
 
     def test_univariate(self):
         spec = MeijerGSpec(m=3, n=1, a=(1.0, 2.0), b=(1.0, 2.296, 1.0, 0.0))
-        pol = ContourPolicy(max_nodes=81, rel_tol=1e-15)
+        pol = NumericalPolicy(max_nodes=81, rel_tol=1e-15)
         with pytest.raises(ConvergenceError) as info:
             meijer_g(spec, 0.5, pol)
         self._check(info, 81)
@@ -359,7 +359,7 @@ class TestRefinementBudget:
         exp_kernel = FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),))
         spec = BivariateFoxHSpec(joint=(), kernel1=exp_kernel,
                                  kernel2=exp_kernel)
-        pol = ContourPolicy(bivariate_max_nodes=81, rel_tol=1e-15)
+        pol = NumericalPolicy(bivariate_max_nodes=81, rel_tol=1e-15)
         with pytest.raises(ConvergenceError) as info:
             fox_h_bivariate(spec, 0.7, 1.9, pol)
         self._check(info, 81)
@@ -369,7 +369,7 @@ class TestRefinementBudget:
         # the nodes summed, so refinement stops while axis 2 is in budget
         spec = BivariateFoxHSpec(joint=((-5.0, 4.0, 1.0),),
                                  kernel1=exp_kernel, kernel2=exp_kernel)
-        pol = ContourPolicy(bivariate_max_nodes=200, rel_tol=1e-15)
+        pol = NumericalPolicy(bivariate_max_nodes=200, rel_tol=1e-15)
         with pytest.raises(ConvergenceError) as info:
             fox_h_bivariate(spec, 0.7, 1.9, pol)
         self._check(info, 200)
@@ -381,10 +381,10 @@ class TestRefinementBudget:
         # a new line holds 81 nodes (half-length 8 at spacing 0.2)
         for budget in (0, 80):
             with pytest.raises(ParameterError):
-                ContourPolicy(max_nodes=budget)
+                NumericalPolicy(max_nodes=budget)
             with pytest.raises(ParameterError):
-                ContourPolicy(bivariate_max_nodes=budget)
-        ContourPolicy(max_nodes=81, bivariate_max_nodes=81)
+                NumericalPolicy(bivariate_max_nodes=budget)
+        NumericalPolicy(max_nodes=81, bivariate_max_nodes=81)
 
 
 class TestLineEvaluator:
