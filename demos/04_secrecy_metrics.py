@@ -1,29 +1,44 @@
-"""The three secrecy metrics and how their closed routes report themselves.
+"""The three secrecy metrics, and the paper's closed assemblies beside them.
 
-Every metric is an expectation of the hybrid CDF over the eavesdropper law.
-The closed assemblies expand it into integral-term families.  Where a tail
-series cannot converge, the assembly keeps the closed FSO piece, takes the
-RF tail as one quadrature over the eavesdropper SNR, and says so in the
-route ("closed+quadrature-tail", "closed+quadrature-p2"), so a result is
-never silently built from a divergent expansion.
+Every metric is one expectation of the hybrid CDF over the eavesdropper law,
+and sop_lower / spsc / est evaluate exactly that (route "expectation"; with
+alpha_sr != alpha_sp the RF CDF is itself an expectation, route
+"quadrature").  The paper expands the same expectation into integral-term
+families; sop_lower_scenario1/2 assemble them and report their own route
+("closed", or "closed+quadrature-tail" / "closed+quadrature-p2" where a tail
+series cannot converge).  The "closed" column is the same metric from that
+assembly, printed beside the metric and Monte Carlo as a check.
 """
 
-from cunsec import est, simulate_metrics, sop_lower, spsc
+from cunsec import (est, simulate_metrics, sop_lower, sop_lower_scenario1,
+                    sop_lower_scenario2, spsc)
 from cunsec.figures import FIGURES, figure_config
 
-print(f"{'config':8s} {'metric':5s} {'analytic':>10s} {'mc(1e6)':>10s} "
-      f"{'z':>6s}  route")
+
+def closed_metric(cfg, metric):
+    """The metric from the closed outage assembly, and that assembly's route."""
+    assemble = {"I": sop_lower_scenario1, "II": sop_lower_scenario2}[cfg.pc.scenario]
+    base = assemble(cfg.with_target_rate(0.0) if metric == "spsc" else cfg)
+    value = {"sop": base.value, "spsc": 1.0 - base.value,
+             "est": cfg.target_rate * (1.0 - base.value)}[metric]
+    return value, base.diagnostics["route"]
+
+
+print(f"{'config':8s} {'metric':5s} {'analytic':>10s} {'closed':>10s} "
+      f"{'mc(1e6)':>10s} {'z':>6s}  route / closed route")
 for name in ("fig2", "fig4", "fig7", "fig8", "fig10"):
     cfg = figure_config(name)
     metric = FIGURES[name]["metric"]
     fn = {"sop": sop_lower, "spsc": spsc, "est": est}[metric]
     res = fn(cfg)
+    closed, closed_route = closed_metric(cfg, metric)
     mc = simulate_metrics(cfg, 1_000_000, seed=20240801)
     key = {"sop": "SOP_L", "spsc": "SPSC", "est": "EST_L"}[metric]
     se = max(mc[key].std_error, 1e-9)
     z = (res.value - mc[key].estimate) / se
-    print(f"{name:8s} {metric:5s} {res.value:10.6f} {mc[key].estimate:10.6f} "
-          f"{z:+6.2f}  {res.diagnostics.get('route', '')}")
+    print(f"{name:8s} {metric:5s} {res.value:10.6f} {closed:10.6f} "
+          f"{mc[key].estimate:10.6f} {z:+6.2f}  "
+          f"{res.diagnostics['route']} / {closed_route}")
 
 print("\nDefinitional identities (bit-exact on the same code path):")
 cfg = figure_config("fig7")

@@ -7,7 +7,6 @@ from .channels import (
     FsoLinkParams,
     RfChannelParams,
     alpha_mu_cdf,
-    alpha_mu_cdf_sum,
     alpha_mu_pdf,
     electrical_snr,
     fso_blocked_cdf,

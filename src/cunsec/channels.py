@@ -23,7 +23,6 @@ __all__ = [
     "linear_to_db",
     "alpha_mu_pdf",
     "alpha_mu_cdf",
-    "alpha_mu_cdf_sum",
     "malaga_pdf",
     "malaga_cdf",
     "fso_blocked_cdf",
@@ -50,7 +49,7 @@ class RfChannelParams:
 
     alpha is the non-linearity, mu the (integer) multipath cluster count,
     avg_snr_db the mean-power parameter in dB.  mu must be an integer because
-    the finite-sum CDF form and everything built on it require it.
+    the finite sums of the paper's closed forms require it.
     """
 
     alpha: float
@@ -92,11 +91,13 @@ def _nonneg_snr(snr):
 
 
 def alpha_mu_pdf(ch, snr):
-    """SNR density a~ d^mu / Gamma(mu) * exp(-d x^a~) x^(a~ mu - 1)."""
+    """SNR density a~ d^mu / Gamma(mu) * exp(-d x^a~) x^(a~ mu - 1); 0 at
+    snr = +inf."""
     x = _nonneg_snr(snr)
     pref = ch.alpha_tilde * ch.delta ** ch.mu / _gamma(ch.mu)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         out = pref * np.exp(-ch.delta * x ** ch.alpha_tilde) * x ** ch.theta
+    out = np.where(np.isposinf(x), 0.0, out)
     return out if out.ndim else float(out)
 
 
@@ -104,20 +105,6 @@ def alpha_mu_cdf(ch, snr):
     """Regularised-incomplete-gamma CDF form."""
     x = _nonneg_snr(snr)
     out = gammainc(ch.mu, ch.delta * x ** ch.alpha_tilde)
-    return out if out.ndim else float(out)
-
-
-def alpha_mu_cdf_sum(ch, snr):
-    """Finite-sum CDF form, 1 - e^-u * sum_{k<mu} u^k/k! with u = d x^a~."""
-    x = _nonneg_snr(snr)
-    u = ch.delta * x ** ch.alpha_tilde
-    acc = np.zeros_like(u)
-    term = np.ones_like(u)
-    for k in range(ch.mu):
-        if k:
-            term = term * u / k
-        acc = acc + term
-    out = 1.0 - np.exp(-u) * acc
     return out if out.ndim else float(out)
 
 

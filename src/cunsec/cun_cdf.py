@@ -5,13 +5,20 @@ ceiling at the primary user, so the RF SNR is psi_q * x_r / x_p.  Scenario II
 adds a transmit-power cap, making it min(psi_q / x_p, psi_t) * x_r.  Hybrid
 CDFs multiply the RF CDF with the blocked-FSO CDF (selection combining).
 
+Each RF CDF is written without cancellation.  On every alpha-mu link
+G = delta x^a~ is Gamma(mu), so with equal alpha on S-R and S-P the
+Scenario I CDF is a regularized incomplete beta and lambda1 is the product
+of two regularized gammas; nothing is 1 minus a finite sum.  With
+alpha_sr != alpha_sp the CDFs are one expectation over x_p (_expect), the
+package's one quadrature rule, which also takes the secrecy metrics.
+
 The Scenario II tail piece (lambda2) exists in two algebraically
 equivalent forms: an exact finite expression built on the upper incomplete
 gamma, and the quadruple series obtained by binomially expanding it.  The
-series (_p2_series) is the one the outage assembly integrates term by term,
-with eavesdropper moments in place of its constant bracket, and every
-binomial sum of the package runs through _binomial_series and its one stop
-rule.  lambda2's sums converge only for snr < lambda2_series_radius;
+series (_p2_series) is the one the closed outage assembly integrates term
+by term, with eavesdropper moments in place of its constant bracket, and
+every binomial sum of the package runs through _binomial_series and its one
+stop rule.  lambda2's sums converge only for snr < lambda2_series_radius;
 outside that region the exact form is used.  The closed Scenario II CDF
 uses the exact form throughout, so it evaluates an SNR array as one array
 expression.  The series coefficients were derived from scratch and settled
@@ -27,8 +34,8 @@ from dataclasses import dataclass
 from math import comb as _icomb
 
 import numpy as np
-from scipy.special import (binom, gamma as _gamma, gammaincc, gammainccinv,
-                           gammaincinv)
+from scipy.special import (betainc, binom, gamma as _gamma, gammaincc,
+                           gammainccinv, gammaincinv)
 
 from .channels import alpha_mu_cdf, db_to_linear, fso_blocked_cdf
 from .errors import ConvergenceError, ParameterError, UnsupportedParametersError
@@ -114,9 +121,14 @@ def _binomial_series(om, z, b, k0, policy):
     return total, False, policy.max_terms, mag
 
 
+def _equal_alpha(rf_sr, rf_sp):
+    """True when the S-R and S-P links share alpha/2, so the RF CDF is closed."""
+    return abs(rf_sr.alpha_tilde - rf_sp.alpha_tilde) <= 1e-12
+
+
 def require_equal_alpha(rf_sr, rf_sp):
     """The Scenario closed forms assume equal alpha/2 on the S-R and S-P links."""
-    if abs(rf_sr.alpha_tilde - rf_sp.alpha_tilde) > 1e-12:
+    if not _equal_alpha(rf_sr, rf_sp):
         raise UnsupportedParametersError(
             "closed forms require alpha_sr == alpha_sp "
             f"(got {rf_sr.alpha} and {rf_sp.alpha}); "
@@ -141,29 +153,33 @@ def _cdf_out(val, x):
 # Scenario I
 # --------------------------------------------------------------------------
 
+def _scenario1_rho(rf_sr, rf_sp, pc, x):
+    """rho = (d_r / d_p) (x / psi_q)^a~: psi_q x_r / x_p <= x exactly when
+    G_r / G_p <= rho, with G = d x^a~ ~ Gamma(mu) on each link."""
+    return rf_sr.delta / rf_sp.delta * (x / pc.psi_q) ** rf_sr.alpha_tilde
+
+
 def cdf_rf_scenario1(rf_sr, rf_sp, pc, snr):
-    """Closed-form CDF of psi_q * x_r / x_p (snr scalar or array)."""
+    """CDF of psi_q * x_r / x_p (snr scalar or array): G_r / (G_r + G_p) is
+    Beta(mu_r, mu_p), so this is I_{rho/(1+rho)}(mu_r, mu_p), with no
+    cancellation at small snr."""
     require_equal_alpha(rf_sr, rf_sp)
     x = _snr(snr)
-    return _cdf_out(1.0 - _scenario1_tail(rf_sr, rf_sp, pc, x), x)
+    rho = _scenario1_rho(rf_sr, rf_sp, pc, x)
+    return _cdf_out(betainc(rf_sr.mu, rf_sp.mu, rho / (1.0 + rho)), x)
 
 
 def _scenario1_tail(rf_sr, rf_sp, pc, x):
-    """1 - cdf_rf_scenario1 before clamping: the finite sum over m_r."""
-    at = rf_sr.alpha_tilde
-    psi_q = pc.psi_q
-    xi1 = rf_sr.delta * psi_q ** (-at)
-    tot = 0.0
-    for m_r in range(rf_sr.mu):
-        tot += _scenario1_coeff(rf_sr, rf_sp, m_r) \
-            * (x / psi_q) ** (at * m_r) \
-            * (xi1 * x ** at + rf_sp.delta) ** (-(m_r + rf_sp.mu))
-    return tot
+    """1 - cdf_rf_scenario1 = I_{1/(1+rho)}(mu_p, mu_r), accurate where the
+    CDF is close to 1."""
+    rho = _scenario1_rho(rf_sr, rf_sp, pc, x)
+    return betainc(rf_sp.mu, rf_sr.mu, 1.0 / (1.0 + rho))
 
 
 def _scenario1_coeff(rf_sr, rf_sp, m_r):
     """Gamma(xi2) delta_r^m_r delta_p^mu_p / (Gamma(mu_p) m_r!), with
-    xi2 = m_r + mu_p: the m_r-th coefficient of the Scenario I tail."""
+    xi2 = m_r + mu_p: the m_r-th coefficient of the finite-sum Scenario I
+    tail that the closed outage assembly integrates term by term."""
     return _gamma(m_r + rf_sp.mu) / (_gamma(rf_sp.mu) * _gamma(m_r + 1.0)) \
         * rf_sr.delta ** m_r * rf_sp.delta ** rf_sp.mu
 
@@ -176,12 +192,14 @@ def _scenario1_coeff(rf_sr, rf_sp, m_r):
 _TS_T = 4.0
 _TS_H0 = 0.5
 _TS_LEVELS = 8
-_TS_TOL = 1.49e-8  # quad's default epsabs and epsrel
+_TS_TOL = 1.49e-8  # quad's default epsrel
+_TS_ABS = 1e-15   # absolute floor, relative to the integral of |f|
 
 
 def _ts_level(ch, f, u0, k):
     """h * sum of w(t) f(x(t)) over the nodes new at level k (all nodes at
-    level 0), together with h * sum w(t), and the number of nodes."""
+    level 0), together with h * sum w(t) |f(x(t))|, h * sum w(t), and the
+    number of nodes."""
     h = _TS_H0 / 2 ** k
     j = np.arange(-int(_TS_T / h), int(_TS_T / h) + 1)
     if k:
@@ -194,13 +212,13 @@ def _ts_level(ch, f, u0, k):
     q = np.where(t < 0, gammaincinv(ch.mu, u0 + d), gammainccinv(ch.mu, d))
     vals = np.asarray(f((q / ch.delta) ** (1.0 / ch.alpha_tilde)), dtype=float)
     vals = np.broadcast_to(vals, vals.shape[:-1] + t.shape if vals.ndim else t.shape)
-    return (vals * w).sum(-1), w.sum(), len(t)
+    return (vals * w).sum(-1), (np.abs(vals) * w).sum(-1), w.sum(), len(t)
 
 
 def _expect(ch, f, u0=0.0):
     """int_{u0}^1 f(F_ch^-1(u)) du: the expectation of f over the alpha-mu
     SNR of ch, restricted to draws above its u0 quantile and integrated in
-    probability space.  Every quadrature fallback runs through here.
+    probability space.  Every expectation of the package runs through here.
 
     f takes a 1-D array of n SNRs and returns an array of shape (..., n)
     (a constant broadcasts); the result has shape (...,).  The rule is the
@@ -208,20 +226,23 @@ def _expect(ch, f, u0=0.0):
     the nearer endpoint (gammaincinv(mu, u0 + d) below the midpoint,
     gammainccinv(mu, d) above it), so no node rounds to u = 1.  Dividing by
     the rule's own integral of 1 makes it exact for constants.  Returns once
-    two successive levels agree within 1.49e-8 absolute or relative (quad's
-    defaults); raises ConvergenceError with the last two estimates after
-    _TS_LEVELS halvings.  An empty interval (u0 >= 1) gives 0.0.
+    two successive levels agree within max(1.49e-8 |value|, 1e-15 int|f|)
+    (quad's default relative tolerance, with the floor of specfun._refine),
+    so a value far below 1 is still certified to its leading digits; raises
+    ConvergenceError with the last two estimates after _TS_LEVELS halvings.
+    An empty interval (u0 >= 1) gives 0.0.
     """
     if u0 >= 1.0:
         return 0.0
-    num, den, nodes = _ts_level(ch, f, u0, 0)
+    num, l1, den, nodes = _ts_level(ch, f, u0, 0)
     estimates = [(1.0 - u0) * num / den]
     for k in range(1, _TS_LEVELS + 1):
-        n_new, d_new, m = _ts_level(ch, f, u0, k)
-        num, den, nodes = 0.5 * num + n_new, 0.5 * den + d_new, nodes + m
+        n_new, l1_new, d_new, m = _ts_level(ch, f, u0, k)
+        num, l1, den = 0.5 * num + n_new, 0.5 * l1 + l1_new, 0.5 * den + d_new
+        nodes += m
         val = (1.0 - u0) * num / den
-        if np.all(np.abs(val - estimates[-1])
-                  <= _TS_TOL * np.maximum(1.0, np.abs(val))):
+        tol = np.maximum(_TS_TOL * np.abs(val), _TS_ABS * (1.0 - u0) * l1 / den)
+        if np.all(np.abs(val - estimates[-1]) <= tol):
             return val if np.ndim(val) else float(val)
         estimates = [estimates[-1], val]
     raise ConvergenceError(
@@ -252,31 +273,11 @@ def cdf_hybrid_scenario1(cfg, snr, policy=DEFAULT_POLICY):
 # --------------------------------------------------------------------------
 
 def lambda1(rf_sr, rf_sp, pc, snr):
-    """Pr{x_r <= snr/psi_t, psi_q/x_p >= psi_t}: expanded finite-sum form
-    (snr scalar, giving a float, or array)."""
+    """Pr{x_r <= snr/psi_t, psi_q/x_p >= psi_t}: the product of the two
+    independent alpha-mu CDFs (snr scalar, giving a float, or array)."""
     x = _snr(snr)
-    at_r = rf_sr.alpha_tilde
-    at_p = rf_sp.alpha_tilde
-    psi_q, psi_t = pc.psi_q, pc.psi_t
-    up = rf_sp.delta * (psi_q / psi_t) ** at_p
-    ur = rf_sr.delta * psi_t ** (-at_r) * x ** at_r
-    s1 = s2 = s3 = 0.0
-    tp = 1.0
-    for m_p in range(rf_sp.mu):
-        if m_p:
-            tp = tp * up / m_p
-        s1 += tp * np.exp(-up)
-        tr = 1.0
-        for m_r in range(rf_sr.mu):
-            if m_r:
-                tr = tr * ur / m_r
-            s3 += tp * tr * np.exp(-(up + ur))
-    tr = 1.0
-    for m_r in range(rf_sr.mu):
-        if m_r:
-            tr = tr * ur / m_r
-        s2 += tr * np.exp(-ur)
-    return _cdf_out(1.0 - s1 - s2 + s3, x)
+    return _cdf_out(alpha_mu_cdf(rf_sp, pc.psi_q / pc.psi_t)
+                    * alpha_mu_cdf(rf_sr, x / pc.psi_t), x)
 
 
 def lambda2_exact(rf_sr, rf_sp, pc, snr):
@@ -409,7 +410,7 @@ def cdf_rf_scenario2_quad(rf_sr, rf_sp, pc, snr):
     x = _snr(snr)
     xs = x.reshape(-1, 1)
     u0 = alpha_mu_cdf(rf_sp, pc.psi_q / pc.psi_t)
-    l1 = u0 * alpha_mu_cdf(rf_sr, xs[:, 0] / pc.psi_t)
+    l1 = lambda1(rf_sr, rf_sp, pc, xs[:, 0])
     l2 = _expect(rf_sp, lambda y: alpha_mu_cdf(rf_sr, xs * y / pc.psi_q), u0)
     return _cdf_out(l1 + l2, x)
 
@@ -424,7 +425,7 @@ def cdf_rf(cfg, snr):
     """Scenario-dispatching RF CDF (closed forms when in family, else
     quadrature); snr scalar (returns a float) or array."""
     rf_sr, rf_sp, pc = cfg.rf_sr, cfg.rf_sp, cfg.pc
-    equal = abs(rf_sr.alpha_tilde - rf_sp.alpha_tilde) <= 1e-12
+    equal = _equal_alpha(rf_sr, rf_sp)
     if pc.scenario == "I":
         if equal:
             return cdf_rf_scenario1(rf_sr, rf_sp, pc, snr)

@@ -1,14 +1,23 @@
 """Secrecy metrics: outage lower bound, positive-capacity probability, and
 effective throughput for both power-constraint scenarios.
 
-Every metric is the expectation of the hybrid-link CDF at sigma * snr_e over
-the eavesdropper density.  The closed routes expand that expectation into the
-integral-term families (the I-terms for Scenario I, the R-terms for Scenario
-II); each family member has a Mellin-Barnes closed form.  The binomial series
-of the I3/I4 and R4/R8 families are asymptotic (their moments grow) and are
-used where they truncate below tolerance before their terms turn up;
-elsewhere the RF tail is one expectation over the eavesdropper SNR
-(cun_cdf._expect) and the result reports which route produced it.
+Every metric is one expectation of the hybrid-link CDF at sigma * snr_e over
+the eavesdropper density, and that is how sop_lower, spsc and est evaluate
+it: sop_lower_quadrature integrates cun_cdf.cdf_rf times the blocked-FSO CDF
+over the eavesdropper SNR (cun_cdf._expect), with no series to try and
+discard.  Its route is "expectation" when alpha_sr == alpha_sp (the RF CDF is
+closed form) and "quadrature" otherwise (the RF CDF is itself an
+expectation).
+
+The paper's closed assemblies, sop_lower_scenario1/2, expand the same
+expectation into the integral-term families (the I-terms for Scenario I, the
+R-terms for Scenario II); each family member has a Mellin-Barnes closed form.
+They require alpha_sr == alpha_sp and serve as the checked reproduction of
+the paper, off the metric path.  The binomial series of the I3/I4 and R4/R8
+families are asymptotic (their moments grow) and are used where they
+truncate below tolerance before their terms turn up; elsewhere the
+assembly's RF tail is one expectation over the eavesdropper SNR and the
+result reports which route produced it.
 """
 
 from __future__ import annotations
@@ -21,8 +30,9 @@ from scipy.special import gamma as _gamma, gammaincc
 
 from .channels import FsoLinkParams, MalagaCdfEvaluator, RfChannelParams
 from .cun_cdf import (_P2_MAX_RATIO, PowerConstraints, _binomial_series,
-                      _expect, _lambda2_tail, _p2_ratio, _p2_series,
-                      _scenario1_coeff, _scenario1_tail, cdf_rf)
+                      _equal_alpha, _expect, _lambda2_tail, _p2_ratio,
+                      _p2_series, _scenario1_coeff, _scenario1_tail, cdf_rf,
+                      require_equal_alpha)
 from .errors import NumericalIntegrityError, ParameterError
 from .specfun import (
     BivariateFoxHSpec,
@@ -266,7 +276,7 @@ def r8_term(cfg, k, m_o, policy=DEFAULT_POLICY):
 
 
 # --------------------------------------------------------------------------
-# quadrature routes
+# the expectation of every metric
 # --------------------------------------------------------------------------
 
 def _expect_rf_fso(cfg, rf, policy):
@@ -284,7 +294,8 @@ def _expect_rf_fso(cfg, rf, policy):
 
 
 def sop_lower_quadrature(cfg, policy=DEFAULT_POLICY):
-    """Probability-substituted quadrature of the defining outage integral."""
+    """The defining outage integral E[F_RF(sigma x) F_fso*(sigma x)] over the
+    eavesdropper SNR x, by one probability-space expectation."""
     return _expect_rf_fso(cfg, lambda x: cdf_rf(cfg, x), policy)
 
 
@@ -293,15 +304,13 @@ def sop_lower_quadrature(cfg, policy=DEFAULT_POLICY):
 # --------------------------------------------------------------------------
 
 def sop_lower_scenario1(cfg, policy=DEFAULT_POLICY):
-    """Secrecy-outage lower bound for the interference-only constraint."""
+    """Secrecy-outage lower bound for the interference-only constraint: the
+    paper's closed assembly of the I-terms (alpha_sr == alpha_sp only)."""
     if cfg.pc.scenario != "I":
         raise ParameterError("config is not Scenario I")
     r, p, e, fso = cfg.rf_sr, cfg.rf_sp, cfg.rf_se, cfg.fso
+    require_equal_alpha(r, p)
     diags = {}
-    if abs(r.alpha_tilde - p.alpha_tilde) > 1e-12:
-        val = sop_lower_quadrature(cfg, policy)
-        diags["route"] = "quadrature"
-        return SecrecyResult(_clamp_unit(val, "SOP_L^I"), "SOP_L", "I", diags)
     at = r.alpha_tilde
     ce = _f_e_norm(e)
     P_o = fso.blockage_p
@@ -329,16 +338,13 @@ def sop_lower_scenario1(cfg, policy=DEFAULT_POLICY):
 
 
 def sop_lower_scenario2(cfg, policy=DEFAULT_POLICY):
-    """Secrecy-outage lower bound for the double power constraint."""
+    """Secrecy-outage lower bound for the double power constraint: the
+    paper's closed assembly of the R-terms (alpha_sr == alpha_sp only)."""
     if cfg.pc.scenario != "II":
         raise ParameterError("config is not Scenario II")
     r, p, e, fso, pc = cfg.rf_sr, cfg.rf_sp, cfg.rf_se, cfg.fso, cfg.pc
+    require_equal_alpha(r, p)
     diags = {}
-    if abs(r.alpha_tilde - p.alpha_tilde) > 1e-12:
-        val = sop_lower_quadrature(cfg, policy)
-        diags["route"] = "quadrature"
-        return SecrecyResult(_clamp_unit(val, "SOP_L^II"), "SOP_L", "II", diags)
-
     at = r.alpha_tilde
     sig = cfg.sigma
     ce = _f_e_norm(e)
@@ -394,10 +400,13 @@ def sop_lower_scenario2(cfg, policy=DEFAULT_POLICY):
 
 
 def sop_lower(cfg, policy=DEFAULT_POLICY):
-    """Scenario-dispatching secrecy-outage lower bound."""
-    if cfg.pc.scenario == "I":
-        return sop_lower_scenario1(cfg, policy)
-    return sop_lower_scenario2(cfg, policy)
+    """Secrecy-outage lower bound: one expectation of the hybrid CDF over
+    the eavesdropper SNR, for either scenario."""
+    scen = cfg.pc.scenario
+    route = "expectation" if _equal_alpha(cfg.rf_sr, cfg.rf_sp) else "quadrature"
+    val = sop_lower_quadrature(cfg, policy)
+    return SecrecyResult(_clamp_unit(val, f"SOP_L^{scen}"), "SOP_L", scen,
+                         {"route": route})
 
 
 def spsc(cfg, policy=DEFAULT_POLICY):

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import betainc, gammainccinv, gammaincinv
 
 from cunsec.channels import RfChannelParams, alpha_mu_pdf, fso_blocked_cdf
 from cunsec.config import config_from_dict
 from cunsec.cun_cdf import PowerConstraints, cdf_rf_scenario1, lambda2_exact
-from cunsec.errors import ParameterError
+from cunsec.errors import ParameterError, UnsupportedParametersError
 from cunsec.figures import figure_config, figure_dict
 from cunsec.mc import simulate_metrics
 from cunsec.secrecy import (
@@ -150,6 +151,28 @@ def sop2_defining_integral(cfg):
     return val
 
 
+def sop_reference(cfg):
+    """Scenario I outage bound from its definition, independent of the
+    package's RF CDF and quadrature: quad in log x at epsrel 1e-12, with the
+    RF CDF I_{rho/(1+rho)}(mu_r, mu_p) (G = delta x^a~ is Gamma(mu) on each
+    link), so nothing in the integrand cancels.  The eavesdropper SNR runs
+    between its 1e-30 and 1 - 1e-40 quantiles."""
+    r, p, e = cfg.rf_sr, cfg.rf_sp, cfg.rf_se
+    assert cfg.pc.scenario == "I" and r.alpha == p.alpha
+    sig = cfg.sigma
+
+    def f(t):
+        x = np.exp(t)
+        rho = r.delta / p.delta * (sig * x / cfg.pc.psi_q) ** r.alpha_tilde
+        rf = betainc(r.mu, p.mu, rho / (1.0 + rho))
+        return rf * fso_blocked_cdf(cfg.fso, sig * x) * alpha_mu_pdf(e, x) * x
+
+    lo, hi = (np.log(gammaincinv(e.mu, 1e-30) / e.delta) / e.alpha_tilde,
+              np.log(gammainccinv(e.mu, 1e-40) / e.delta) / e.alpha_tilde)
+    val, _ = quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)
+    return val
+
+
 class TestImTerms:
     def test_im1_exponential_moment(self):
         e = RfChannelParams(alpha=2, mu=1, avg_snr_db=0.0)
@@ -281,10 +304,23 @@ class TestSopScenario1:
         assert abs(0.734872 - 0.735040) <= 6 * math.sqrt(2) * 0.000442
 
     def test_quadrature_route_on_mixed_alpha(self):
-        cfg = figure_config("fig3")
-        res = sop_lower_scenario1(cfg.with_target_rate(0.05))
+        # alpha_sr != alpha_sp: the metric's RF CDF is itself an
+        # expectation, and the paper's closed assembly does not apply
+        cfg = figure_config("fig3").with_target_rate(0.05)
+        res = sop_lower(cfg)
         assert res.diagnostics["route"] == "quadrature"
         assert 0.0 <= res.value <= 1.0
+        with pytest.raises(UnsupportedParametersError):
+            sop_lower_scenario1(cfg)
+
+    @pytest.mark.parametrize("fig", ["fig9", "fig11"])
+    @pytest.mark.parametrize("psi_q_db", [20.0, 30.0])
+    def test_matches_reference_at_high_ceiling(self, fig, psi_q_db):
+        # the outage is 1e-7 to 1e-13 here; the closed assembly, a
+        # difference of O(1) pieces, is off by 5e-6 to 7e-3 relative
+        cfg = dataclasses.replace(
+            figure_config(fig), pc=PowerConstraints(psi_q_db=psi_q_db, scenario="I"))
+        assert_allclose(sop_lower(cfg).value, sop_reference(cfg), rtol=1e-8)
 
     def test_closed_matches_quadrature_route(self):
         cfg = figure_config("fig4")
@@ -407,6 +443,30 @@ class TestSopScenario2:
         mc = simulate_metrics(cfg, 200_000, seed=7, eavesdropper="shared_power")
         se = mc["SOP_L"].std_error
         assert abs(mc["SOP_L"].estimate - 0.5) <= 3 * se
+
+
+class TestMetricPath:
+    @pytest.mark.parametrize("fig", ["fig4", "fig7"])
+    def test_metrics_are_one_expectation(self, fig, monkeypatch):
+        # sop_lower, spsc and est evaluate the expectation of the closed RF
+        # CDF: no closed assembly, so no Fox H call of either kind
+        import cunsec.secrecy as secrecy
+
+        calls = []
+
+        def counting(real):
+            def wrapped(*args, **kwargs):
+                calls.append(real)
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(secrecy, "fox_h", counting(secrecy.fox_h))
+        monkeypatch.setattr(secrecy, "fox_h_bivariate",
+                            counting(secrecy.fox_h_bivariate))
+        cfg = figure_config(fig)
+        for fn in (sop_lower, spsc, est):
+            assert fn(cfg).diagnostics["route"] == "expectation"
+        assert calls == []
 
 
 class TestMetricIdentities:
