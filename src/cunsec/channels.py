@@ -90,6 +90,14 @@ def _nonneg_snr(snr):
     return x
 
 
+def _finite_snr(snr):
+    """snr as a float array, every entry finite and >= 0."""
+    x = np.asarray(snr, dtype=float)
+    if not np.all(np.isfinite(x) & (x >= 0)):
+        raise ParameterError("snr must be finite and >= 0")
+    return x
+
+
 def alpha_mu_pdf(ch, snr):
     """SNR density a~ d^mu / Gamma(mu) * exp(-d x^a~) x^(a~ mu - 1); 0 at
     snr = +inf."""
@@ -290,9 +298,7 @@ class MalagaCdfEvaluator:
         ]
 
     def eval_many(self, snr):
-        xs = np.asarray(snr, dtype=float)
-        if not np.all(np.isfinite(xs) & (xs >= 0)):
-            raise ParameterError("snr must be finite and >= 0")
+        xs = _finite_snr(snr)
         flat = xs.reshape(-1)
         out = np.zeros(len(flat))
         pos = flat > 0

@@ -23,7 +23,7 @@ from .config import config_to_dict, load_config, replace_by_path
 from .cun_cdf import cdf_rf
 from .errors import ConfigError, CunsecError
 from .mc import (ks_distance, ks_distance_interpolated, sample_alpha_mu,
-                 sample_malaga_snr, simulate_metrics)
+                 sample_malaga_snr, simulate_metrics, _scenario_power)
 from .secrecy import est, sop_lower, spsc
 from .specfun import DEFAULT_POLICY, NumericalPolicy
 
@@ -237,11 +237,7 @@ def run_validate(cfg, n, seed, policy=DEFAULT_POLICY):
     ks_row("rf_se", batch.snr_e, lambda x: alpha_mu_cdf(cfg.rf_se, x))
     fso_eval = MalagaCdfEvaluator(cfg.fso, policy=policy, blocked=True)
     ks_row("fso_blocked", batch.snr_fso, fso_eval.eval_many, expensive=True)
-    if cfg.pc.scenario == "I":
-        rf_samples = cfg.pc.psi_q * batch.snr_r / batch.snr_p
-    else:
-        rf_samples = np.minimum(cfg.pc.psi_q / batch.snr_p, cfg.pc.psi_t) \
-            * batch.snr_r
+    rf_samples = _scenario_power(cfg.pc, batch.snr_p) * batch.snr_r
     ks_row("rf_scenario", rf_samples, lambda x: cdf_rf(cfg, x),
            expensive=True)
     report = {"metrics": rows, "ks": ks_rows, "n": n, "seed": seed,

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import (betainc, binom, gamma as _gamma, gammaincc,
                            gammainccinv, gammaincinv)
 
-from .channels import alpha_mu_cdf, db_to_linear, fso_blocked_cdf
+from .channels import _finite_snr, alpha_mu_cdf, db_to_linear, fso_blocked_cdf
 from .errors import ConvergenceError, ParameterError, UnsupportedParametersError
 from .specfun import DEFAULT_POLICY
 
@@ -121,26 +121,20 @@ def _binomial_series(om, z, b, k0, policy):
     return total, False, policy.max_terms, mag
 
 
-def _equal_alpha(rf_sr, rf_sp):
-    """True when the S-R and S-P links share alpha/2, so the RF CDF is closed."""
-    return abs(rf_sr.alpha_tilde - rf_sp.alpha_tilde) <= 1e-12
+def _equal_stretch(at1, at2):
+    """True when two stretch exponents alpha/2 agree, so that the RF CDF
+    (S-R and S-P) or a moment's two exponentials (S-R and S-E) is closed."""
+    return abs(at1 - at2) <= 1e-12
 
 
 def require_equal_alpha(rf_sr, rf_sp):
     """The Scenario closed forms assume equal alpha/2 on the S-R and S-P links."""
-    if not _equal_alpha(rf_sr, rf_sp):
+    if not _equal_stretch(rf_sr.alpha_tilde, rf_sp.alpha_tilde):
         raise UnsupportedParametersError(
             "closed forms require alpha_sr == alpha_sp "
             f"(got {rf_sr.alpha} and {rf_sp.alpha}); "
             "use the quadrature route for mixed non-linearities"
         )
-
-
-def _snr(snr):
-    x = np.asarray(snr, dtype=float)
-    if not np.all(np.isfinite(x) & (x >= 0)):
-        raise ParameterError("snr must be finite and >= 0")
-    return x
 
 
 def _cdf_out(val, x):
@@ -164,7 +158,7 @@ def cdf_rf_scenario1(rf_sr, rf_sp, pc, snr):
     Beta(mu_r, mu_p), so this is I_{rho/(1+rho)}(mu_r, mu_p), with no
     cancellation at small snr."""
     require_equal_alpha(rf_sr, rf_sp)
-    x = _snr(snr)
+    x = _finite_snr(snr)
     rho = _scenario1_rho(rf_sr, rf_sp, pc, x)
     return _cdf_out(betainc(rf_sr.mu, rf_sp.mu, rho / (1.0 + rho)), x)
 
@@ -194,6 +188,7 @@ _TS_H0 = 0.5
 _TS_LEVELS = 8
 _TS_TOL = 1.49e-8  # quad's default epsrel
 _TS_ABS = 1e-15   # absolute floor, relative to the integral of |f|
+_TINY = np.finfo(float).tiny  # floor of both: a subnormal row meets neither
 
 
 def _ts_level(ch, f, u0, k):
@@ -228,7 +223,8 @@ def _expect(ch, f, u0=0.0):
     the rule's own integral of 1 makes it exact for constants.  Returns once
     two successive levels agree within max(1.49e-8 |value|, 1e-15 int|f|)
     (quad's default relative tolerance, with the floor of specfun._refine),
-    so a value far below 1 is still certified to its leading digits; raises
+    so a value far below 1 is still certified to its leading digits; the
+    bound is at least the smallest normal float (_TINY).  Raises
     ConvergenceError with the last two estimates after _TS_LEVELS halvings.
     An empty interval (u0 >= 1) gives 0.0.
     """
@@ -242,6 +238,7 @@ def _expect(ch, f, u0=0.0):
         nodes += m
         val = (1.0 - u0) * num / den
         tol = np.maximum(_TS_TOL * np.abs(val), _TS_ABS * (1.0 - u0) * l1 / den)
+        tol = np.maximum(tol, _TINY)
         if np.all(np.abs(val - estimates[-1]) <= tol):
             return val if np.ndim(val) else float(val)
         estimates = [estimates[-1], val]
@@ -256,7 +253,7 @@ def _expect(ch, f, u0=0.0):
 def cdf_rf_scenario1_quad(rf_sr, rf_sp, pc, snr):
     """Defining-integral route, valid for any non-linearity pair: one
     expectation over x_p for every snr at once."""
-    x = _snr(snr)
+    x = _finite_snr(snr)
     xs = x.reshape(-1, 1)
     val = _expect(rf_sp, lambda y: alpha_mu_cdf(rf_sr, xs * y / pc.psi_q))
     return _cdf_out(val, x)
@@ -275,7 +272,7 @@ def cdf_hybrid_scenario1(cfg, snr, policy=DEFAULT_POLICY):
 def lambda1(rf_sr, rf_sp, pc, snr):
     """Pr{x_r <= snr/psi_t, psi_q/x_p >= psi_t}: the product of the two
     independent alpha-mu CDFs (snr scalar, giving a float, or array)."""
-    x = _snr(snr)
+    x = _finite_snr(snr)
     return _cdf_out(alpha_mu_cdf(rf_sp, pc.psi_q / pc.psi_t)
                     * alpha_mu_cdf(rf_sr, x / pc.psi_t), x)
 
@@ -285,7 +282,7 @@ def lambda2_exact(rf_sr, rf_sp, pc, snr):
     gamma (valid everywhere; requires equal alpha/2; snr scalar, giving a
     float, or array)."""
     require_equal_alpha(rf_sr, rf_sp)
-    x = _snr(snr)
+    x = _finite_snr(snr)
     w = (pc.psi_q / pc.psi_t) ** rf_sr.alpha_tilde
     p1 = gammaincc(rf_sp.mu, rf_sp.delta * w)
     val = p1 - _lambda2_tail(rf_sr, rf_sp, pc, x)
@@ -379,7 +376,7 @@ def lambda2(rf_sr, rf_sp, pc, snr, policy=DEFAULT_POLICY):
     incomplete-gamma form with route "exact".  Returns (value, diagnostics).
     """
     require_equal_alpha(rf_sr, rf_sp)
-    x = float(_snr(snr))
+    x = float(_finite_snr(snr))
     z = _p2_ratio(rf_sr, rf_sp, pc, x)
     reason = f"series ratio {z:.3f} >= {_P2_MAX_RATIO}"
     if z < _P2_MAX_RATIO:
@@ -399,7 +396,7 @@ def lambda2(rf_sr, rf_sp, pc, snr, policy=DEFAULT_POLICY):
 def cdf_rf_scenario2(rf_sr, rf_sp, pc, snr):
     """CDF of min(psi_q/x_p, psi_t) * x_r, lambda1 + lambda2_exact, as one
     array expression (snr scalar, giving a float, or array)."""
-    x = _snr(snr)
+    x = _finite_snr(snr)
     return _cdf_out(lambda1(rf_sr, rf_sp, pc, x)
                     + lambda2_exact(rf_sr, rf_sp, pc, x), x)
 
@@ -407,7 +404,7 @@ def cdf_rf_scenario2(rf_sr, rf_sp, pc, snr):
 def cdf_rf_scenario2_quad(rf_sr, rf_sp, pc, snr):
     """Defining-probability route (lambda1 product + lambda2 quadrature),
     one expectation over x_p for every snr at once."""
-    x = _snr(snr)
+    x = _finite_snr(snr)
     xs = x.reshape(-1, 1)
     u0 = alpha_mu_cdf(rf_sp, pc.psi_q / pc.psi_t)
     l1 = lambda1(rf_sr, rf_sp, pc, xs[:, 0])
@@ -425,7 +422,7 @@ def cdf_rf(cfg, snr):
     """Scenario-dispatching RF CDF (closed forms when in family, else
     quadrature); snr scalar (returns a float) or array."""
     rf_sr, rf_sp, pc = cfg.rf_sr, cfg.rf_sp, cfg.pc
-    equal = _equal_alpha(rf_sr, rf_sp)
+    equal = _equal_stretch(rf_sr.alpha_tilde, rf_sp.alpha_tilde)
     if pc.scenario == "I":
         if equal:
             return cdf_rf_scenario1(rf_sr, rf_sp, pc, snr)

@@ -117,12 +117,15 @@ def sample_batch(cfg, n, seed, chunk_index=0):
                        seed=seed, stream=base)
 
 
+def _scenario_power(pc, snr_p):
+    """The secondary transmitter's power factor at each S-P SNR draw:
+    psi_q / x_p in Scenario I, min(psi_q / x_p, psi_t) in Scenario II."""
+    factor = pc.psi_q / snr_p
+    return factor if pc.scenario == "I" else np.minimum(factor, pc.psi_t)
+
+
 def _scenario_snrs(cfg, batch, eavesdropper):
-    pc = cfg.pc
-    if pc.scenario == "I":
-        factor = pc.psi_q / batch.snr_p
-    else:
-        factor = np.minimum(pc.psi_q / batch.snr_p, pc.psi_t)
+    factor = _scenario_power(cfg.pc, batch.snr_p)
     snr_rf = factor * batch.snr_r
     snr_f = np.maximum(snr_rf, batch.snr_fso)
     if eavesdropper == "independent":

@@ -30,7 +30,7 @@ from scipy.special import gamma as _gamma, gammaincc
 
 from .channels import FsoLinkParams, MalagaCdfEvaluator, RfChannelParams
 from .cun_cdf import (_P2_MAX_RATIO, PowerConstraints, _binomial_series,
-                      _equal_alpha, _expect, _lambda2_tail, _p2_ratio,
+                      _equal_stretch, _expect, _lambda2_tail, _p2_ratio,
                       _p2_series, _scenario1_coeff, _scenario1_tail, cdf_rf,
                       require_equal_alpha)
 from .errors import NumericalIntegrityError, ParameterError
@@ -118,7 +118,7 @@ def exp_pair_moment(e, power, coeff, at_r, policy=DEFAULT_POLICY):
     """
     c0 = power + 1.0
     at_e = e.alpha_tilde
-    if abs(at_r - at_e) <= 1e-12:
+    if _equal_stretch(at_r, at_e):
         return _gamma(c0 / at_e) * (coeff + e.delta) ** (-c0 / at_e) / at_e
     spec = FoxHSpec(m=1, n=1,
                     upper=((1.0 - c0 / at_e, at_r / at_e),),
@@ -157,7 +157,7 @@ def g_exp_pair_moment(cfg, m_o, power, coeff, at_r, policy=DEFAULT_POLICY):
     e, fso = cfg.rf_se, cfg.fso
     at_e = e.alpha_tilde
     c_arg = fso.V * cfg.sigma / fso.mu_s
-    if abs(at_r - at_e) <= 1e-12:
+    if _equal_stretch(at_r, at_e):
         return _g_weighted_moment(fso, m_o, power, coeff + e.delta, at_e,
                                   c_arg, policy)
     xi9 = power + 1.0
@@ -403,7 +403,8 @@ def sop_lower(cfg, policy=DEFAULT_POLICY):
     """Secrecy-outage lower bound: one expectation of the hybrid CDF over
     the eavesdropper SNR, for either scenario."""
     scen = cfg.pc.scenario
-    route = "expectation" if _equal_alpha(cfg.rf_sr, cfg.rf_sp) else "quadrature"
+    equal = _equal_stretch(cfg.rf_sr.alpha_tilde, cfg.rf_sp.alpha_tilde)
+    route = "expectation" if equal else "quadrature"
     val = sop_lower_quadrature(cfg, policy)
     return SecrecyResult(_clamp_unit(val, f"SOP_L^{scen}"), "SOP_L", scen,
                          {"route": route})

@@ -16,8 +16,12 @@ arguments.  The convention is
            / [ prod_{j>m} Gamma(1 - b_j + B_j t) * prod_{j>n} Gamma(a_j - A_j t) ]
 
 with L separating the poles of the m-group (right of L) from the poles of the
-n-group (left of L).  The abscissa is chosen automatically near the point that
-minimises the integrand magnitude, which keeps cancellation under control for
+n-group (left of L).  Every abscissa, univariate or bivariate, comes from one
+rule (`_abscissa`): take the strip between the pole families, extend each
+unbounded side while the real-axis magnitude |Phi(c) z^c| keeps falling
+outwards, pad each end by 1e-2 of the strip, and return the least-magnitude
+point of 97 evenly spaced candidates; an empty strip raises ContourError.
+Staying near the magnitude minimum keeps cancellation under control for
 arguments far from 1.
 
 The bivariate evaluator integrates over a product of two vertical lines.  Its
@@ -26,6 +30,8 @@ the trapezoid nodes sit on a lattice with spacings h/A1 and h/A2: every node
 then maps onto one line of joint values, and the double sum is a single
 convolution of the two kernel lines weighted by that line (`_lattice_sum`).
 Halving the spacing halves both axis spacings, so the lattice nests too.
+Each of its two abscissas comes from the same rule, with the joint factors
+in the magnitude and the strip clipped to positive joint arguments.
 """
 
 from __future__ import annotations
@@ -239,6 +245,10 @@ class BivariateFoxHSpec:
     product contour on a lattice whose spacings h/A1 and h/A2 map every
     node onto one line of joint values (see `_lattice_sum`).
 
+    The abscissas follow the one rule (`_abscissa`): c2 with c1 held at
+    -0.5, then c1, each by its kernel's magnitude plus `log_joint`'s, over
+    its kernel's strip clipped to positive joint arguments.
+
     Each axis's half-length comes from its kernel line alone when the
     kernel decays by itself (decay_rate() > 0): the joint factors peak at
     Y = 0, so that bound holds for every point of the other axis.  A kernel
@@ -277,43 +287,49 @@ class BivariateFoxHSpec:
 # line integration engine
 # --------------------------------------------------------------------------
 
-def _pick_abscissa(spec, z):
-    lo, hi = spec.pole_interval()
+# The one abscissa rule (`_abscissa`): an unbounded side of the strip starts
+# _SIDE0 from the origin and doubles up to _SIDE_DOUBLINGS times while the
+# magnitude keeps falling outwards; _PAD of the strip is kept clear at each
+# end and _SCAN evenly spaced candidates are scanned.
+_SCAN = 97
+_PAD = 1e-2
+_SIDE0 = 60.0
+_SIDE_DOUBLINGS = 6
+
+
+def _abscissa(log_mag, lo, hi):
+    """The candidate of the strip (lo, hi) where log_mag, the real-axis log
+    magnitude of the integrand (a function of an array of abscissas), is
+    least; non-finite magnitudes count as +inf.  Raises ContourError when
+    the strip is empty."""
     if lo >= hi:
         raise ContourError(
-            f"pole families straddle every vertical line (interval [{lo}, {hi}] empty); "
+            f"no vertical line clears the poles (strip [{lo}, {hi}] empty); "
             "the Mellin-Barnes representation is not valid for these parameters"
         )
 
     def magnitude(cs):
         with np.errstate(all="ignore"):
-            m = spec.log_phi(cs.astype(complex)).real + cs * np.log(z)
+            m = log_mag(cs)
         return np.where(np.isfinite(m), m, np.inf)
 
-    # extend unbounded sides geometrically while the magnitude keeps falling
-    # (saddle chasing keeps cancellation under control for extreme arguments)
-    clo = lo if np.isfinite(lo) else min(hi, 0.0) - 60.0
-    chi = hi if np.isfinite(hi) else max(lo, 0.0) + 60.0
-    for _ in range(6):
+    clo = lo if np.isfinite(lo) else min(hi, 0.0) - _SIDE0
+    chi = hi if np.isfinite(hi) else max(lo, 0.0) + _SIDE0
+    for _ in range(_SIDE_DOUBLINGS):
         grew = False
-        if not np.isfinite(lo) and clo > -4000.0:
-            probe = np.array([clo, clo + 1.0])
-            m = magnitude(probe)
+        if not np.isfinite(lo):
+            m = magnitude(np.array([clo, clo + 1.0]))
             if m[0] < m[1]:
-                clo *= 2.0
-                grew = True
-        if not np.isfinite(hi) and chi < 4000.0:
-            probe = np.array([chi - 1.0, chi])
-            m = magnitude(probe)
+                clo, grew = 2.0 * clo, True
+        if not np.isfinite(hi):
+            m = magnitude(np.array([chi - 1.0, chi]))
             if m[1] < m[0]:
-                chi *= 2.0
-                grew = True
+                chi, grew = 2.0 * chi, True
         if not grew:
             break
-    pad = 1e-3 * (chi - clo) + 1e-9
-    cands = np.linspace(clo + pad, chi - pad, 257)
-    mag = magnitude(cands)
-    return float(cands[int(np.argmin(mag))])
+    pad = _PAD * (chi - clo)
+    cands = np.linspace(clo + pad, chi - pad, _SCAN)
+    return float(cands[int(np.argmin(magnitude(cands)))])
 
 
 class _Line:
@@ -461,8 +477,10 @@ class LineEvaluator:
         if not np.isfinite(z_ref) or z_ref <= 0:
             raise ParameterError(
                 f"argument must be a positive real, got {z_ref}")
-        line = _Line(spec.log_phi, _pick_abscissa(spec, z_ref), _H0)
         lz = np.log(z_ref)
+        c = _abscissa(lambda cs: spec.log_phi(cs).real + cs * lz,
+                      *spec.pole_interval())
+        line = _Line(spec.log_phi, c, _H0)
 
         def total():
             terms = _terms(line.vals, line.t, lz)
@@ -553,63 +571,32 @@ def _lattice_sum(z1, z2, line1, line2, joint):
 
 
 def _bivar_abscissas(spec, z1, z2):
-    """Pick the product-contour abscissas, keeping the integrand magnitude
-    small along the real axis including the joint gamma factor (which blows
-    up near its pole and must be kept at a distance)."""
+    """The product-contour abscissas (c1, c2), chosen as BivariateFoxHSpec
+    describes."""
+    A1, A2 = spec.joint[0][1:] if spec.joint else (1.0, 1.0)
+    t_min = max((a - 1.0 for a, _, _ in spec.joint), default=-np.inf)
 
-    def joint_mag(c1, c2):
-        out = 0.0
-        for a, A1, A2 in spec.joint:
-            arg = 1.0 - a + A1 * c1 + A2 * np.asarray(c2, dtype=float)
-            with np.errstate(all="ignore"):
-                out = out + np.where(arg > 0,
-                                     loggamma(np.maximum(arg, 1e-12)).real,
-                                     np.inf)
-        return out
+    def pick(kernel, z, A, rest):
+        # rest: the other axis's share of A1*c1 + A2*c2
+        lo, hi = kernel.pole_interval()
+        return _abscissa(
+            lambda cs: (kernel.log_phi(cs).real + cs * np.log(z)
+                        + spec.log_joint(A * cs + rest).real),
+            max(lo, (t_min - rest) / A), hi)
 
-    lo2, hi2 = spec.kernel2.pole_interval()
-    if lo2 >= hi2:
-        raise ContourError("kernel2 pole families straddle every vertical line")
-    lo2 = lo2 if np.isfinite(lo2) else min(hi2, 0.0) - 60.0
-    hi2 = hi2 if np.isfinite(hi2) else max(lo2, 0.0) + 60.0
-    pad2 = 1e-2 * (hi2 - lo2)
-    c2s = np.linspace(lo2 + pad2, hi2 - pad2, 97)
-    with np.errstate(all="ignore"):
-        mag2 = spec.kernel2.log_phi(c2s.astype(complex)).real + c2s * np.log(z2)
-    mag2 = np.where(np.isfinite(mag2), mag2, np.inf) + joint_mag(-0.5, c2s)
-    c2 = float(c2s[int(np.argmin(mag2))])
-
-    lo1, hi1 = spec.kernel1.pole_interval()
-    for a, A1, A2 in spec.joint:
-        if A1 > 0:
-            lo1 = max(lo1, (a - 1.0 - A2 * c2) / A1)
-    if lo1 >= hi1:
-        raise ContourError(
-            "no product contour clears the joint gamma poles for this spec")
-    lo1 = lo1 if np.isfinite(lo1) else min(hi1, 0.0) - 60.0
-    hi1 = hi1 if np.isfinite(hi1) else max(lo1, 0.0) + 60.0
-    pad1 = 1e-2 * (hi1 - lo1)
-    c1s = np.linspace(lo1 + pad1, hi1 - pad1, 97)
-    with np.errstate(all="ignore"):
-        mag1 = spec.kernel1.log_phi(c1s.astype(complex)).real + c1s * np.log(z1)
-    mag1 = np.where(np.isfinite(mag1), mag1, np.inf)
-    mag1 = mag1 + joint_mag(c1s, c2)
-    c1 = float(c1s[int(np.argmin(mag1))])
-    return c1, c2
+    c2 = pick(spec.kernel2, z2, A2, -0.5 * A1)
+    return pick(spec.kernel1, z1, A1, A2 * c2), c2
 
 
 def fox_h_bivariate(spec, z1, z2, policy=DEFAULT_POLICY):
-    """Evaluate the bivariate Fox H (EGBFHF) at positive real (z1, z2)."""
+    """Evaluate the bivariate Fox H (EGBFHF) at positive real (z1, z2) on
+    the abscissas of two calls of the one abscissa rule (`_bivar_abscissas`),
+    whose strips already clear the joint poles."""
     z1 = float(z1)
     z2 = float(z2)
     if not np.isfinite(z1) or z1 <= 0 or not np.isfinite(z2) or z2 <= 0:
         raise ParameterError("both arguments must be positive reals")
     c1, c2 = _bivar_abscissas(spec, z1, z2)
-    for a, A1, A2 in spec.joint:
-        if 1.0 - a + A1 * c1 + A2 * c2 <= 0:
-            raise ContourError(
-                "no product contour clears the joint gamma poles for this spec"
-            )
     A1, A2 = spec.joint[0][1:] if spec.joint else (1.0, 1.0)
     h = _H0 * min(A1, A2)
     axes = [_Line(spec.kernel1.log_phi, c1, h / A1),

@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import betainc, gammainccinv, gammaincinv
 
-from cunsec.channels import RfChannelParams, alpha_mu_pdf, fso_blocked_cdf
+from cunsec.channels import (MalagaCdfEvaluator, RfChannelParams,
+                             alpha_mu_cdf, alpha_mu_pdf, fso_blocked_cdf)
 from cunsec.config import config_from_dict
 from cunsec.cun_cdf import PowerConstraints, cdf_rf_scenario1, lambda2_exact
 from cunsec.errors import ParameterError, UnsupportedParametersError
@@ -467,6 +468,46 @@ class TestMetricPath:
         for fn in (sop_lower, spsc, est):
             assert fn(cfg).diagnostics["route"] == "expectation"
         assert calls == []
+
+    def test_subnormal_row_settles(self):
+        # mixed alpha, Scenario I: the RF CDF rows at the smallest
+        # eavesdropper SNRs are subnormal (about 1e-310), below any relative
+        # or l1 tolerance; the expectation must still settle, on the value
+        # of a nested quad in log x over both alpha-mu SNRs
+        cfg = config_from_dict({
+            "rf_sr": {"alpha": 3.717, "mu": 4, "avg_snr_db": 14.37},
+            "rf_sp": {"alpha": 3.163, "mu": 3, "avg_snr_db": 8.888},
+            "rf_se": {"alpha": 1.878, "mu": 1, "avg_snr_db": -7.152},
+            "fso": {"alpha_o": 5.279, "beta_o": 4, "g": 2.839,
+                    "omega_total": 1.012, "epsilon": 1.649, "s": 1,
+                    "avg_snr_db": 13.38, "blockage_p": 0.3765},
+            "power": {"psi_q_db": 10.95, "scenario": "I"},
+            "target_rate": 0.4839,
+        })
+        r, p, e, sig = cfg.rf_sr, cfg.rf_sp, cfg.rf_se, cfg.sigma
+        fso = MalagaCdfEvaluator(cfg.fso, sig * e.avg_snr, blocked=True)
+
+        def log_span(ch):
+            return (np.log(gammaincinv(ch.mu, 1e-30) / ch.delta) / ch.alpha_tilde,
+                    np.log(gammainccinv(ch.mu, 1e-40) / ch.delta) / ch.alpha_tilde)
+
+        def rf_cdf(y):
+            def g(t):
+                xp = np.exp(t)
+                xr = y * xp / cfg.pc.psi_q
+                return alpha_mu_cdf(r, xr) * alpha_mu_pdf(p, xp) * xp
+            return quad(g, *log_span(p), epsabs=0.0, epsrel=1e-10, limit=200)[0]
+
+        def f(t):
+            x = np.exp(t)
+            return rf_cdf(sig * x) * fso(sig * x) * alpha_mu_pdf(e, x) * x
+
+        ref = quad(f, *log_span(e), epsabs=0.0, epsrel=1e-10, limit=200)[0]
+        res = sop_lower(cfg)
+        assert res.diagnostics["route"] == "quadrature"
+        assert_allclose(res.value, ref, rtol=1e-8)
+        assert 1.0 - spsc(cfg).value < 1e-11
+        assert est(cfg).value == cfg.target_rate * (1.0 - res.value)
 
 
 class TestMetricIdentities:

@@ -336,6 +336,56 @@ class TestBivariate:
         assert_allclose(l1, a1 * a2, rtol=1e-13)
 
 
+class TestAbscissaRule:
+    """Every contour takes its abscissa from one rule, `_abscissa`."""
+
+    def test_one_scan_per_axis(self, monkeypatch):
+        calls = [0]
+        rule = specfun._abscissa
+
+        def counting(*args):
+            calls[0] += 1
+            return rule(*args)
+
+        monkeypatch.setattr(specfun, "_abscissa", counting)
+        LineEvaluator(MeijerGSpec(m=3, n=1, a=(1.0, 2.0),
+                                  b=(1.0, 2.296, 1.0, 0.0)), 0.5)
+        assert calls[0] == 1
+        fox_h(EXP_SPEC, 2.0)
+        assert calls[0] == 2
+        exp_kernel = FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),))
+        for joint in ((), ((-1.0, 1.0, 1.0),)):
+            calls[0] = 0
+            spec = BivariateFoxHSpec(joint=joint, kernel1=exp_kernel,
+                                     kernel2=exp_kernel)
+            fox_h_bivariate(spec, 0.7, 1.9)
+            assert calls[0] == 2
+
+    def test_joint_poles_leave_no_product_contour(self):
+        # Gamma(-9 + t1 + t2) needs t1 + t2 > 9, while both exp kernels
+        # need t < 0
+        exp_kernel = FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),))
+        spec = BivariateFoxHSpec(joint=((10.0, 1.0, 1.0),),
+                                 kernel1=exp_kernel, kernel2=exp_kernel)
+        with pytest.raises(ContourError):
+            fox_h_bivariate(spec, 0.7, 1.9)
+
+    def test_abscissa_clears_the_joint_poles(self):
+        # Gamma(-1 + t1 + t2) Gamma(-t1) Gamma(3 - t2): each strip is
+        # clipped to t1 + t2 > 1, and the residue sum is the multinomial
+        # z2^3 Gamma(2) (1 + z1 + z2)^-2
+        exp_kernel = FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),))
+        kernel2 = FoxHSpec(m=1, n=0, upper=(), lower=((3.0, 1.0),))
+        spec = BivariateFoxHSpec(joint=((2.0, 1.0, 1.0),),
+                                 kernel1=exp_kernel, kernel2=kernel2)
+        z1, z2 = 0.7, 1.9
+        c1, c2 = _bivar_abscissas(spec, z1, z2)
+        assert c1 < 0.0 and c2 < 3.0
+        assert c1 + c2 > 1.0
+        assert_allclose(fox_h_bivariate(spec, z1, z2),
+                        z2 ** 3 / (1.0 + z1 + z2) ** 2, rtol=1e-8)
+
+
 class TestRefinementBudget:
     """Both evaluators share one refinement loop; once it runs out of nodes
     it raises with the last two estimates and the grid it reached."""
