@@ -5,9 +5,10 @@ ceiling at the primary user; Scenario II adds a transmit-power cap.  The
 hybrid CDF is the product of the RF-branch CDF and the blocked-optical CDF
 (selection combining picks the better branch).
 
-The Scenario II tail term exists as an exact incomplete-gamma expression and
-as a quadruple series; the series only converges below
-psi_q * phi_r / phi_p, which this script makes visible.
+The Scenario II tail term exists as a finite sum of non-negative regularized
+gammas (lambda2_exact) and as the paper's quadruple series (lambda2); the
+series only converges below psi_q * phi_r / phi_p, which this script makes
+visible.
 """
 
 import numpy as np

@@ -7,24 +7,25 @@ CDFs multiply the RF CDF with the blocked-FSO CDF (selection combining).
 
 Each RF CDF is written without cancellation.  On every alpha-mu link
 G = delta x^a~ is Gamma(mu), so with equal alpha on S-R and S-P the
-Scenario I CDF is a regularized incomplete beta and lambda1 is the product
-of two regularized gammas; nothing is 1 minus a finite sum.  With
-alpha_sr != alpha_sp the CDFs are one expectation over x_p (_expect), the
-package's one quadrature rule, which also takes the secrecy metrics.
+Scenario I CDF is a regularized incomplete beta, lambda1 is the product of
+two regularized gammas, and lambda2_exact is a finite sum of non-negative
+regularized-gamma terms; nothing is 1 minus a finite sum.  With
+alpha_sr != alpha_sp the CDF of either scenario is lambda1 plus one
+expectation over x_p (cdf_rf_quad through _expect), the package's one
+quadrature rule, which also takes the secrecy metrics.
 
-The Scenario II tail piece (lambda2) exists in two algebraically
-equivalent forms: an exact finite expression built on the upper incomplete
-gamma, and the quadruple series obtained by binomially expanding it.  The
-series (_p2_series) is the one the closed outage assembly integrates term
-by term, with eavesdropper moments in place of its constant bracket, and
-every binomial sum of the package runs through _binomial_series and its one
-stop rule.  lambda2's sums converge only for snr < lambda2_series_radius;
-outside that region the exact form is used.  The closed Scenario II CDF
-uses the exact form throughout, so it evaluates an SNR array as one array
-expression.  The series coefficients were derived from scratch and settled
-against the defining-integral quadrature oracle: the gamma-dependent
-exponential carries delta_r * psi_t^-a~ and the m4 index contributes
-psi_q^-a~ m4.
+lambda2 is the paper's form of that piece: P1 minus the quadruple series
+obtained by binomially expanding the upper incomplete gamma of the tail.
+Its series (_p2_series) is the one the closed outage assembly integrates
+term by term, with eavesdropper moments in place of its constant bracket,
+and every binomial sum of the package runs through _binomial_series and its
+one stop rule.  The difference still cancels where lambda2 is small, so it
+stays off the metric path; its sums converge only for
+snr < lambda2_series_radius, and outside that region it returns
+lambda2_exact.  The series coefficients were derived from scratch
+and settled against the defining-integral quadrature oracle: the
+gamma-dependent exponential carries delta_r * psi_t^-a~ and the m4 index
+contributes psi_q^-a~ m4.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 from math import comb as _icomb
 
 import numpy as np
-from scipy.special import (betainc, binom, gamma as _gamma, gammaincc,
-                           gammainccinv, gammaincinv)
+from scipy.special import (betainc, binom, gamma as _gamma, gammainc,
+                           gammaincc, gammainccinv, gammaincinv)
 
 from .channels import _finite_snr, alpha_mu_cdf, db_to_linear, fso_blocked_cdf
 from .errors import ConvergenceError, ParameterError, UnsupportedParametersError
@@ -250,15 +251,6 @@ def _expect(ch, f, u0=0.0):
     )
 
 
-def cdf_rf_scenario1_quad(rf_sr, rf_sp, pc, snr):
-    """Defining-integral route, valid for any non-linearity pair: one
-    expectation over x_p for every snr at once."""
-    x = _finite_snr(snr)
-    xs = x.reshape(-1, 1)
-    val = _expect(rf_sp, lambda y: alpha_mu_cdf(rf_sr, xs * y / pc.psi_q))
-    return _cdf_out(val, x)
-
-
 def cdf_hybrid_scenario1(cfg, snr, policy=DEFAULT_POLICY):
     """Selection-combining CDF: RF factor times blocked-FSO factor."""
     rf = cdf_rf_scenario1(cfg.rf_sr, cfg.rf_sp, cfg.pc, snr)
@@ -278,32 +270,28 @@ def lambda1(rf_sr, rf_sp, pc, snr):
 
 
 def lambda2_exact(rf_sr, rf_sp, pc, snr):
-    """Pr{x_r/x_p <= snr/psi_q, psi_q/x_p <= psi_t} via the upper incomplete
-    gamma (valid everywhere; requires equal alpha/2; snr scalar, giving a
-    float, or array)."""
+    """Pr{x_r/x_p <= snr/psi_q, psi_q/x_p <= psi_t} as a sum of non-negative
+    terms (equal alpha/2 only; snr scalar, giving a float, or array).
+
+    With rho = _scenario1_rho(snr), p = rho / (1 + rho) and
+    c = d_p (psi_q / psi_t)^a~ it is Pr{G_r <= rho G_p, G_p >= c}
+    = E[Q(mu_p, max(c, G_r / rho))], and Q(mu_p, y) = e^-y sum_{j<mu_p} y^j/j!
+    (integer mu_p) makes that Q(mu_p, c) P(mu_r, rho c) plus
+    sum_{j<mu_p} C(j + mu_r - 1, j) p^mu_r (1 - p)^j Q(j + mu_r, c / (1 - p)).
+    With nothing subtracted it stays accurate where it is small; at c = 0
+    it is I_p(mu_r, mu_p), the Scenario I CDF.
+    """
     require_equal_alpha(rf_sr, rf_sp)
     x = _finite_snr(snr)
-    w = (pc.psi_q / pc.psi_t) ** rf_sr.alpha_tilde
-    p1 = gammaincc(rf_sp.mu, rf_sp.delta * w)
-    val = p1 - _lambda2_tail(rf_sr, rf_sp, pc, x)
+    rho = _scenario1_rho(rf_sr, rf_sp, pc, x)
+    p, q = rho / (1.0 + rho), 1.0 / (1.0 + rho)
+    c = rf_sp.delta * (pc.psi_q / pc.psi_t) ** rf_sr.alpha_tilde
+    val = gammaincc(rf_sp.mu, c) * gammainc(rf_sr.mu, rho * c)
+    w = p ** rf_sr.mu
+    for j in range(rf_sp.mu):
+        val = val + w * gammaincc(j + rf_sr.mu, c / q)
+        w = w * q * (j + rf_sr.mu) / (j + 1)
     return val if val.ndim else float(val)
-
-
-def _lambda2_tail(rf_sr, rf_sp, pc, x):
-    """The snr-dependent piece of lambda2_exact, lambda2 = P1 - tail, with
-    P1 = Pr{psi_q/x_p <= psi_t}."""
-    at = rf_sr.alpha_tilde
-    psi_q, psi_t = pc.psi_q, pc.psi_t
-    w = (psi_q / psi_t) ** at
-    c = rf_sp.delta + rf_sr.delta * psi_q ** (-at) * x ** at
-    tot = 0.0
-    for m_r in range(rf_sr.mu):
-        om = rf_sp.mu + m_r
-        pref = rf_sp.delta ** rf_sp.mu * rf_sr.delta ** m_r \
-            / (_gamma(rf_sp.mu) * _gamma(m_r + 1.0)) \
-            * psi_q ** (-at * m_r) * x ** (at * m_r)
-        tot += pref * gammaincc(om, c * w) * _gamma(om) / c ** om
-    return tot
 
 
 # Ratio z of the m5 sums below which they are summed (they converge for z < 1)
@@ -401,33 +389,33 @@ def cdf_rf_scenario2(rf_sr, rf_sp, pc, snr):
                     + lambda2_exact(rf_sr, rf_sp, pc, x), x)
 
 
-def cdf_rf_scenario2_quad(rf_sr, rf_sp, pc, snr):
-    """Defining-probability route (lambda1 product + lambda2 quadrature),
-    one expectation over x_p for every snr at once."""
-    x = _finite_snr(snr)
-    xs = x.reshape(-1, 1)
-    u0 = alpha_mu_cdf(rf_sp, pc.psi_q / pc.psi_t)
-    l1 = lambda1(rf_sr, rf_sp, pc, xs[:, 0])
-    l2 = _expect(rf_sp, lambda y: alpha_mu_cdf(rf_sr, xs * y / pc.psi_q), u0)
-    return _cdf_out(l1 + l2, x)
-
-
 def cdf_hybrid_scenario2(cfg, snr, policy=DEFAULT_POLICY):
     """Selection-combining CDF for the double-constraint scenario."""
     rf = cdf_rf_scenario2(cfg.rf_sr, cfg.rf_sp, cfg.pc, snr)
     return rf * fso_blocked_cdf(cfg.fso, snr, policy)
 
 
-def cdf_rf(cfg, snr):
-    """Scenario-dispatching RF CDF (closed forms when in family, else
-    quadrature); snr scalar (returns a float) or array."""
-    rf_sr, rf_sp, pc = cfg.rf_sr, cfg.rf_sp, cfg.pc
-    equal = _equal_stretch(rf_sr.alpha_tilde, rf_sp.alpha_tilde)
-    if pc.scenario == "I":
-        if equal:
-            return cdf_rf_scenario1(rf_sr, rf_sp, pc, snr)
-        return cdf_rf_scenario1_quad(rf_sr, rf_sp, pc, snr)
-    if equal:
-        return cdf_rf_scenario2(rf_sr, rf_sp, pc, snr)
-    return cdf_rf_scenario2_quad(rf_sr, rf_sp, pc, snr)
+def cdf_rf_quad(rf_sr, rf_sp, pc, snr):
+    """Defining-integral RF CDF, valid for any non-linearity pair: lambda1
+    plus one expectation over x_p of F_r(snr x_p / psi_q) from
+    u0 = F_p(psi_q / psi_t), for every snr at once.  In Scenario I there is
+    no transmit cap, so lambda1 = u0 = 0 and the expectation runs over all
+    of x_p."""
+    x = _finite_snr(snr)
+    xs = x.reshape(-1, 1)
+    l1, u0 = 0.0, 0.0
+    if pc.scenario == "II":
+        l1 = lambda1(rf_sr, rf_sp, pc, xs[:, 0])
+        u0 = alpha_mu_cdf(rf_sp, pc.psi_q / pc.psi_t)
+    l2 = _expect(rf_sp, lambda y: alpha_mu_cdf(rf_sr, xs * y / pc.psi_q), u0)
+    return _cdf_out(l1 + l2, x)
 
+
+def cdf_rf(cfg, snr):
+    """Scenario-dispatching RF CDF (closed forms when alpha_sr == alpha_sp,
+    else quadrature); snr scalar (returns a float) or array."""
+    rf_sr, rf_sp, pc = cfg.rf_sr, cfg.rf_sp, cfg.pc
+    if not _equal_stretch(rf_sr.alpha_tilde, rf_sp.alpha_tilde):
+        return cdf_rf_quad(rf_sr, rf_sp, pc, snr)
+    closed = cdf_rf_scenario1 if pc.scenario == "I" else cdf_rf_scenario2
+    return closed(rf_sr, rf_sp, pc, snr)

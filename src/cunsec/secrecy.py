@@ -30,8 +30,8 @@ from scipy.special import gamma as _gamma, gammaincc
 
 from .channels import FsoLinkParams, MalagaCdfEvaluator, RfChannelParams
 from .cun_cdf import (_P2_MAX_RATIO, PowerConstraints, _binomial_series,
-                      _equal_stretch, _expect, _lambda2_tail, _p2_ratio,
-                      _p2_series, _scenario1_coeff, _scenario1_tail, cdf_rf,
+                      _equal_stretch, _expect, _p2_ratio, _p2_series,
+                      _scenario1_coeff, _scenario1_tail, cdf_rf, lambda2_exact,
                       require_equal_alpha)
 from .errors import NumericalIntegrityError, ParameterError
 from .specfun import (
@@ -391,9 +391,10 @@ def sop_lower_scenario2(cfg, policy=DEFAULT_POLICY):
         total -= p2
         diags["route"] = "closed"
     else:
-        # E over the eavesdropper of the exact lambda2 tail times F_fso*
+        # E over the eavesdropper of the P2 tail times F_fso*: P2 = P1 - lambda2
+        # with P1 = big_a, and lambda2_exact has no cancellation of its own
         total -= _expect_rf_fso(
-            cfg, lambda x: _lambda2_tail(r, p, pc, x), policy)
+            cfg, lambda x: big_a - lambda2_exact(r, p, pc, x), policy)
         diags["route"] = "closed+quadrature-p2"
         diags["p2_series_ratio"] = z5
     return SecrecyResult(_clamp_unit(total, "SOP_L^II"), "SOP_L", "II", diags)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.special import gamma, gammaincc, gammaincinv
+from scipy.special import gamma, gammainc, gammaincc, gammaincinv
 
 import cunsec
 
@@ -26,7 +26,7 @@ from cunsec.cun_cdf import (
     cdf_rf,
     cdf_rf_scenario1,
     cdf_rf_scenario2,
-    cdf_rf_scenario2_quad,
+    cdf_rf_quad,
     lambda1,
     lambda2,
     lambda2_exact,
@@ -56,6 +56,17 @@ def lambda2_defining_integral(rf_sr, rf_sp, pc, x):
     f = lambda y: alpha_mu_pdf(rf_sp, y) * alpha_mu_cdf(rf_sr, x * y / pc.psi_q)
     val, _ = quad(f, pc.psi_q / pc.psi_t, np.inf, limit=300)
     return val
+
+
+def lambda2_reference(rf_sr, rf_sp, pc, x):
+    """lambda2 = Pr{G_r <= rho G_p, G_p >= c} (G = delta x^a~ ~ Gamma(mu)) as
+    int_c^inf P(mu_r, rho g) dGamma(g; mu_p), by quad at epsrel 1e-12 and no
+    absolute floor."""
+    rho = rf_sr.delta / rf_sp.delta * (x / pc.psi_q) ** rf_sr.alpha_tilde
+    c = rf_sp.delta * (pc.psi_q / pc.psi_t) ** rf_sp.alpha_tilde
+    f = lambda g: gammainc(rf_sr.mu, rho * g) * g ** (rf_sp.mu - 1) * np.exp(-g)
+    val, _ = quad(f, c, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+    return val / gamma(rf_sp.mu)
 
 
 def test_expect_alpha_mu_moments():
@@ -264,6 +275,22 @@ class TestLambda2:
         ref = lambda2_defining_integral(RF_R7, RF_P7, PC7, x)
         assert_allclose(got, ref, rtol=1e-8, atol=1e-10)
 
+    @pytest.mark.parametrize("fig", ["fig7", "fig10"])
+    def test_exact_positive_on_log_grid(self, fig):
+        # written as P1 - tail, lambda2 cancels to values as low as -1e-15
+        # (356 of these points on fig10), which cdf_rf clips to 0
+        cfg = figure_config(fig)
+        x = np.logspace(-8, 3, 2000)
+        assert np.all(lambda2_exact(cfg.rf_sr, cfg.rf_sp, cfg.pc, x) >= 0.0)
+        assert np.all(cdf_rf(cfg, x) > 0.0)
+
+    @pytest.mark.parametrize("x", [1e-3, 1e-2])
+    def test_exact_relative_accuracy_where_small(self, x):
+        cfg = figure_config("fig10")
+        r, p, pc = cfg.rf_sr, cfg.rf_sp, cfg.pc
+        assert_allclose(lambda2_exact(r, p, pc, x),
+                        lambda2_reference(r, p, pc, x), rtol=1e-10, atol=0)
+
     def test_series_matches_exact_in_radius(self):
         radius = lambda2_series_radius(RF_R7, RF_P7, PC7)
         for x in np.linspace(0.05, 0.7 * radius, 7):
@@ -325,7 +352,7 @@ class TestScenario2:
     def test_quad_route_matches_closed(self):
         for x in (0.5, 2.0, 10.0):
             a = cdf_rf_scenario2(RF_R7, RF_P7, PC7, x)
-            b = cdf_rf_scenario2_quad(RF_R7, RF_P7, PC7, x)
+            b = cdf_rf_quad(RF_R7, RF_P7, PC7, x)
             assert_allclose(a, b, rtol=1e-7, atol=1e-10)
 
     def test_array_matches_pointwise(self):

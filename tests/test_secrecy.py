@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.special import betainc, gammainccinv, gammaincinv
+from scipy.special import betainc, gammainc, gammainccinv, gammaincinv
 
 from cunsec.channels import (MalagaCdfEvaluator, RfChannelParams,
                              alpha_mu_cdf, alpha_mu_pdf, fso_blocked_cdf)
@@ -152,26 +152,64 @@ def sop2_defining_integral(cfg):
     return val
 
 
+def rf_reference(cfg, x):
+    """RF CDF from its definition, with G = delta x^a~ ~ Gamma(mu) on each
+    link and P the regularized lower gamma.  Scenario I is
+    I_{rho/(1+rho)}(mu_r, mu_p).  Scenario II is lambda1, the product
+    P(mu_p, c) P(mu_r, d_r (x / psi_t)^a~), plus
+    lambda2 = int_c^inf P(mu_r, rho g) dGamma(g; mu_p) by quad at epsrel
+    1e-12, with c = d_p (psi_q / psi_t)^a~.  Nothing in it cancels, and none
+    of it calls the package's RF CDF."""
+    r, p, pc = cfg.rf_sr, cfg.rf_sp, cfg.pc
+    assert r.alpha == p.alpha
+    rho = r.delta / p.delta * (x / pc.psi_q) ** r.alpha_tilde
+    if pc.scenario == "I":
+        return betainc(r.mu, p.mu, rho / (1.0 + rho))
+    c = p.delta * (pc.psi_q / pc.psi_t) ** p.alpha_tilde
+    l1 = gammainc(p.mu, c) * gammainc(r.mu, r.delta * (x / pc.psi_t) ** r.alpha_tilde)
+    l2, _ = quad(lambda g: gammainc(r.mu, rho * g) * g ** (p.mu - 1) * np.exp(-g),
+                 c, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+    return l1 + l2 / math.gamma(p.mu)
+
+
 def sop_reference(cfg):
-    """Scenario I outage bound from its definition, independent of the
-    package's RF CDF and quadrature: quad in log x at epsrel 1e-12, with the
-    RF CDF I_{rho/(1+rho)}(mu_r, mu_p) (G = delta x^a~ is Gamma(mu) on each
-    link), so nothing in the integrand cancels.  The eavesdropper SNR runs
-    between its 1e-30 and 1 - 1e-40 quantiles."""
-    r, p, e = cfg.rf_sr, cfg.rf_sp, cfg.rf_se
-    assert cfg.pc.scenario == "I" and r.alpha == p.alpha
-    sig = cfg.sigma
+    """Outage bound from its definition, independent of the package's RF
+    CDF and quadrature: quad in log x at epsrel 1e-12 of rf_reference times
+    the blocked-FSO CDF over the eavesdropper density.  The eavesdropper SNR
+    runs between its 1e-30 and 1 - 1e-40 quantiles."""
+    e, sig = cfg.rf_se, cfg.sigma
 
     def f(t):
         x = np.exp(t)
-        rho = r.delta / p.delta * (sig * x / cfg.pc.psi_q) ** r.alpha_tilde
-        rf = betainc(r.mu, p.mu, rho / (1.0 + rho))
-        return rf * fso_blocked_cdf(cfg.fso, sig * x) * alpha_mu_pdf(e, x) * x
+        return rf_reference(cfg, sig * x) * fso_blocked_cdf(cfg.fso, sig * x) \
+            * alpha_mu_pdf(e, x) * x
 
     lo, hi = (np.log(gammaincinv(e.mu, 1e-30) / e.delta) / e.alpha_tilde,
               np.log(gammainccinv(e.mu, 1e-40) / e.delta) / e.alpha_tilde)
     val, _ = quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)
     return val
+
+
+def _tiny_outage_s2():
+    """A Scenario II point whose outage is 1.7e-24.  Written as P1 - tail,
+    lambda2 cancels here, and the metric's expectation of it does not
+    settle (its estimates wander near 4e-17)."""
+    return config_from_dict({
+        "rf_sr": {"alpha": 3.989, "mu": 3, "avg_snr_db": 22.33},
+        "rf_sp": {"alpha": 3.989, "mu": 1, "avg_snr_db": -1.882},
+        "rf_se": {"alpha": 2.630, "mu": 3, "avg_snr_db": -0.334},
+        "fso": {"alpha_o": 8.380, "beta_o": 1, "g": 0.9333,
+                "omega_total": 1.394, "epsilon": 3.471, "s": 2,
+                "avg_snr_db": 21.81, "blockage_p": 0.8259},
+        "power": {"psi_q_db": 22.56, "psi_t_db": 28.74, "scenario": "II"},
+        "target_rate": 0.8081,
+    })
+
+
+def _fig10_at(psi_q_db):
+    cfg = figure_config("fig10")
+    return dataclasses.replace(
+        cfg, pc=dataclasses.replace(cfg.pc, psi_q_db=psi_q_db))
 
 
 class TestImTerms:
@@ -395,6 +433,25 @@ class TestSopScenario2:
         cfg = figure_config("fig7")
         got = sop_lower_scenario2(cfg).value
         assert abs(got - 0.452352) <= 3 * 0.000498
+
+    @pytest.mark.parametrize("make", [
+        lambda: figure_config("fig7"),
+        lambda: figure_config("fig8"),
+        lambda: figure_config("fig10"),
+        lambda: _fig10_at(16.0),
+        lambda: _fig10_at(30.0),
+        _tiny_outage_s2,
+    ], ids=["fig7", "fig8", "fig10", "fig10-q16", "fig10-q30", "tiny-outage"])
+    def test_matches_reference(self, make):
+        cfg = make()
+        assert_allclose(sop_lower(cfg).value, sop_reference(cfg), rtol=1e-8)
+
+    def test_tiny_outage_metrics_return(self):
+        # the reference gives 1.7267e-24 here; spsc and est follow from it
+        cfg = _tiny_outage_s2()
+        assert 0.0 < sop_lower(cfg).value < 1e-23
+        assert_allclose(spsc(cfg).value, 1.0, rtol=0, atol=1e-15)
+        assert_allclose(est(cfg).value, cfg.target_rate, rtol=1e-15)
 
     @pytest.mark.parametrize("make", [
         lambda: _mixed_alpha_s2("fig7", 1.6, mu=1, avg_snr_db=-5.0),
