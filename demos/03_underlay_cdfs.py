@@ -7,13 +7,14 @@ hybrid CDF is the product of the RF-branch CDF and the blocked-optical CDF
 
 The Scenario II tail term exists as a finite sum of non-negative regularized
 gammas (lambda2_exact) and as the paper's quadruple series (lambda2); the
-series only converges below psi_q * phi_r / phi_p, which this script makes
-visible.
+series only converges below psi_q * phi_r / phi_p, and lambda2 raises beyond
+0.8 of that radius, which this script makes visible.
 """
 
 import numpy as np
 
 from cunsec import (
+    ConvergenceError,
     PowerConstraints,
     RfChannelParams,
     cdf_hybrid_scenario1,
@@ -40,10 +41,14 @@ for snr in (0.5, 2.0, 10.0, 50.0):
 radius = lambda2_series_radius(rf_sr, rf_sp, pc2)
 print(f"\nSeries region of the tail term ends at snr = {radius:.3f}:")
 for snr in (0.3 * radius, 0.9 * radius, 3.0 * radius):
-    val, diag = lambda2(rf_sr, rf_sp, pc2, snr)
     exact = lambda2_exact(rf_sr, rf_sp, pc2, snr)
-    print(f"  snr={snr:7.3f}  route={diag['route']:6s}  value={val:.8f}  "
-          f"exact={exact:.8f}")
+    try:
+        val, diag = lambda2(rf_sr, rf_sp, pc2, snr)
+    except ConvergenceError as exc:
+        print(f"  snr={snr:7.3f}  raises: {exc}  exact={exact:.8f}")
+        continue
+    print(f"  snr={snr:7.3f}  series={val:.8f}  exact={exact:.8f}  "
+          f"({diag['terms']} terms)")
 
 print("\nRelaxing the transmit cap folds Scenario II back into Scenario I:")
 for psi_t in (10.0, 25.0, 45.0, 65.0):

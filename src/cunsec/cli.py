@@ -39,7 +39,6 @@ class RunManifest:
     tool_version: str
     seed: int | None
     rel_tol: float
-    max_terms: int
     generated_at: str | None = None
 
     @classmethod
@@ -50,7 +49,6 @@ class RunManifest:
             tool_version=__version__,
             seed=seed,
             rel_tol=policy.rel_tol,
-            max_terms=policy.max_terms,
             generated_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
             if timestamp else None,
         )

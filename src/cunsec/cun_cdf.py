@@ -21,8 +21,8 @@ term by term, with eavesdropper moments in place of its constant bracket,
 and every binomial sum of the package runs through _binomial_series and its
 one stop rule.  The difference still cancels where lambda2 is small, so it
 stays off the metric path; its sums converge only for
-snr < lambda2_series_radius, and outside that region it returns
-lambda2_exact.  The series coefficients were derived from scratch
+snr < lambda2_series_radius, and outside that region it raises
+ConvergenceError.  The series coefficients were derived from scratch
 and settled against the defining-integral quadrature oracle: the
 gamma-dependent exponential carries delta_r * psi_t^-a~ and the m4 index
 contributes psi_q^-a~ m4.
@@ -91,20 +91,25 @@ class PowerConstraints:
         return float(db_to_linear(self.psi_t_db))
 
 
+# Most terms a binomial series sums before it counts as not converged
+_MAX_TERMS = 200
+
+
 def _binomial_series(om, z, b, k0, policy):
     """Sum over m of C(om + m - 1, m) (-z)^m b(k0 + m), the binomial
     expansion of (1 + z)^-om weighted by b, with compensated summation.
 
     Converged once three successive terms are below policy.rel_tol of the
-    sum.  Aborted when the term ratio |t_m / t_(m-1)| is above 1 and has
-    risen on two successive steps (weights b that outgrow the binomial); a
-    plain binomial's ratio (om + m - 1) z / m falls, so it is never aborted,
-    even where its first terms grow.  Returns (sum, converged, terms_used,
+    sum, within _MAX_TERMS terms.  Aborted when the term ratio
+    |t_m / t_(m-1)| is above 1 and has risen on two successive steps
+    (weights b that outgrow the binomial); a plain binomial's ratio
+    (om + m - 1) z / m falls, so it is never aborted, even where its first
+    terms grow.  Returns (sum, converged, terms_used,
     magnitude of the last term).
     """
     total = comp = mag = ratio = 0.0
     rises = small = 0
-    for m in range(policy.max_terms):
+    for m in range(_MAX_TERMS):
         term = float(binom(om + m - 1, m)) * (-z) ** m * b(k0 + m)
         if not np.isfinite(term):
             return total, False, m + 1, np.inf
@@ -119,7 +124,7 @@ def _binomial_series(om, z, b, k0, policy):
         small = small + 1 if mag <= policy.rel_tol * max(abs(total), 1e-300) else 0
         if small >= 3:
             return total, True, m + 1, mag
-    return total, False, policy.max_terms, mag
+    return total, False, _MAX_TERMS, mag
 
 
 def _equal_stretch(at1, at2):
@@ -162,13 +167,6 @@ def cdf_rf_scenario1(rf_sr, rf_sp, pc, snr):
     x = _finite_snr(snr)
     rho = _scenario1_rho(rf_sr, rf_sp, pc, x)
     return _cdf_out(betainc(rf_sr.mu, rf_sp.mu, rho / (1.0 + rho)), x)
-
-
-def _scenario1_tail(rf_sr, rf_sp, pc, x):
-    """1 - cdf_rf_scenario1 = I_{1/(1+rho)}(mu_p, mu_r), accurate where the
-    CDF is close to 1."""
-    rho = _scenario1_rho(rf_sr, rf_sp, pc, x)
-    return betainc(rf_sp.mu, rf_sr.mu, 1.0 / (1.0 + rho))
 
 
 def _scenario1_coeff(rf_sr, rf_sp, m_r):
@@ -359,9 +357,10 @@ def lambda2(rf_sr, rf_sp, pc, snr, policy=DEFAULT_POLICY):
     P1 - e^(-d_r psi_t^-a snr^a) * _p2_series(s = snr, bracket = 1).
 
     Its m5 sums are plain binomials in the ratio z, convergent below
-    lambda2_series_radius (z < 1) and summed for z < 0.8.  Otherwise, or if
-    a sum does not settle within policy.max_terms, it returns the exact
-    incomplete-gamma form with route "exact".  Returns (value, diagnostics).
+    lambda2_series_radius (z < 1) and summed for z < 0.8.  Returns
+    (value, diagnostics); raises ConvergenceError, with the ratio
+    ("series_ratio") and the reason in its diagnostics, for z >= 0.8 or
+    when a sum does not settle.  lambda2_exact has no such limit.
     """
     require_equal_alpha(rf_sr, rf_sp)
     x = float(_finite_snr(snr))
@@ -377,8 +376,8 @@ def lambda2(rf_sr, rf_sp, pc, snr, policy=DEFAULT_POLICY):
                                 "terms": sum(info["terms"].values()),
                                 "truncation_bound": info["bound"]}
         reason = f"m5 sum stopped at {info['abort']}"
-    return lambda2_exact(rf_sr, rf_sp, pc, x), {
-        "route": "exact", "series_ratio": z, "reason": reason}
+    raise ConvergenceError(f"lambda2 series at snr {x:.6g}: {reason}",
+                           diagnostics={"series_ratio": z, "reason": reason})
 
 
 def cdf_rf_scenario2(rf_sr, rf_sp, pc, snr):

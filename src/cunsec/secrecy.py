@@ -14,10 +14,9 @@ expectation into the integral-term families (the I-terms for Scenario I, the
 R-terms for Scenario II); each family member has a Mellin-Barnes closed form.
 They require alpha_sr == alpha_sp and serve as the checked reproduction of
 the paper, off the metric path.  The binomial series of the I3/I4 and R4/R8
-families are asymptotic (their moments grow) and are used where they
-truncate below tolerance before their terms turn up; elsewhere the
-assembly's RF tail is one expectation over the eavesdropper SNR and the
-result reports which route produced it.
+families are asymptotic (their moments grow): an assembly returns its closed
+form (route "closed") where they truncate below tolerance before their terms
+turn up, and otherwise raises ConvergenceError naming the series.
 """
 
 from __future__ import annotations
@@ -31,9 +30,8 @@ from scipy.special import gamma as _gamma, gammaincc
 from .channels import FsoLinkParams, MalagaCdfEvaluator, RfChannelParams
 from .cun_cdf import (_P2_MAX_RATIO, PowerConstraints, _binomial_series,
                       _equal_stretch, _expect, _p2_ratio, _p2_series,
-                      _scenario1_coeff, _scenario1_tail, cdf_rf, lambda2_exact,
-                      require_equal_alpha)
-from .errors import NumericalIntegrityError, ParameterError
+                      _scenario1_coeff, cdf_rf, require_equal_alpha)
+from .errors import ConvergenceError, NumericalIntegrityError, ParameterError
 from .specfun import (
     BivariateFoxHSpec,
     DEFAULT_POLICY,
@@ -279,24 +277,14 @@ def r8_term(cfg, k, m_o, policy=DEFAULT_POLICY):
 # the expectation of every metric
 # --------------------------------------------------------------------------
 
-def _expect_rf_fso(cfg, rf, policy):
-    """E over the eavesdropper SNR x of rf(sigma x) * F_fso*(sigma x); rf
-    takes and returns arrays."""
-    sig = cfg.sigma
-    fso_cdf = MalagaCdfEvaluator(cfg.fso, snr_ref=sig * cfg.rf_se.avg_snr,
-                                 policy=policy, blocked=True)
-
-    def integrand(x):
-        sx = sig * x
-        return rf(sx) * fso_cdf.eval_many(sx)
-
-    return _expect(cfg.rf_se, integrand)
-
-
 def sop_lower_quadrature(cfg, policy=DEFAULT_POLICY):
     """The defining outage integral E[F_RF(sigma x) F_fso*(sigma x)] over the
     eavesdropper SNR x, by one probability-space expectation."""
-    return _expect_rf_fso(cfg, lambda x: cdf_rf(cfg, x), policy)
+    sig = cfg.sigma
+    fso_cdf = MalagaCdfEvaluator(cfg.fso, snr_ref=sig * cfg.rf_se.avg_snr,
+                                 policy=policy, blocked=True)
+    return _expect(cfg.rf_se,
+                   lambda x: cdf_rf(cfg, sig * x) * fso_cdf.eval_many(sig * x))
 
 
 # --------------------------------------------------------------------------
@@ -305,46 +293,53 @@ def sop_lower_quadrature(cfg, policy=DEFAULT_POLICY):
 
 def sop_lower_scenario1(cfg, policy=DEFAULT_POLICY):
     """Secrecy-outage lower bound for the interference-only constraint: the
-    paper's closed assembly of the I-terms (alpha_sr == alpha_sp only)."""
+    paper's closed assembly of the I-terms (alpha_sr == alpha_sp only).
+
+    Raises ConvergenceError, with the (m_r, m_o) key of the first I3/I4
+    binomial series that does not truncate (m_o None for I3); the
+    elementary I3 series run before any I4 series (a Fox H call per term).
+    """
     if cfg.pc.scenario != "I":
         raise ParameterError("config is not Scenario I")
     r, p, e, fso = cfg.rf_sr, cfg.rf_sp, cfg.rf_se, cfg.fso
     require_equal_alpha(r, p)
-    diags = {}
     at = r.alpha_tilde
     ce = _f_e_norm(e)
     P_o = fso.blockage_p
     m_os = range(1, fso.beta_o + 1)
-    total = P_o + (1.0 - P_o) * fso.K * ce * sum(
-        fso.varsigma(m_o) * im2_term(cfg, m_o, policy) for m_o in m_os)
-    # the elementary I3 series decide the route before any I4 series (a
-    # Fox H call per term) starts
     terms = {}
     for key in [(m_r, None) for m_r in range(r.mu)] + \
             [(m_r, m_o) for m_r in range(r.mu) for m_o in m_os]:
         terms[key] = _pow_kernel_series(cfg, *key, policy)
         if terms[key] is None:
-            total -= _expect_rf_fso(
-                cfg, lambda x: _scenario1_tail(r, p, cfg.pc, x), policy)
-            diags["route"] = "closed+quadrature-tail"
-            return SecrecyResult(_clamp_unit(total, "SOP_L^I"), "SOP_L", "I", diags)
-    diags["route"] = "closed"
+            raise ConvergenceError(
+                f"I{3 if key[1] is None else 4} binomial series at "
+                f"(m_r, m_o) = {key} does not truncate",
+                diagnostics={"key": key})
+    total = P_o + (1.0 - P_o) * fso.K * ce * sum(
+        fso.varsigma(m_o) * im2_term(cfg, m_o, policy) for m_o in m_os)
     for m_r in range(r.mu):
         d_mr = _scenario1_coeff(r, p, m_r) * cfg.pc.psi_q ** (-at * m_r)
         fso_part = sum(fso.varsigma(m_o) * terms[m_r, m_o] for m_o in m_os)
         total -= ce * d_mr * cfg.sigma ** (at * m_r) * (
             P_o * terms[m_r, None] + (1.0 - P_o) * fso.K * fso_part)
-    return SecrecyResult(_clamp_unit(total, "SOP_L^I"), "SOP_L", "I", diags)
+    return SecrecyResult(_clamp_unit(total, "SOP_L^I"), "SOP_L", "I",
+                         {"route": "closed"})
 
 
 def sop_lower_scenario2(cfg, policy=DEFAULT_POLICY):
     """Secrecy-outage lower bound for the double power constraint: the
-    paper's closed assembly of the R-terms (alpha_sr == alpha_sp only)."""
+    paper's closed assembly of the R-terms (alpha_sr == alpha_sp only).
+
+    Before any R5/R6 term, its P2 piece is summed as the quadruple series.
+    Raises ConvergenceError when the series ratio is >= 0.8 or the first R4
+    term ratio >= 0.9 (diagnostics "p2_series_ratio" and "r4_ratio"), or
+    when an m5 sum stops unsettled ("p2_series_abort").
+    """
     if cfg.pc.scenario != "II":
         raise ParameterError("config is not Scenario II")
     r, p, e, fso, pc = cfg.rf_sr, cfg.rf_sp, cfg.rf_se, cfg.fso, cfg.pc
     require_equal_alpha(r, p)
-    diags = {}
     at = r.alpha_tilde
     sig = cfg.sigma
     ce = _f_e_norm(e)
@@ -354,6 +349,33 @@ def sop_lower_scenario2(cfg, policy=DEFAULT_POLICY):
 
     def fso_bracket(term_plain, term_mix):
         return P_o * ce * term_plain + (1.0 - P_o) * fso.K * ce * term_mix
+
+    # P2 piece: the quadruple series, after a cheap asymptotic-growth
+    # pre-check on the elementary family
+    z5 = _p2_ratio(r, p, pc, sig)
+    r4_at = functools.cache(lambda k: r4_term(cfg, k, policy))
+    ratios = {"p2_series_ratio": z5}
+    if z5 < _P2_MAX_RATIO:
+        ratios["r4_ratio"] = float(z5 * p.mu * r4_at(1) / max(r4_at(0), 1e-300))
+    if z5 >= _P2_MAX_RATIO or ratios["r4_ratio"] >= 0.9:
+        shown = ", ".join(f"{k} {v:.3f}" for k, v in ratios.items())
+        raise ConvergenceError(
+            f"P2 series cannot truncate: {shown} (limits {_P2_MAX_RATIO} "
+            "and 0.9)", diagnostics=ratios)
+
+    def bracket(k):
+        r8_mix = sum(fso.varsigma(m_o) * r8_term(cfg, k, m_o, policy)
+                     for m_o in range(1, fso.beta_o + 1))
+        return fso_bracket(r4_at(k), r8_mix)
+
+    p2, info = _p2_series(r, p, pc, sig, bracket, policy)
+    if p2 is None:
+        raise ConvergenceError(
+            f"P2 m5 sum stopped at {info['abort']}",
+            diagnostics={**ratios, "p2_series_abort": info["abort"]})
+    diags = {"route": "closed"}
+    diags.update((f"p2_terms[{m_r},{m3},{m4}]", n5)
+                 for (m_r, m3, m4), n5 in info["terms"].items())
 
     # constant piece: 1 * F_fso* expectation
     r5_mix = sum(fso.varsigma(m_o) * r5_term(cfg, m_o, policy)
@@ -367,36 +389,7 @@ def sop_lower_scenario2(cfg, policy=DEFAULT_POLICY):
                      for m_o in range(1, fso.beta_o + 1))
         total -= (1.0 - big_a) * b_mr * sig ** (at * m_r) * \
             fso_bracket(r2_term(cfg, m_r, policy), r6_mix)
-
-    # P2 piece: the quadruple series, else quadrature
-    z5 = _p2_ratio(r, p, pc, sig)
-    r4_at = functools.cache(lambda k: r4_term(cfg, k, policy))
-
-    def bracket(k):
-        r8_mix = sum(fso.varsigma(m_o) * r8_term(cfg, k, m_o, policy)
-                     for m_o in range(1, fso.beta_o + 1))
-        return fso_bracket(r4_at(k), r8_mix)
-
-    p2 = None
-    # cheap asymptotic-growth pre-check on the elementary family
-    if z5 < _P2_MAX_RATIO and not (
-            r4_at(1) > 0
-            and z5 * p.mu * r4_at(1) / max(r4_at(0), 1e-300) >= 0.9):
-        p2, info = _p2_series(r, p, pc, sig, bracket, policy)
-        diags.update((f"p2_terms[{m_r},{m3},{m4}]", n5)
-                     for (m_r, m3, m4), n5 in info["terms"].items())
-        if p2 is None:
-            diags["p2_series_abort"] = info["abort"]
-    if p2 is not None:
-        total -= p2
-        diags["route"] = "closed"
-    else:
-        # E over the eavesdropper of the P2 tail times F_fso*: P2 = P1 - lambda2
-        # with P1 = big_a, and lambda2_exact has no cancellation of its own
-        total -= _expect_rf_fso(
-            cfg, lambda x: big_a - lambda2_exact(r, p, pc, x), policy)
-        diags["route"] = "closed+quadrature-p2"
-        diags["p2_series_ratio"] = z5
+    total -= p2
     return SecrecyResult(_clamp_unit(total, "SOP_L^II"), "SOP_L", "II", diags)
 
 

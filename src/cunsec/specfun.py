@@ -103,6 +103,14 @@ _LOG_TAIL = np.log(1e-17)
 _START_NODES = 2 * int(np.ceil(_HALF0 / _H0 - 1e-9)) + 1
 
 
+# Per-axis node budgets of the refinement loop (`_refine`): past them it
+# raises ConvergenceError, once it holds two estimates.  Every line starts at
+# _START_NODES (81) nodes; on a bivariate lattice with A1 != A2 the finer
+# axis starts at about max(A1, A2)/min(A1, A2) times as many.
+_MAX_NODES = 2 ** 16
+_BIVARIATE_MAX_NODES = 2 ** 12 + 1
+
+
 @dataclass(frozen=True)
 class NumericalPolicy:
     """Numerical policy of every series and Mellin-Barnes evaluation.
@@ -111,28 +119,14 @@ class NumericalPolicy:
     (cun_cdf._binomial_series) stops once three successive terms are below
     it, and the contour refinement loop (`_refine`), which fixes the
     half-length from the decay of the integrand, halves the node spacing
-    until two levels agree to it.  max_terms caps the terms of a series.
-    max_nodes and bivariate_max_nodes are the per-axis node budgets past
-    which the refinement raises ConvergenceError, once it holds two
-    estimates.  Every line starts at _START_NODES (81) nodes, so smaller
-    budgets are rejected; on a bivariate lattice with A1 != A2 the finer
-    axis starts at about max(A1, A2)/min(A1, A2) times as many.
+    until two levels agree to it.
     """
 
     rel_tol: float = 1e-8
-    max_terms: int = 200
-    max_nodes: int = 2 ** 16
-    bivariate_max_nodes: int = 2 ** 12 + 1
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise ParameterError("rel_tol must be in (0, 1)")
-        if self.max_terms < 10:
-            raise ParameterError("max_terms must be >= 10")
-        if min(self.max_nodes, self.bivariate_max_nodes) < _START_NODES:
-            raise ParameterError(
-                f"node budgets must be >= {_START_NODES}, the nodes of a "
-                "starting line")
 
 
 DEFAULT_POLICY = NumericalPolicy()
@@ -245,9 +239,10 @@ class BivariateFoxHSpec:
     product contour on a lattice whose spacings h/A1 and h/A2 map every
     node onto one line of joint values (see `_lattice_sum`).
 
-    The abscissas follow the one rule (`_abscissa`): c2 with c1 held at
-    -0.5, then c1, each by its kernel's magnitude plus `log_joint`'s, over
-    its kernel's strip clipped to positive joint arguments.
+    The abscissas follow the one rule (`_abscissa`): c2 with c1 held (at
+    -0.5 unless that leaves c2 no room), then c1, each by its kernel's
+    magnitude plus `log_joint`'s, over its kernel's strip clipped to
+    positive joint arguments.
 
     Each axis's half-length comes from its kernel line alone when the
     kernel decays by itself (decay_rate() > 0): the joint factors peak at
@@ -255,7 +250,7 @@ class BivariateFoxHSpec:
     that does not decay by itself is trimmed by its product with the joint
     factors on the slice where the other axis is at y = 0.  A kernel that
     decays only slowly by itself still sets a long line, which may run past
-    bivariate_max_nodes.
+    _BIVARIATE_MAX_NODES.
     """
 
     joint: tuple
@@ -487,7 +482,7 @@ class LineEvaluator:
             scale = line.h / (2.0 * np.pi)
             return terms.sum() * scale, np.abs(terms).sum() * scale
 
-        estimates, err, l1 = _refine([line], total, policy.max_nodes, policy)
+        estimates, err, l1 = _refine([line], total, _MAX_NODES, policy)
         self.value, self.error = _finalize(estimates, err, l1, policy)
         self.c, self.h = line.c, line.h
         self.log_phi = line.vals
@@ -584,7 +579,17 @@ def _bivar_abscissas(spec, z1, z2):
                         + spec.log_joint(A * cs + rest).real),
             max(lo, (t_min - rest) / A), hi)
 
-    c2 = pick(spec.kernel2, z2, A2, -0.5 * A1)
+    # c1 is held at -0.5 while c2 is picked, unless c2's strip then leaves
+    # no room for A1*c1 + A2*c2 > t_min; then it is held past the least c1
+    # that does (by half the rest of its own strip, at most 1)
+    need = (t_min - A2 * spec.kernel2.pole_interval()[1]) / A1
+    if need < -0.5:
+        c1 = -0.5
+    else:
+        lo1, hi1 = spec.kernel1.pole_interval()
+        need = max(need, lo1)
+        c1 = need + 0.5 * min(hi1 - need, 2.0)
+    c2 = pick(spec.kernel2, z2, A2, A1 * c1)
     return pick(spec.kernel1, z1, A1, A2 * c2), c2
 
 
@@ -610,5 +615,5 @@ def fox_h_bivariate(spec, z1, z2, policy=DEFAULT_POLICY):
             ln.tail = joint
     estimates, err, l1 = _refine(
         axes, lambda: _lattice_sum(z1, z2, *axes, joint),
-        policy.bivariate_max_nodes, policy)
+        _BIVARIATE_MAX_NODES, policy)
     return _finalize(estimates, err, l1, policy)[0]

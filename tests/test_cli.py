@@ -137,7 +137,6 @@ class TestEval:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["manifest"]["rel_tol"] == 1e-10
-        assert out["manifest"]["max_terms"] == NumericalPolicy().max_terms
         want = run_eval(load_config(fig4_path), "sop",
                         NumericalPolicy(rel_tol=1e-10))
         assert out["value"] == want.value

@@ -11,6 +11,7 @@ from scipy.special import gamma, gammainc, gammaincc, gammaincinv
 
 import cunsec
 
+from cunsec import cun_cdf
 from cunsec.channels import (
     RfChannelParams,
     alpha_mu_cdf,
@@ -299,11 +300,13 @@ class TestLambda2:
             assert_allclose(got, lambda2_exact(RF_R7, RF_P7, PC7, float(x)),
                             rtol=1e-7, atol=1e-12)
 
-    def test_divergent_region_falls_back(self):
+    def test_divergent_region_raises(self):
         x = 2.0 * lambda2_series_radius(RF_R7, RF_P7, PC7)
-        got, diag = lambda2(RF_R7, RF_P7, PC7, x)
-        assert diag["route"] == "exact"
-        assert_allclose(got, lambda2_exact(RF_R7, RF_P7, PC7, x), rtol=1e-12)
+        with pytest.raises(ConvergenceError) as info:
+            lambda2(RF_R7, RF_P7, PC7, x)
+        diag = info.value.diagnostics
+        assert_allclose(diag["series_ratio"], 2.0, rtol=1e-12)
+        assert diag["reason"] == "series ratio 2.000 >= 0.8"
 
     def test_series_route_up_to_ratio_079(self):
         # m5 sums with Omega up to 5 grow for their first terms at z near
@@ -316,12 +319,13 @@ class TestLambda2:
             assert diag["route"] == "series"
             assert_allclose(got, lambda2_exact(r, p, PC7, x), rtol=1e-7)
 
-    def test_truncation_soundness(self):
-        tight = NumericalPolicy(rel_tol=1e-10, max_terms=400)
-        loose = NumericalPolicy(rel_tol=1e-10, max_terms=200)
+    def test_truncation_soundness(self, monkeypatch):
+        pol = NumericalPolicy(rel_tol=1e-10)
         for x in (0.1, 0.5, 1.0):
-            a, _ = lambda2(RF_R7, RF_P7, PC7, x, loose)
-            b, _ = lambda2(RF_R7, RF_P7, PC7, x, tight)
+            monkeypatch.setattr(cun_cdf, "_MAX_TERMS", 200)
+            a, _ = lambda2(RF_R7, RF_P7, PC7, x, pol)
+            monkeypatch.setattr(cun_cdf, "_MAX_TERMS", 400)
+            b, _ = lambda2(RF_R7, RF_P7, PC7, x, pol)
             assert abs(a - b) <= 1e-10 * max(abs(a), 1e-12) + 1e-14
 
 
@@ -487,5 +491,3 @@ def test_binomial_series_aborts_on_rising_ratio():
 def test_series_policy_validation():
     with pytest.raises(ParameterError):
         NumericalPolicy(rel_tol=2.0)
-    with pytest.raises(ParameterError):
-        NumericalPolicy(max_terms=5)

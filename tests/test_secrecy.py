@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import mpmath as mp
@@ -11,12 +12,15 @@ from scipy.special import betainc, gammainc, gammainccinv, gammaincinv
 from cunsec.channels import (MalagaCdfEvaluator, RfChannelParams,
                              alpha_mu_cdf, alpha_mu_pdf, fso_blocked_cdf)
 from cunsec.config import config_from_dict
-from cunsec.cun_cdf import PowerConstraints, cdf_rf_scenario1, lambda2_exact
-from cunsec.errors import ParameterError, UnsupportedParametersError
-from cunsec.figures import figure_config, figure_dict
+from cunsec.cun_cdf import (PowerConstraints, _expect, cdf_rf_scenario1,
+                            lambda1, lambda2_exact)
+from cunsec.errors import (ConvergenceError, ParameterError,
+                           UnsupportedParametersError)
+from cunsec.figures import FIGURES, figure_config, figure_dict
 from cunsec.mc import simulate_metrics
 from cunsec.secrecy import (
     SecrecyConfig,
+    _f_e_norm,
     est,
     g_exp_pair_moment,
     im1_term,
@@ -30,7 +34,6 @@ from cunsec.secrecy import (
     r6_term,
     r8_term,
     sop_lower,
-    sop_lower_quadrature,
     sop_lower_scenario1,
     sop_lower_scenario2,
     spsc,
@@ -139,8 +142,6 @@ def sop1_defining_integral(cfg):
 
 
 def sop2_defining_integral(cfg):
-    from cunsec.cun_cdf import lambda1
-
     sig = cfg.sigma
 
     def f(x):
@@ -210,6 +211,71 @@ def _fig10_at(psi_q_db):
     cfg = figure_config("fig10")
     return dataclasses.replace(
         cfg, pc=dataclasses.replace(cfg.pc, psi_q_db=psi_q_db))
+
+
+def _useless_eavesdropper():
+    cfg = figure_config("fig4")
+    return dataclasses.replace(
+        cfg,
+        rf_se=dataclasses.replace(cfg.rf_se, avg_snr_db=-80.0),
+        fso=dataclasses.replace(cfg.fso, blockage_p=0.0, avg_snr_db=40.0),
+    )
+
+
+EQUAL_ALPHA_FIGURES = [name for name in FIGURES if name != "fig3"]
+
+MIXED_ALPHA_S2 = {
+    "fig7-1.6": lambda: _mixed_alpha_s2("fig7", 1.6, mu=1, avg_snr_db=-5.0),
+    "fig7-2.6": lambda: _mixed_alpha_s2("fig7", 2.6, mu=3, avg_snr_db=20.0),
+    "fig7-3.4": lambda: _mixed_alpha_s2("fig7", 3.4, mu=2, avg_snr_db=35.0),
+    "fig7-4.0": lambda: _mixed_alpha_s2("fig7", 4.0, mu=4, avg_snr_db=-10.0),
+    "fig10-2.5": lambda: _mixed_alpha_s2("fig10", 2.5),
+    "fig7-sr3-2.2": lambda: _mixed_alpha_s2("fig7", 2.2, alpha_sr=3.0),
+}
+
+
+def _configs(figures):
+    """pytest parameters: the named figure configs, then the mixed-alpha
+    Scenario II configs."""
+    makes = [functools.partial(figure_config, n) for n in figures]
+    return pytest.mark.parametrize(
+        "make", makes + list(MIXED_ALPHA_S2.values()),
+        ids=list(figures) + list(MIXED_ALPHA_S2))
+
+
+def _blocked_fso_mean(cfg, weight=lambda sx: 1.0):
+    """E[weight(sigma x) F_fso*(sigma x)] over the eavesdropper SNR x."""
+    sig = cfg.sigma
+    fso = MalagaCdfEvaluator(cfg.fso, sig * cfg.rf_se.avg_snr, blocked=True)
+    return _expect(cfg.rf_se,
+                   lambda x: weight(sig * x) * fso.eval_many(sig * x))
+
+
+def fso_piece(cfg):
+    """The constant piece of both closed assemblies,
+    P_o + (1 - P_o) K c_e sum_m_o varsigma(m_o) I2(m_o) = E[F_fso*]."""
+    fso = cfg.fso
+    mix = sum(fso.varsigma(m_o) * im2_term(cfg, m_o)
+              for m_o in range(1, fso.beta_o + 1))
+    return fso.blockage_p + \
+        (1.0 - fso.blockage_p) * fso.K * _f_e_norm(cfg.rf_se) * mix
+
+
+def lambda1_piece(cfg):
+    """The lambda1 piece of the Scenario II assembly, its sum over m_r of
+    R2/R6 brackets: E[((1 - A) - lambda1(sigma x)) F_fso*(sigma x)], with
+    1 - A = P(mu_p, d_p (psi_q / psi_t)^a~)."""
+    r, p, e, fso, pc = cfg.rf_sr, cfg.rf_sp, cfg.rf_se, cfg.fso, cfg.pc
+    at, P_o = r.alpha_tilde, fso.blockage_p
+    one_minus_a = gammainc(p.mu, p.delta * (pc.psi_q / pc.psi_t) ** at)
+    total = 0.0
+    for m_r in range(r.mu):
+        b_mr = (r.delta * (cfg.sigma / pc.psi_t) ** at) ** m_r / math.factorial(m_r)
+        r6_mix = sum(fso.varsigma(m_o) * r6_term(cfg, m_r, m_o)
+                     for m_o in range(1, fso.beta_o + 1))
+        total += one_minus_a * b_mr * _f_e_norm(e) * (
+            P_o * r2_term(cfg, m_r) + (1.0 - P_o) * fso.K * r6_mix)
+    return total
 
 
 class TestImTerms:
@@ -315,30 +381,24 @@ class TestRTerms:
 
 class TestSopScenario1:
     def test_useless_eavesdropper(self):
-        cfg = figure_config("fig4")
-        cfg = dataclasses.replace(
-            cfg,
-            rf_se=dataclasses.replace(cfg.rf_se, avg_snr_db=-80.0),
-            fso=dataclasses.replace(cfg.fso, blockage_p=0.0, avg_snr_db=40.0),
-        )
-        assert sop_lower_scenario1(cfg).value < 0.01
+        assert sop_lower_scenario1(_useless_eavesdropper()).value < 0.01
 
     def test_dominant_eavesdropper(self):
         cfg = figure_config("fig4")
         cfg = dataclasses.replace(
             cfg, rf_se=dataclasses.replace(cfg.rf_se, avg_snr_db=80.0))
-        assert sop_lower_scenario1(cfg).value > 0.99
+        assert sop_lower(cfg).value > 0.99
 
     def test_vs_defining_integral(self):
         cfg = figure_config("fig4")
-        got = sop_lower_scenario1(cfg).value
+        got = sop_lower(cfg).value
         assert_allclose(got, sop1_defining_integral(cfg), rtol=1e-4)
 
     def test_vs_mc_golden(self):
         # frozen Monte-Carlo golden: n=1e6, seed=20240801 -> SOP_L 0.734872,
         # cross-checked with seed=911 -> 0.735040
         cfg = figure_config("fig4")
-        got = sop_lower_scenario1(cfg).value
+        got = sop_lower(cfg).value
         assert abs(got - 0.734872) <= 3 * 0.000442
         assert abs(0.734872 - 0.735040) <= 6 * math.sqrt(2) * 0.000442
 
@@ -362,16 +422,27 @@ class TestSopScenario1:
         assert_allclose(sop_lower(cfg).value, sop_reference(cfg), rtol=1e-8)
 
     def test_closed_matches_quadrature_route(self):
-        cfg = figure_config("fig4")
-        closed = sop_lower_scenario1(cfg).value
-        direct = sop_lower_quadrature(cfg)
-        assert_allclose(closed, direct, rtol=1e-6)
+        # where the I3/I4 series truncate
+        fig4_q30 = dataclasses.replace(
+            figure_config("fig4"), pc=PowerConstraints(psi_q_db=30.0, scenario="I"))
+        for cfg in (fig4_q30, _useless_eavesdropper()):
+            res = sop_lower_scenario1(cfg)
+            assert res.diagnostics["route"] == "closed"
+            assert_allclose(res.value, sop_lower(cfg).value, rtol=1e-8,
+                            atol=1e-15)
 
     def test_tail_quadrature_route(self):
-        # at fig4 the I3 binomial series diverge: the tail is one
-        # expectation over the eavesdropper SNR
-        res = sop_lower_scenario1(figure_config("fig4"))
-        assert res.diagnostics["route"] == "closed+quadrature-tail"
+        # at fig4 the I3 binomial series diverge: the closed FSO piece minus
+        # one expectation of the RF tail over the eavesdropper SNR is SOP_L
+        cfg = figure_config("fig4")
+        r, p, pc = cfg.rf_sr, cfg.rf_sp, cfg.pc
+
+        def tail(sx):
+            rho = r.delta / p.delta * (sx / pc.psi_q) ** r.alpha_tilde
+            return betainc(p.mu, r.mu, 1.0 / (1.0 + rho))
+
+        got = fso_piece(cfg) - _blocked_fso_mean(cfg, tail)
+        assert_allclose(got, sop_lower(cfg).value, rtol=0, atol=1e-9)
 
     def test_series_route_engages_and_matches(self):
         cfg = figure_config("fig4")
@@ -382,8 +453,8 @@ class TestSopScenario1:
         assert_allclose(res.value, sop1_defining_integral(cfg), rtol=1e-6)
 
     def test_route_chosen_before_fox_h(self, monkeypatch):
-        # the elementary I3 series decide the route, so a point whose tail
-        # falls back spends Fox H calls on the I2 terms only
+        # at fig4 the first elementary I3 series (m_r = 0) does not
+        # truncate, so the assembly raises before any Fox H call
         import cunsec.secrecy as secrecy
 
         calls = []
@@ -394,9 +465,10 @@ class TestSopScenario1:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(secrecy, "fox_h", counting)
-        cfg = figure_config("fig4")
-        sop_lower_scenario1(cfg)
-        assert len(calls) == cfg.fso.beta_o
+        with pytest.raises(ConvergenceError) as info:
+            sop_lower_scenario1(figure_config("fig4"))
+        assert info.value.diagnostics == {"key": (0, None)}
+        assert calls == []
 
     def test_float_detection_order(self):
         # JSON may carry s as 2.0; q1/q2 index range() with it
@@ -419,19 +491,19 @@ class TestSopScenario2:
         cfg_hi = dataclasses.replace(cfg, pc=pc_hi)
         pc_1 = PowerConstraints(psi_q_db=cfg.pc.psi_q_db, scenario="I")
         cfg_1 = dataclasses.replace(cfg, pc=pc_1)
-        a = sop_lower_scenario2(cfg_hi).value
-        b = sop_lower_scenario1(cfg_1).value
+        a = sop_lower(cfg_hi).value
+        b = sop_lower(cfg_1).value
         assert abs(a - b) < 1e-3
 
     def test_vs_defining_integral(self):
         cfg = figure_config("fig7")
-        got = sop_lower_scenario2(cfg).value
+        got = sop_lower(cfg).value
         assert_allclose(got, sop2_defining_integral(cfg), rtol=1e-4)
 
     def test_vs_mc_golden(self):
         # frozen Monte-Carlo golden: n=1e6, seed=20240801 -> SOP_L 0.452352
         cfg = figure_config("fig7")
-        got = sop_lower_scenario2(cfg).value
+        got = sop_lower(cfg).value
         assert abs(got - 0.452352) <= 3 * 0.000498
 
     @pytest.mark.parametrize("make", [
@@ -453,22 +525,20 @@ class TestSopScenario2:
         assert_allclose(spsc(cfg).value, 1.0, rtol=0, atol=1e-15)
         assert_allclose(est(cfg).value, cfg.target_rate, rtol=1e-15)
 
-    @pytest.mark.parametrize("make", [
-        lambda: _mixed_alpha_s2("fig7", 1.6, mu=1, avg_snr_db=-5.0),
-        lambda: _mixed_alpha_s2("fig7", 2.6, mu=3, avg_snr_db=20.0),
-        lambda: _mixed_alpha_s2("fig7", 3.4, mu=2, avg_snr_db=35.0),
-        lambda: _mixed_alpha_s2("fig7", 4.0, mu=4, avg_snr_db=-10.0),
-        lambda: _mixed_alpha_s2("fig10", 2.5),
-        lambda: _mixed_alpha_s2("fig7", 2.2, alpha_sr=3.0),
-    ], ids=["fig7-1.6", "fig7-2.6", "fig7-3.4", "fig7-4.0", "fig10-2.5",
-            "fig7-sr3-2.2"])
-    def test_mixed_alpha_matches_defining_integral(self, make):
-        # alpha_se != alpha_sr: the closed route sums bivariate Fox H terms
-        cfg = make()
+    @pytest.mark.parametrize("name", list(MIXED_ALPHA_S2))
+    def test_mixed_alpha_matches_defining_integral(self, name):
+        # alpha_se != alpha_sr: the closed route sums bivariate Fox H terms.
+        # Only at fig7-4.0 does the P2 series truncate; elsewhere the
+        # assembly raises, and TestAssemblyPieces checks its pieces
+        cfg = MIXED_ALPHA_S2[name]()
+        if name != "fig7-4.0":
+            with pytest.raises(ConvergenceError) as info:
+                sop_lower_scenario2(cfg)
+            assert "p2_series_ratio" in info.value.diagnostics
+            return
         res = sop_lower_scenario2(cfg)
-        assert res.diagnostics["route"].startswith("closed")
-        assert_allclose(res.value, sop_lower_quadrature(cfg), rtol=0,
-                        atol=1e-9)
+        assert res.diagnostics["route"] == "closed"
+        assert_allclose(res.value, sop_lower(cfg).value, rtol=1e-8, atol=1e-15)
 
     def test_series_route_engages_and_matches(self):
         cfg = config_from_dict({
@@ -484,6 +554,7 @@ class TestSopScenario2:
         res = sop_lower_scenario2(cfg)
         assert res.diagnostics["route"] == "closed"
         assert_allclose(res.value, sop2_defining_integral(cfg), rtol=1e-6)
+        assert_allclose(res.value, sop_lower(cfg).value, rtol=1e-8, atol=1e-15)
 
     def test_symmetric_exchangeable_half(self):
         # identical S-R / S-E laws, blocked optical link, relaxed cap, shared
@@ -501,6 +572,41 @@ class TestSopScenario2:
         mc = simulate_metrics(cfg, 200_000, seed=7, eavesdropper="shared_power")
         se = mc["SOP_L"].std_error
         assert abs(mc["SOP_L"].estimate - 0.5) <= 3 * se
+
+
+class TestAssemblyPieces:
+    """The pieces of the closed assemblies against the metric path's
+    expectation, so that they stay checked where the assemblies raise."""
+
+    @pytest.mark.parametrize("fig", EQUAL_ALPHA_FIGURES)
+    def test_raises_at_figure_point(self, fig):
+        # Scenario I: the first I3 series (m_r = 0) does not truncate;
+        # Scenario II: the P2 series fails its up-front test
+        cfg = figure_config(fig)
+        if cfg.pc.scenario == "I":
+            with pytest.raises(ConvergenceError) as info:
+                sop_lower_scenario1(cfg)
+            assert info.value.diagnostics == {"key": (0, None)}
+        else:
+            with pytest.raises(ConvergenceError) as info:
+                sop_lower_scenario2(cfg)
+            assert "p2_series_abort" not in info.value.diagnostics
+
+    @_configs(EQUAL_ALPHA_FIGURES)
+    def test_fso_piece_matches_expectation(self, make):
+        cfg = make()
+        assert_allclose(fso_piece(cfg), _blocked_fso_mean(cfg), rtol=0,
+                        atol=1e-9)
+
+    @_configs(["fig7", "fig8", "fig10"])
+    def test_lambda1_piece_matches_expectation(self, make):
+        cfg = make()
+        r, p, pc = cfg.rf_sr, cfg.rf_sp, cfg.pc
+        one_minus_a = gammainc(
+            p.mu, p.delta * (pc.psi_q / pc.psi_t) ** p.alpha_tilde)
+        ref = _blocked_fso_mean(
+            cfg, lambda sx: one_minus_a - lambda1(r, p, pc, sx))
+        assert_allclose(lambda1_piece(cfg), ref, rtol=0, atol=1e-9)
 
 
 class TestMetricPath:

@@ -385,6 +385,21 @@ class TestAbscissaRule:
         assert_allclose(fox_h_bivariate(spec, z1, z2),
                         z2 ** 3 / (1.0 + z1 + z2) ** 2, rtol=1e-8)
 
+    def test_held_c1_leaves_room_for_c2(self):
+        # Gamma(-3 + t1 + t2) Gamma(5 - t1) Gamma(-t2): t2 < 0 needs
+        # t1 > 3, so c1 cannot be held at -0.5 while c2 is picked; the
+        # residue sum is z1^5 Gamma(2) (1 + z1 + z2)^-2
+        exp_kernel = FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),))
+        kernel1 = FoxHSpec(m=1, n=0, upper=(), lower=((5.0, 1.0),))
+        spec = BivariateFoxHSpec(joint=((4.0, 1.0, 1.0),),
+                                 kernel1=kernel1, kernel2=exp_kernel)
+        z1, z2 = 0.7, 1.9
+        c1, c2 = _bivar_abscissas(spec, z1, z2)
+        assert c1 < 5.0 and c2 < 0.0
+        assert c1 + c2 > 3.0
+        assert_allclose(fox_h_bivariate(spec, z1, z2),
+                        z1 ** 5 / (1.0 + z1 + z2) ** 2, rtol=1e-8)
+
 
 class TestRefinementBudget:
     """Both evaluators share one refinement loop; once it runs out of nodes
@@ -397,19 +412,21 @@ class TestRefinementBudget:
         assert set(exc.diagnostics) == {"half_lengths", "nodes"}
         assert max(exc.diagnostics["nodes"]) > budget
 
-    def test_univariate(self):
+    def test_univariate(self, monkeypatch):
         spec = MeijerGSpec(m=3, n=1, a=(1.0, 2.0), b=(1.0, 2.296, 1.0, 0.0))
-        pol = NumericalPolicy(max_nodes=81, rel_tol=1e-15)
+        monkeypatch.setattr(specfun, "_MAX_NODES", 81)
+        pol = NumericalPolicy(rel_tol=1e-15)
         with pytest.raises(ConvergenceError) as info:
             meijer_g(spec, 0.5, pol)
         self._check(info, 81)
         assert len(info.value.diagnostics["nodes"]) == 1
 
-    def test_bivariate(self):
+    def test_bivariate(self, monkeypatch):
         exp_kernel = FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),))
         spec = BivariateFoxHSpec(joint=(), kernel1=exp_kernel,
                                  kernel2=exp_kernel)
-        pol = NumericalPolicy(bivariate_max_nodes=81, rel_tol=1e-15)
+        monkeypatch.setattr(specfun, "_BIVARIATE_MAX_NODES", 81)
+        pol = NumericalPolicy(rel_tol=1e-15)
         with pytest.raises(ConvergenceError) as info:
             fox_h_bivariate(spec, 0.7, 1.9, pol)
         self._check(info, 81)
@@ -419,7 +436,7 @@ class TestRefinementBudget:
         # the nodes summed, so refinement stops while axis 2 is in budget
         spec = BivariateFoxHSpec(joint=((-5.0, 4.0, 1.0),),
                                  kernel1=exp_kernel, kernel2=exp_kernel)
-        pol = NumericalPolicy(bivariate_max_nodes=200, rel_tol=1e-15)
+        monkeypatch.setattr(specfun, "_BIVARIATE_MAX_NODES", 200)
         with pytest.raises(ConvergenceError) as info:
             fox_h_bivariate(spec, 0.7, 1.9, pol)
         self._check(info, 200)
@@ -427,14 +444,11 @@ class TestRefinementBudget:
         assert n2 <= 200 < n1
         assert n1 == 4 * (n2 - 1) + 1
 
-    def test_policy_rejects_budget_below_start(self):
+    def test_budgets_cover_a_starting_line(self):
         # a new line holds 81 nodes (half-length 8 at spacing 0.2)
-        for budget in (0, 80):
-            with pytest.raises(ParameterError):
-                NumericalPolicy(max_nodes=budget)
-            with pytest.raises(ParameterError):
-                NumericalPolicy(bivariate_max_nodes=budget)
-        NumericalPolicy(max_nodes=81, bivariate_max_nodes=81)
+        assert specfun._START_NODES == 81
+        assert min(specfun._MAX_NODES,
+                   specfun._BIVARIATE_MAX_NODES) >= specfun._START_NODES
 
 
 class TestLineEvaluator:
