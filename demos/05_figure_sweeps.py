@@ -10,7 +10,6 @@ import io
 
 from cunsec.cli import RunManifest, _write_sweep_csv, run_sweep
 from cunsec.figures import FIGURES, figure_config
-from cunsec.specfun import DEFAULT_POLICY
 
 SWEEPS = [
     # EST rises with the interference ceiling, then saturates
@@ -24,7 +23,7 @@ SWEEPS = [
 for name, axis, lo, hi, points, metrics in SWEEPS:
     cfg = figure_config(name)
     rows = run_sweep(cfg, axis, lo, hi, points, metrics)
-    manifest = RunManifest.build(cfg, DEFAULT_POLICY)
+    manifest = RunManifest.build(cfg)
     out = io.StringIO()
     _write_sweep_csv(out, manifest, axis, metrics, rows)
     path = f"sweep_{name}_{axis.split('.')[-1]}.csv"

@@ -48,7 +48,6 @@ from .specfun import (
     BivariateFoxHSpec,
     FoxHSpec,
     MeijerGSpec,
-    NumericalPolicy,
     fox_h,
     fox_h_bivariate,
     gamma_fn,

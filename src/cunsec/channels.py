@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import binom, gamma as _gamma, gammainc
 
 from .errors import NumericalIntegrityError, ParameterError
-from .specfun import DEFAULT_POLICY, LineEvaluator, MeijerGSpec, meijer_g
+from .specfun import LineEvaluator, MeijerGSpec, meijer_g
 
 __all__ = [
     "RfChannelParams",
@@ -245,7 +245,7 @@ def electrical_snr(fso):
     return phi * num / den
 
 
-def malaga_pdf(fso, snr, policy=DEFAULT_POLICY):
+def malaga_pdf(fso, snr):
     """SNR density of the (unblocked) Malaga link."""
     x = float(snr)
     if x <= 0:
@@ -254,7 +254,7 @@ def malaga_pdf(fso, snr, policy=DEFAULT_POLICY):
     z = fso.varpi * (x / fso.mu_s) ** (1.0 / fso.s)
     tot = 0.0
     for m_o in range(1, fso.beta_o + 1):
-        tot += fso.vartheta(m_o) * meijer_g(fso.pdf_kernel_spec(m_o), z, policy)
+        tot += fso.vartheta(m_o) * meijer_g(fso.pdf_kernel_spec(m_o), z)
     val = e2 * fso.chi_o / (2.0 ** fso.s * x) * tot
     if val < 0:
         if val < -1e-9:
@@ -263,15 +263,15 @@ def malaga_pdf(fso, snr, policy=DEFAULT_POLICY):
     return val
 
 
-def malaga_cdf(fso, snr, policy=DEFAULT_POLICY):
+def malaga_cdf(fso, snr):
     """SNR CDF of the (unblocked) Malaga link, from its contours converged
     at snr."""
-    return MalagaCdfEvaluator(fso, snr, policy)(snr)
+    return MalagaCdfEvaluator(fso, snr)(snr)
 
 
-def fso_blocked_cdf(fso, snr, policy=DEFAULT_POLICY):
+def fso_blocked_cdf(fso, snr):
     """CDF of the blocked link: mass blockage_p at zero plus the Malaga tail."""
-    return MalagaCdfEvaluator(fso, snr, policy, blocked=True)(snr)
+    return MalagaCdfEvaluator(fso, snr, blocked=True)(snr)
 
 
 class MalagaCdfEvaluator:
@@ -281,11 +281,10 @@ class MalagaCdfEvaluator:
     none).  snr_ref sets where the contours are converged (not below
     kernel argument 1e-6)."""
 
-    def __init__(self, fso, snr_ref=None, policy=DEFAULT_POLICY, blocked=False):
+    def __init__(self, fso, snr_ref=None, blocked=False):
         self.fso = fso
         self.blocked = blocked
         self._snr_ref = snr_ref if snr_ref is not None else fso.mu_s
-        self._policy = policy
 
     @cached_property
     def _kernels(self):
@@ -293,7 +292,7 @@ class MalagaCdfEvaluator:
         z_ref = max(fso.V * self._snr_ref / fso.mu_s, 1e-6)
         return [
             (fso.varsigma(m_o),
-             LineEvaluator(fso.cdf_kernel_spec(m_o), z_ref, self._policy))
+             LineEvaluator(fso.cdf_kernel_spec(m_o), z_ref))
             for m_o in range(1, fso.beta_o + 1)
         ]
 

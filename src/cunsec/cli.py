@@ -25,7 +25,6 @@ from .errors import ConfigError, CunsecError
 from .mc import (ks_distance, ks_distance_interpolated, sample_alpha_mu,
                  sample_malaga_snr, simulate_metrics, _scenario_power)
 from .secrecy import est, sop_lower, spsc
-from .specfun import DEFAULT_POLICY, NumericalPolicy
 
 __all__ = ["RunManifest", "run_eval", "run_sweep", "run_validate", "main",
            "load_config"]
@@ -38,17 +37,15 @@ class RunManifest:
     config_hash: str
     tool_version: str
     seed: int | None
-    rel_tol: float
     generated_at: str | None = None
 
     @classmethod
-    def build(cls, cfg, policy, seed=None, timestamp=True):
+    def build(cls, cfg, seed=None, timestamp=True):
         payload = json.dumps(config_to_dict(cfg), sort_keys=True).encode()
         return cls(
             config_hash=hashlib.sha256(payload).hexdigest()[:16],
             tool_version=__version__,
             seed=seed,
-            rel_tol=policy.rel_tol,
             generated_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
             if timestamp else None,
         )
@@ -58,10 +55,6 @@ class RunManifest:
         if d["generated_at"] is None:
             del d["generated_at"]
         return json.dumps(d, sort_keys=True)
-
-
-def _policy(tolerance=None):
-    return DEFAULT_POLICY if tolerance is None else NumericalPolicy(rel_tol=tolerance)
 
 
 def _open_out(path):
@@ -84,15 +77,14 @@ def _scenario_override(cfg, scenario):
 # eval
 # --------------------------------------------------------------------------
 
-def run_eval(cfg, metric, policy=DEFAULT_POLICY):
-    return METRICS[metric](cfg, policy)
+def run_eval(cfg, metric):
+    return METRICS[metric](cfg)
 
 
 def _cmd_eval(args):
-    policy = _policy(args.tolerance)
     cfg = _scenario_override(load_config(args.config), args.scenario)
-    result = run_eval(cfg, args.metric, policy)
-    manifest = RunManifest.build(cfg, policy)
+    result = run_eval(cfg, args.metric)
+    manifest = RunManifest.build(cfg)
     print(json.dumps({
         "metric": args.metric,
         "kind": result.kind,
@@ -109,7 +101,7 @@ def _cmd_eval(args):
 # sweep
 # --------------------------------------------------------------------------
 
-def run_sweep(cfg, axis, start, stop, points, metrics, policy=DEFAULT_POLICY):
+def run_sweep(cfg, axis, start, stop, points, metrics):
     """Evaluate metrics along one axis, one point after another; returns
     [(axis_value, row dict)]."""
     if points < 2:
@@ -121,7 +113,7 @@ def run_sweep(cfg, axis, start, stop, points, metrics, policy=DEFAULT_POLICY):
         try:
             c = replace_by_path(cfg, axis, float(v))
             for m in metrics:
-                res = METRICS[m](c, policy)
+                res = METRICS[m](c)
                 row[m] = res.value
                 row.setdefault("route", res.diagnostics.get("route", ""))
             row["error"] = ""
@@ -150,15 +142,13 @@ def _write_sweep_csv(out, manifest, axis, metrics, rows):
 
 
 def _cmd_sweep(args):
-    policy = _policy(args.tolerance)
     cfg = _scenario_override(load_config(args.config), args.scenario)
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     for m in metrics:
         if m not in METRICS:
             raise ConfigError(f"unknown metric {m!r}; pick from {sorted(METRICS)}")
-    rows = run_sweep(cfg, args.axis, args.start, args.stop, args.points,
-                     metrics, policy)
-    manifest = RunManifest.build(cfg, policy)
+    rows = run_sweep(cfg, args.axis, args.start, args.stop, args.points, metrics)
+    manifest = RunManifest.build(cfg)
     if args.out:
         with _open_out(args.out) as fh:
             _write_sweep_csv(fh, manifest, args.axis, metrics, rows)
@@ -178,7 +168,7 @@ def _null_se(p, n):
     return max(math.sqrt(p * (1.0 - p) / n), 1.0 / n)
 
 
-def run_validate(cfg, n, seed, policy=DEFAULT_POLICY):
+def run_validate(cfg, n, seed):
     """Analytic-vs-MC table plus channel-law KS rows.
 
     z uses the standard error under the analytic value (the null), not the
@@ -192,8 +182,8 @@ def run_validate(cfg, n, seed, policy=DEFAULT_POLICY):
     mc = simulate_metrics(cfg, n, seed)
     rows = []
     analytic = {
-        "SOP_L": sop_lower(cfg, policy).value,
-        "SPSC": spsc(cfg, policy).value,
+        "SOP_L": sop_lower(cfg).value,
+        "SPSC": spsc(cfg).value,
     }
     analytic["EST"] = cfg.target_rate * (1.0 - analytic["SOP_L"])
     se_sop = _null_se(analytic["SOP_L"], n)
@@ -233,7 +223,7 @@ def run_validate(cfg, n, seed, policy=DEFAULT_POLICY):
     ks_row("rf_sr", batch.snr_r, lambda x: alpha_mu_cdf(cfg.rf_sr, x))
     ks_row("rf_sp", batch.snr_p, lambda x: alpha_mu_cdf(cfg.rf_sp, x))
     ks_row("rf_se", batch.snr_e, lambda x: alpha_mu_cdf(cfg.rf_se, x))
-    fso_eval = MalagaCdfEvaluator(cfg.fso, policy=policy, blocked=True)
+    fso_eval = MalagaCdfEvaluator(cfg.fso, blocked=True)
     ks_row("fso_blocked", batch.snr_fso, fso_eval.eval_many, expensive=True)
     rf_samples = _scenario_power(cfg.pc, batch.snr_p) * batch.snr_r
     ks_row("rf_scenario", rf_samples, lambda x: cdf_rf(cfg, x),
@@ -259,10 +249,9 @@ def _render_validate(report, manifest):
 
 
 def _cmd_validate(args):
-    policy = _policy(args.tolerance)
     cfg = _scenario_override(load_config(args.config), args.scenario)
-    report, passed = run_validate(cfg, args.samples, args.seed, policy)
-    manifest = RunManifest.build(cfg, policy, seed=args.seed, timestamp=False)
+    report, passed = run_validate(cfg, args.samples, args.seed)
+    manifest = RunManifest.build(cfg, seed=args.seed, timestamp=False)
     text = _render_validate(report, manifest)
     if args.out:
         with _open_out(args.out) as fh:
@@ -283,7 +272,7 @@ def _cmd_sample(args):
         draws = sample_alpha_mu(ch, args.n, args.seed)
     else:
         draws = sample_malaga_snr(cfg.fso, args.n, args.seed)
-    manifest = RunManifest.build(cfg, _policy(args.tolerance), seed=args.seed)
+    manifest = RunManifest.build(cfg, seed=args.seed)
     with _open_out(args.out) as fh:
         fh.write(f"# {manifest.as_json()}\n")
         fh.write("snr\n")
@@ -305,9 +294,6 @@ def _build_parser():
 
     def common(p):
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="override the relative tolerance of every "
-                            "series and contour (default 1e-8)")
         p.add_argument("--scenario", choices=["1", "2"], default=None,
                        help="override the config scenario")
 

@@ -39,8 +39,8 @@ from scipy.special import (betainc, binom, gamma as _gamma, gammainc,
                            gammaincc, gammainccinv, gammaincinv)
 
 from .channels import _finite_snr, alpha_mu_cdf, db_to_linear, fso_blocked_cdf
+from . import specfun
 from .errors import ConvergenceError, ParameterError, UnsupportedParametersError
-from .specfun import DEFAULT_POLICY
 
 __all__ = [
     "PowerConstraints",
@@ -95,12 +95,12 @@ class PowerConstraints:
 _MAX_TERMS = 200
 
 
-def _binomial_series(om, z, b, k0, policy):
+def _binomial_series(om, z, b, k0):
     """Sum over m of C(om + m - 1, m) (-z)^m b(k0 + m), the binomial
     expansion of (1 + z)^-om weighted by b, with compensated summation.
 
-    Converged once three successive terms are below policy.rel_tol of the
-    sum, within _MAX_TERMS terms.  Aborted when the term ratio
+    Converged once three successive terms are below specfun._REL_TOL of
+    the sum, within _MAX_TERMS terms.  Aborted when the term ratio
     |t_m / t_(m-1)| is above 1 and has risen on two successive steps
     (weights b that outgrow the binomial); a plain binomial's ratio
     (om + m - 1) z / m falls, so it is never aborted, even where its first
@@ -121,7 +121,7 @@ def _binomial_series(om, z, b, k0, policy):
         rises = rises + 1 if ratio > max(1.0, prev_ratio) else 0
         if rises >= 2:
             return total, False, m + 1, mag
-        small = small + 1 if mag <= policy.rel_tol * max(abs(total), 1e-300) else 0
+        small = small + 1 if mag <= specfun._REL_TOL * max(abs(total), 1e-300) else 0
         if small >= 3:
             return total, True, m + 1, mag
     return total, False, _MAX_TERMS, mag
@@ -185,9 +185,6 @@ def _scenario1_coeff(rf_sr, rf_sp, m_r):
 _TS_T = 4.0
 _TS_H0 = 0.5
 _TS_LEVELS = 8
-_TS_TOL = 1.49e-8  # quad's default epsrel
-_TS_ABS = 1e-15   # absolute floor, relative to the integral of |f|
-_TINY = np.finfo(float).tiny  # floor of both: a subnormal row meets neither
 
 
 def _ts_level(ch, f, u0, k):
@@ -220,10 +217,9 @@ def _expect(ch, f, u0=0.0):
     the nearer endpoint (gammaincinv(mu, u0 + d) below the midpoint,
     gammainccinv(mu, d) above it), so no node rounds to u = 1.  Dividing by
     the rule's own integral of 1 makes it exact for constants.  Returns once
-    two successive levels agree within max(1.49e-8 |value|, 1e-15 int|f|)
-    (quad's default relative tolerance, with the floor of specfun._refine),
-    so a value far below 1 is still certified to its leading digits; the
-    bound is at least the smallest normal float (_TINY).  Raises
+    two successive levels pass the contours' stop test (specfun._settled:
+    within max(_REL_TOL |value|, 1e-15 int|f|, tiny), every entry at once),
+    so a value far below 1 is still certified to its leading digits.  Raises
     ConvergenceError with the last two estimates after _TS_LEVELS halvings.
     An empty interval (u0 >= 1) gives 0.0.
     """
@@ -236,9 +232,7 @@ def _expect(ch, f, u0=0.0):
         num, l1, den = 0.5 * num + n_new, 0.5 * l1 + l1_new, 0.5 * den + d_new
         nodes += m
         val = (1.0 - u0) * num / den
-        tol = np.maximum(_TS_TOL * np.abs(val), _TS_ABS * (1.0 - u0) * l1 / den)
-        tol = np.maximum(tol, _TINY)
-        if np.all(np.abs(val - estimates[-1]) <= tol):
+        if specfun._settled(val, estimates[-1], (1.0 - u0) * l1 / den):
             return val if np.ndim(val) else float(val)
         estimates = [estimates[-1], val]
     raise ConvergenceError(
@@ -249,10 +243,10 @@ def _expect(ch, f, u0=0.0):
     )
 
 
-def cdf_hybrid_scenario1(cfg, snr, policy=DEFAULT_POLICY):
+def cdf_hybrid_scenario1(cfg, snr):
     """Selection-combining CDF: RF factor times blocked-FSO factor."""
     rf = cdf_rf_scenario1(cfg.rf_sr, cfg.rf_sp, cfg.pc, snr)
-    return rf * fso_blocked_cdf(cfg.fso, snr, policy)
+    return rf * fso_blocked_cdf(cfg.fso, snr)
 
 
 # --------------------------------------------------------------------------
@@ -302,7 +296,7 @@ def _p2_ratio(rf_sr, rf_sp, pc, s):
     return rf_sr.delta * s ** at / (rf_sp.delta * pc.psi_q ** at)
 
 
-def _p2_series(rf_sr, rf_sp, pc, s, bracket, policy):
+def _p2_series(rf_sr, rf_sp, pc, s, bracket):
     """The quadruple binomial series of the Scenario II tail at SNR scale s,
     each term weighted by bracket(k), k = m_r + m4 + m5 (called at most once
     per k).  With Om = mu_p + m_r, a = alpha~, w = (psi_q / psi_t)^a and
@@ -336,7 +330,7 @@ def _p2_series(rf_sr, rf_sp, pc, s, bracket, policy):
             for m4 in range(m3 + 1):
                 c34 = _icomb(m3, m4) / _gamma(m3 + 1.0) \
                     * (d_p * w) ** (m3 - m4) * (d_r * psi_t ** (-at) * s ** at) ** m4
-                val5, converged, n5, last = _binomial_series(om, z, b, m_r + m4, policy)
+                val5, converged, n5, last = _binomial_series(om, z, b, m_r + m4)
                 if not converged:
                     return None, {"terms": terms, "abort":
                                   f"m_r={m_r} m3={m3} m4={m4} bound={last:.3g}"}
@@ -352,7 +346,7 @@ def lambda2_series_radius(rf_sr, rf_sp, pc):
     return pc.psi_q * (rf_sp.delta / rf_sr.delta) ** (1.0 / at)
 
 
-def lambda2(rf_sr, rf_sp, pc, snr, policy=DEFAULT_POLICY):
+def lambda2(rf_sr, rf_sp, pc, snr):
     """Quadruple-series form of the tail piece, with diagnostics:
     P1 - e^(-d_r psi_t^-a snr^a) * _p2_series(s = snr, bracket = 1).
 
@@ -367,7 +361,7 @@ def lambda2(rf_sr, rf_sp, pc, snr, policy=DEFAULT_POLICY):
     z = _p2_ratio(rf_sr, rf_sp, pc, x)
     reason = f"series ratio {z:.3f} >= {_P2_MAX_RATIO}"
     if z < _P2_MAX_RATIO:
-        p2, info = _p2_series(rf_sr, rf_sp, pc, x, lambda k: 1.0, policy)
+        p2, info = _p2_series(rf_sr, rf_sp, pc, x, lambda k: 1.0)
         if p2 is not None:
             at = rf_sr.alpha_tilde
             p1 = gammaincc(rf_sp.mu, rf_sp.delta * (pc.psi_q / pc.psi_t) ** at)
@@ -388,10 +382,10 @@ def cdf_rf_scenario2(rf_sr, rf_sp, pc, snr):
                     + lambda2_exact(rf_sr, rf_sp, pc, x), x)
 
 
-def cdf_hybrid_scenario2(cfg, snr, policy=DEFAULT_POLICY):
+def cdf_hybrid_scenario2(cfg, snr):
     """Selection-combining CDF for the double-constraint scenario."""
     rf = cdf_rf_scenario2(cfg.rf_sr, cfg.rf_sp, cfg.pc, snr)
-    return rf * fso_blocked_cdf(cfg.fso, snr, policy)
+    return rf * fso_blocked_cdf(cfg.fso, snr)
 
 
 def cdf_rf_quad(rf_sr, rf_sp, pc, snr):

@@ -6,7 +6,8 @@ along a vertical line, summed by the trapezoid rule and refined by one loop
 fixes the half-length once, where the integrand has fallen below 1e-17 of
 its peak, then starts at node spacing 0.2 and halves it; each level keeps
 the nodes it already holds, evaluates the integrand only at its new odd
-nodes, and the difference of two levels is the error check.  A univariate
+nodes, and the difference of two levels is the error check (`_settled`,
+against the one tolerance `_REL_TOL`).  A univariate
 line is one `LineEvaluator`: `fox_h` and `meijer_g` return its value at
 the argument it converged at, and its frozen last level serves other
 arguments.  The convention is
@@ -45,7 +46,6 @@ from scipy.special import gamma as _scipy_gamma
 from .errors import ContourError, ConvergenceError, ParameterError
 
 __all__ = [
-    "NumericalPolicy",
     "MeijerGSpec",
     "FoxHSpec",
     "BivariateFoxHSpec",
@@ -89,7 +89,7 @@ def upper_incomplete_gamma(a, x):
 
 
 # --------------------------------------------------------------------------
-# specs and policy
+# specs and the numerical constants
 # --------------------------------------------------------------------------
 
 # Nested trapezoid rule on the contour variable y of t = c + i*y (Trefethen &
@@ -111,25 +111,25 @@ _MAX_NODES = 2 ** 16
 _BIVARIATE_MAX_NODES = 2 ** 12 + 1
 
 
-@dataclass(frozen=True)
-class NumericalPolicy:
-    """Numerical policy of every series and Mellin-Barnes evaluation.
-
-    rel_tol is the one relative tolerance: a binomial series
-    (cun_cdf._binomial_series) stops once three successive terms are below
-    it, and the contour refinement loop (`_refine`), which fixes the
-    half-length from the decay of the integrand, halves the node spacing
-    until two levels agree to it.
-    """
-
-    rel_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ParameterError("rel_tol must be in (0, 1)")
+# The one relative tolerance of every series, contour and expectation: a
+# binomial series (cun_cdf._binomial_series) stops once three successive
+# terms are below it, and the contour refinement (`_refine`) and the
+# tanh-sinh expectation (cun_cdf._expect) stop once two levels pass
+# `_settled`.  Every reader looks it up here at each call, so that one
+# monkeypatch.setattr(specfun, "_REL_TOL", ...) reaches all of them.
+_REL_TOL = 1e-8
+_TINY = np.finfo(float).tiny
 
 
-DEFAULT_POLICY = NumericalPolicy()
+def _settled(value, prev, l1):
+    """The one stop test of every refinement: two successive estimates agree
+    within max(_REL_TOL*|value|, 1e-15*l1, _TINY), l1 being the integral of
+    the integrand's magnitude at the same level.  The l1 floor certifies a
+    value far below its integrand's scale to its leading digits, and the
+    smallest normal float floors both, so a subnormal value still settles.
+    Elementwise on arrays; true when every entry has settled."""
+    tol = np.maximum(np.maximum(_REL_TOL * np.abs(value), 1e-15 * l1), _TINY)
+    return bool(np.all(np.abs(value - prev) <= tol))
 
 
 def _as_pairs(pairs, side):
@@ -398,7 +398,7 @@ def _over_budget(axes, estimates, max_nodes):
     )
 
 
-def _refine(axes, total, max_nodes, policy):
+def _refine(axes, total, max_nodes):
     """The Mellin-Barnes refinement loop of every evaluator.
 
     axes holds the _Line of each contour axis, the coarsest at spacing _H0;
@@ -406,8 +406,8 @@ def _refine(axes, total, max_nodes, policy):
     they stand.  First one half-length, a multiple of _H0, is fixed for
     every axis: it doubles from _HALF0 until both ends of each line are
     below 1e-17 of its peak (`_Line.span`), then shrinks to the widest
-    axis's span.  Then every spacing halves until two levels differ by at
-    most max(rel_tol*|value|, 1e-15*l1).  Returns (estimates, error, l1), where
+    axis's span.  Then every spacing halves until two levels pass
+    `_settled`.  Returns (estimates, error, l1), where
     estimates holds the last two values (the second is the result); raises
     ConvergenceError with the last two estimates, the half-lengths and the
     per-axis node counts once an unconverged line holds more than max_nodes.
@@ -431,9 +431,8 @@ def _refine(axes, total, max_nodes, policy):
         for ln in axes:
             ln.halve()
         value, l1 = total()
-        err = abs(value - prev)
-        if err <= max(policy.rel_tol * abs(value), 1e-15 * l1):
-            return (prev, value), err, l1
+        if _settled(value, prev, l1):
+            return (prev, value), abs(value - prev), l1
         if max(ln.nodes for ln in axes) > max_nodes:
             _over_budget(axes, (prev, value), max_nodes)
         prev = value
@@ -465,7 +464,7 @@ class LineEvaluator:
     1e-17 of the largest one at every argument, not only at z_ref.
     """
 
-    def __init__(self, spec, z_ref, policy=DEFAULT_POLICY):
+    def __init__(self, spec, z_ref):
         if isinstance(spec, MeijerGSpec):
             spec = spec.as_fox_h()
         z_ref = float(z_ref)
@@ -482,8 +481,8 @@ class LineEvaluator:
             scale = line.h / (2.0 * np.pi)
             return terms.sum() * scale, np.abs(terms).sum() * scale
 
-        estimates, err, l1 = _refine([line], total, _MAX_NODES, policy)
-        self.value, self.error = _finalize(estimates, err, l1, policy)
+        estimates, err, l1 = _refine([line], total, _MAX_NODES)
+        self.value, self.error = _finalize(estimates, err, l1)
         self.c, self.h = line.c, line.h
         self.log_phi = line.vals
         self.t = line.t
@@ -506,10 +505,10 @@ class LineEvaluator:
         return float(self.eval_many(np.array([float(z)]))[0])
 
 
-def _finalize(estimates, err, l1, policy):
+def _finalize(estimates, err, l1):
     value = estimates[-1]
     noise = 1e-14 * l1
-    im_budget = max(policy.rel_tol * abs(value.real), 10.0 * noise)
+    im_budget = max(_REL_TOL * abs(value.real), 10.0 * noise)
     if abs(value.imag) > im_budget:
         raise ConvergenceError(
             f"imaginary residue {value.imag:.3e} exceeds budget {im_budget:.3e} "
@@ -523,10 +522,10 @@ def _finalize(estimates, err, l1, policy):
 # public evaluators
 # --------------------------------------------------------------------------
 
-def fox_h(spec, z, policy=DEFAULT_POLICY):
+def fox_h(spec, z):
     """Evaluate a univariate Fox H (FoxHSpec) or Meijer G (MeijerGSpec) at
     positive real z: the value of its line converged at z."""
-    return LineEvaluator(spec, z, policy).value
+    return LineEvaluator(spec, z).value
 
 
 meijer_g = fox_h
@@ -593,7 +592,7 @@ def _bivar_abscissas(spec, z1, z2):
     return pick(spec.kernel1, z1, A1, A2 * c2), c2
 
 
-def fox_h_bivariate(spec, z1, z2, policy=DEFAULT_POLICY):
+def fox_h_bivariate(spec, z1, z2):
     """Evaluate the bivariate Fox H (EGBFHF) at positive real (z1, z2) on
     the abscissas of two calls of the one abscissa rule (`_bivar_abscissas`),
     whose strips already clear the joint poles."""
@@ -615,5 +614,5 @@ def fox_h_bivariate(spec, z1, z2, policy=DEFAULT_POLICY):
             ln.tail = joint
     estimates, err, l1 = _refine(
         axes, lambda: _lattice_sum(z1, z2, *axes, joint),
-        _BIVARIATE_MAX_NODES, policy)
-    return _finalize(estimates, err, l1, policy)[0]
+        _BIVARIATE_MAX_NODES)
+    return _finalize(estimates, err, l1)[0]

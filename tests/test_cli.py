@@ -3,13 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from cunsec.cli import main, run_eval, run_sweep, run_validate
+from cunsec.cli import main, run_sweep, run_validate
 from cunsec.config import config_from_dict, load_config, replace_by_path
 from cunsec.errors import ConfigError
 from cunsec.figures import FIGURES, figure_config, figure_dict, write_figure_configs
 from cunsec.mc import simulate_metrics
 from cunsec.secrecy import sop_lower
-from cunsec.specfun import NumericalPolicy
 
 
 @pytest.fixture()
@@ -130,16 +129,6 @@ class TestEval:
                    "--scenario", "2"])
         # fig4 has no psi_t -> overriding to scenario II must fail loudly
         assert rc == 2
-
-    def test_tolerance_sets_the_policy(self, fig4_path, capsys):
-        rc = main(["eval", "--config", fig4_path, "--metric", "sop",
-                   "--tolerance", "1e-10"])
-        assert rc == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["manifest"]["rel_tol"] == 1e-10
-        want = run_eval(load_config(fig4_path), "sop",
-                        NumericalPolicy(rel_tol=1e-10))
-        assert out["value"] == want.value
 
 
 class TestSweep:

@@ -11,7 +11,7 @@ from scipy.special import gamma, gammainc, gammaincc, gammaincinv
 
 import cunsec
 
-from cunsec import cun_cdf
+from cunsec import cun_cdf, specfun
 from cunsec.channels import (
     RfChannelParams,
     alpha_mu_cdf,
@@ -35,7 +35,6 @@ from cunsec.cun_cdf import (
 )
 from cunsec.errors import ConvergenceError, ParameterError, UnsupportedParametersError
 from cunsec.figures import figure_config
-from cunsec.specfun import NumericalPolicy
 
 
 RF_R = RfChannelParams(alpha=2, mu=2, avg_snr_db=15.0)
@@ -320,12 +319,12 @@ class TestLambda2:
             assert_allclose(got, lambda2_exact(r, p, PC7, x), rtol=1e-7)
 
     def test_truncation_soundness(self, monkeypatch):
-        pol = NumericalPolicy(rel_tol=1e-10)
+        monkeypatch.setattr(specfun, "_REL_TOL", 1e-10)
         for x in (0.1, 0.5, 1.0):
             monkeypatch.setattr(cun_cdf, "_MAX_TERMS", 200)
-            a, _ = lambda2(RF_R7, RF_P7, PC7, x, pol)
+            a, _ = lambda2(RF_R7, RF_P7, PC7, x)
             monkeypatch.setattr(cun_cdf, "_MAX_TERMS", 400)
-            b, _ = lambda2(RF_R7, RF_P7, PC7, x, pol)
+            b, _ = lambda2(RF_R7, RF_P7, PC7, x)
             assert abs(a - b) <= 1e-10 * max(abs(a), 1e-12) + 1e-14
 
 
@@ -472,22 +471,16 @@ def test_power_constraints_validation():
     assert pc.scenario == "II"
 
 
-def test_binomial_series_sums_past_an_early_hump():
+def test_binomial_series_sums_past_an_early_hump(monkeypatch):
     # (1 + 0.7)^-6: the terms grow until m = 11, but their ratio falls
-    total, converged, _, _ = _binomial_series(6, 0.7, lambda k: 1.0, 0,
-                                              NumericalPolicy(rel_tol=1e-12))
+    monkeypatch.setattr(specfun, "_REL_TOL", 1e-12)
+    total, converged, _, _ = _binomial_series(6, 0.7, lambda k: 1.0, 0)
     assert converged
     assert_allclose(total, 1.7 ** -6, rtol=1e-10)
 
 
 def test_binomial_series_aborts_on_rising_ratio():
     # t_m = m! (-0.5)^m: the ratio m/2 rises past 1
-    _, converged, used, _ = _binomial_series(1, 0.5, math.factorial, 0,
-                                             NumericalPolicy())
+    _, converged, used, _ = _binomial_series(1, 0.5, math.factorial, 0)
     assert not converged
     assert used < 10
-
-
-def test_series_policy_validation():
-    with pytest.raises(ParameterError):
-        NumericalPolicy(rel_tol=2.0)

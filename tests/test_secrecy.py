@@ -431,6 +431,23 @@ class TestSopScenario1:
             assert_allclose(res.value, sop_lower(cfg).value, rtol=1e-8,
                             atol=1e-15)
 
+    @pytest.mark.parametrize("fig, psi_q_db", [
+        ("fig9", 20.0), ("fig9", 26.0), ("fig9", 30.0),
+        ("fig11", 20.0), ("fig11", 26.0), ("fig11", 30.0),
+        ("fig4", 26.0), ("fig4", 30.0)])
+    def test_error_bound_covers_the_cancellation(self, fig, psi_q_db):
+        # the assembly is a difference of O(1) pieces: its bound, the
+        # tolerance times their magnitudes, covers its distance to the
+        # expectation, and at fig9 with psi_q 30 dB, where the pieces cancel
+        # to 1e-13, it exceeds the value: no digit is certified
+        cfg = dataclasses.replace(
+            figure_config(fig), pc=PowerConstraints(psi_q_db=psi_q_db, scenario="I"))
+        res = sop_lower_scenario1(cfg)
+        bound = res.diagnostics["error_bound"]
+        assert abs(res.value - sop_lower(cfg).value) <= bound
+        if (fig, psi_q_db) == ("fig9", 30.0):
+            assert bound > res.value
+
     def test_tail_quadrature_route(self):
         # at fig4 the I3 binomial series diverge: the closed FSO piece minus
         # one expectation of the RF tail over the eavesdropper SNR is SOP_L
@@ -631,6 +648,27 @@ class TestMetricPath:
         for fn in (sop_lower, spsc, est):
             assert fn(cfg).diagnostics["route"] == "expectation"
         assert calls == []
+
+    def test_one_tolerance_reaches_the_expectation(self, monkeypatch):
+        # specfun._REL_TOL is also the expectation's stop tolerance: a
+        # tighter one makes sop_lower evaluate more tanh-sinh levels
+        from cunsec import cun_cdf, specfun
+
+        levels = []
+        real = cun_cdf._ts_level
+
+        def counting(*args):
+            levels.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(cun_cdf, "_ts_level", counting)
+        cfg = figure_config("fig4")
+        sop_lower(cfg)
+        default = len(levels)
+        levels.clear()
+        monkeypatch.setattr(specfun, "_REL_TOL", 1e-12)
+        sop_lower(cfg)
+        assert len(levels) > default
 
     def test_subnormal_row_settles(self):
         # mixed alpha, Scenario I: the RF CDF rows at the smallest

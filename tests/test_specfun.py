@@ -14,12 +14,10 @@ from cunsec.channels import MalagaCdfEvaluator, malaga_cdf
 from cunsec.errors import ContourError, ConvergenceError, ParameterError
 from cunsec.figures import FIGURES, figure_config
 from cunsec.specfun import (
-    DEFAULT_POLICY,
     BivariateFoxHSpec,
     FoxHSpec,
     LineEvaluator,
     MeijerGSpec,
-    NumericalPolicy,
     fox_h,
     fox_h_bivariate,
     gamma_fn,
@@ -107,12 +105,12 @@ class TestMeijerG:
         spec = MeijerGSpec(m=1, n=1, a=(1.0,), b=(2.0, 0.0))
         assert_allclose(meijer_g(spec, 1.0), 1 - 2 * math.exp(-1), rtol=1e-10)
 
-    def test_fso_cdf_kernel_vs_reference_contour(self):
+    def test_fso_cdf_kernel_vs_reference_contour(self, monkeypatch):
         # s=1, eps=1, alpha_o=2.296, m_o=1 mixture member of the optical CDF
         spec = MeijerGSpec(m=3, n=1, a=(1.0, 2.0), b=(1.0, 2.296, 1.0, 0.0))
         got = meijer_g(spec, 0.5)
-        ref_policy = NumericalPolicy(rel_tol=1e-12)
-        ref = meijer_g(spec, 0.5, ref_policy)
+        monkeypatch.setattr(specfun, "_REL_TOL", 1e-12)
+        ref = meijer_g(spec, 0.5)
         assert_allclose(got, ref, rtol=1e-8)
         # and against an entirely independent implementation
         ext = float(mp.meijerg([[1.0], [2.0]], [[1.0, 2.296, 1.0], [0.0]], 0.5))
@@ -136,13 +134,13 @@ class TestMeijerG:
         with pytest.raises(ParameterError):
             meijer_g(EXP_SPEC, -2.0)
 
-    def test_node_doubling_self_consistency(self):
+    def test_node_doubling_self_consistency(self, monkeypatch):
         spec = MeijerGSpec(m=3, n=1, a=(1.0, 2.0), b=(1.0, 2.296, 1.0, 0.0))
-        pol = NumericalPolicy()
-        dense = NumericalPolicy(rel_tol=1e-12)
-        v1 = meijer_g(spec, 2.0, pol)
-        v2 = meijer_g(spec, 2.0, dense)
-        assert abs(v1 - v2) <= pol.rel_tol * abs(v1)
+        rel_tol = specfun._REL_TOL
+        v1 = meijer_g(spec, 2.0)
+        monkeypatch.setattr(specfun, "_REL_TOL", 1e-12)
+        v2 = meijer_g(spec, 2.0)
+        assert abs(v1 - v2) <= rel_tol * abs(v1)
 
     def test_deterministic(self):
         spec = MeijerGSpec(m=3, n=1, a=(1.0, 2.0), b=(1.0, 2.296, 1.0, 0.0))
@@ -415,9 +413,9 @@ class TestRefinementBudget:
     def test_univariate(self, monkeypatch):
         spec = MeijerGSpec(m=3, n=1, a=(1.0, 2.0), b=(1.0, 2.296, 1.0, 0.0))
         monkeypatch.setattr(specfun, "_MAX_NODES", 81)
-        pol = NumericalPolicy(rel_tol=1e-15)
+        monkeypatch.setattr(specfun, "_REL_TOL", 1e-15)
         with pytest.raises(ConvergenceError) as info:
-            meijer_g(spec, 0.5, pol)
+            meijer_g(spec, 0.5)
         self._check(info, 81)
         assert len(info.value.diagnostics["nodes"]) == 1
 
@@ -426,9 +424,9 @@ class TestRefinementBudget:
         spec = BivariateFoxHSpec(joint=(), kernel1=exp_kernel,
                                  kernel2=exp_kernel)
         monkeypatch.setattr(specfun, "_BIVARIATE_MAX_NODES", 81)
-        pol = NumericalPolicy(rel_tol=1e-15)
+        monkeypatch.setattr(specfun, "_REL_TOL", 1e-15)
         with pytest.raises(ConvergenceError) as info:
-            fox_h_bivariate(spec, 0.7, 1.9, pol)
+            fox_h_bivariate(spec, 0.7, 1.9)
         self._check(info, 81)
         assert len(info.value.diagnostics["half_lengths"]) == 2
         # with A1 = 4 A2 the lattice makes axis 1 four times finer than
@@ -438,7 +436,7 @@ class TestRefinementBudget:
                                  kernel1=exp_kernel, kernel2=exp_kernel)
         monkeypatch.setattr(specfun, "_BIVARIATE_MAX_NODES", 200)
         with pytest.raises(ConvergenceError) as info:
-            fox_h_bivariate(spec, 0.7, 1.9, pol)
+            fox_h_bivariate(spec, 0.7, 1.9)
         self._check(info, 200)
         n1, n2 = info.value.diagnostics["nodes"]
         assert n2 <= 200 < n1
