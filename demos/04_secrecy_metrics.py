@@ -4,64 +4,42 @@ Every metric is one expectation of the hybrid CDF over the eavesdropper law,
 and sop_lower / spsc / est evaluate exactly that (route "expectation"; with
 alpha_sr != alpha_sp the RF CDF is itself an expectation, route
 "quadrature").  The paper expands the same expectation into integral-term
-families; sop_lower_scenario1/2 assemble them, and return route "closed"
-only where their binomial series truncate; elsewhere (every equal-alpha
-figure point) they raise ConvergenceError.  The "closed" column is the same
-metric from that assembly, or the reason it raised, printed beside the
-metric and Monte Carlo as a check.
+families; with alpha_sr == alpha_sp (and, in Scenario II, alpha_se ==
+alpha_sr) sop_lower_scenario1/2 assemble them from exact Mellin-Barnes
+terms and return route "closed" with an error bound.  The "closed" column
+is the same metric from that assembly, printed beside the metric and Monte
+Carlo as a check, with the assembly's bound.
 """
 
-import dataclasses
-
-from cunsec import (ConvergenceError, PowerConstraints, config_from_dict,
-                    est, simulate_metrics, sop_lower, sop_lower_scenario1,
+from cunsec import (est, simulate_metrics, sop_lower, sop_lower_scenario1,
                     sop_lower_scenario2, spsc)
 from cunsec.figures import FIGURES, figure_config
 
 
 def closed_metric(cfg, metric):
-    """The metric from the closed outage assembly and that assembly's route,
-    or None and the reason it raised."""
+    """The metric from the closed outage assembly, its route and its error
+    bound."""
     assemble = {"I": sop_lower_scenario1, "II": sop_lower_scenario2}[cfg.pc.scenario]
-    try:
-        base = assemble(cfg.with_target_rate(0.0) if metric == "spsc" else cfg)
-    except ConvergenceError as exc:
-        return None, str(exc)
+    base = assemble(cfg.with_target_rate(0.0) if metric == "spsc" else cfg)
+    scale = cfg.target_rate if metric == "est" else 1.0
     value = {"sop": base.value, "spsc": 1.0 - base.value,
              "est": cfg.target_rate * (1.0 - base.value)}[metric]
-    return value, base.diagnostics["route"]
+    return value, base.diagnostics["route"], scale * base.diagnostics["error_bound"]
 
 
-# two points where the series truncate: fig4 at psi_q = 30 dB, and a
-# Scenario II point with a weak eavesdropper
-fig4_q30 = dataclasses.replace(
-    figure_config("fig4"), pc=PowerConstraints(psi_q_db=30.0, scenario="I"))
-s2_series = config_from_dict({
-    "rf_sr": {"alpha": 2, "mu": 2, "avg_snr_db": 0.0},
-    "rf_sp": {"alpha": 2, "mu": 2, "avg_snr_db": 0.0},
-    "rf_se": {"alpha": 2, "mu": 2, "avg_snr_db": -10.0},
-    "fso": {"alpha_o": 2.296, "beta_o": 2, "g": 2.0, "omega_total": 1.0,
-            "epsilon": 1.0, "s": 1, "avg_snr_db": 5.0, "blockage_p": 0.3},
-    "power": {"psi_q_db": 20.0, "psi_t_db": 0.0, "scenario": "II"},
-    "target_rate": 0.05,
-})
-points = [(name, figure_config(name), FIGURES[name]["metric"])
-          for name in ("fig2", "fig4", "fig7", "fig8", "fig10")]
-points += [("fig4-q30", fig4_q30, "sop"), ("s2-series", s2_series, "sop")]
-
-print(f"{'config':9s} {'metric':5s} {'analytic':>10s} {'closed':>10s} "
-      f"{'mc(1e6)':>10s} {'z':>6s}  route / closed route")
-for name, cfg, metric in points:
+print(f"{'config':7s} {'metric':5s} {'analytic':>10s} {'closed':>10s} "
+      f"{'bound':>8s} {'mc(1e6)':>10s} {'z':>6s}  route / closed route")
+for name in ("fig2", "fig4", "fig7", "fig8", "fig10"):
+    cfg, metric = figure_config(name), FIGURES[name]["metric"]
     fn = {"sop": sop_lower, "spsc": spsc, "est": est}[metric]
     res = fn(cfg)
-    closed, closed_route = closed_metric(cfg, metric)
+    closed, closed_route, bound = closed_metric(cfg, metric)
     mc = simulate_metrics(cfg, 1_000_000, seed=20240801)
     key = {"sop": "SOP_L", "spsc": "SPSC", "est": "EST_L"}[metric]
     se = max(mc[key].std_error, 1e-9)
     z = (res.value - mc[key].estimate) / se
-    closed_col = "-" if closed is None else f"{closed:10.6f}"
-    print(f"{name:9s} {metric:5s} {res.value:10.6f} {closed_col:>10s} "
-          f"{mc[key].estimate:10.6f} {z:+6.2f}  "
+    print(f"{name:7s} {metric:5s} {res.value:10.6f} {closed:10.6f} "
+          f"{bound:8.1e} {mc[key].estimate:10.6f} {z:+6.2f}  "
           f"{res.diagnostics['route']} / {closed_route}")
 
 print("\nDefinitional identities (bit-exact on the same code path):")

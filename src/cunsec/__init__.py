@@ -22,7 +22,6 @@ from .cun_cdf import (
     cdf_rf_scenario2,
     lambda1,
     lambda2,
-    lambda2_exact,
 )
 from .errors import (
     ConfigError,

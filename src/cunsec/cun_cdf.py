@@ -8,34 +8,26 @@ CDFs multiply the RF CDF with the blocked-FSO CDF (selection combining).
 Each RF CDF is written without cancellation.  On every alpha-mu link
 G = delta x^a~ is Gamma(mu), so with equal alpha on S-R and S-P the
 Scenario I CDF is a regularized incomplete beta, lambda1 is the product of
-two regularized gammas, and lambda2_exact is a finite sum of non-negative
+two regularized gammas, and lambda2 is a finite sum of non-negative
 regularized-gamma terms; nothing is 1 minus a finite sum.  With
 alpha_sr != alpha_sp the CDF of either scenario is lambda1 plus one
 expectation over x_p (cdf_rf_quad through _expect), the package's one
 quadrature rule, which also takes the secrecy metrics.
 
-lambda2 is the paper's form of that piece: P1 minus the quadruple series
-obtained by binomially expanding the upper incomplete gamma of the tail.
-Its series (_p2_series) is the one the closed outage assembly integrates
-term by term, with eavesdropper moments in place of its constant bracket,
-and every binomial sum of the package runs through _binomial_series and its
-one stop rule.  The difference still cancels where lambda2 is small, so it
-stays off the metric path; its sums converge only for
-snr < lambda2_series_radius, and outside that region it raises
-ConvergenceError.  The series coefficients were derived from scratch
-and settled against the defining-integral quadrature oracle: the
-gamma-dependent exponential carries delta_r * psi_t^-a~ and the m4 index
-contributes psi_q^-a~ m4.
+The paper writes lambda2 as P1 minus a quadruple series, from binomially
+expanding the upper incomplete gamma of the tail; that series converges
+only below an SNR radius and cancels where lambda2 is small, so the package
+keeps the finite non-negative form under the paper's name.  The closed
+outage assembly (secrecy.sop_lower_scenario2) integrates the same finite
+form term by term.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from math import comb as _icomb
 
 import numpy as np
-from scipy.special import (betainc, binom, gamma as _gamma, gammainc,
+from scipy.special import (betainc, gamma as _gamma, gammainc,
                            gammaincc, gammainccinv, gammaincinv)
 
 from .channels import _finite_snr, alpha_mu_cdf, db_to_linear, fso_blocked_cdf
@@ -49,7 +41,6 @@ __all__ = [
     "cdf_hybrid_scenario1",
     "lambda1",
     "lambda2",
-    "lambda2_exact",
     "cdf_rf_scenario2",
     "cdf_hybrid_scenario2",
 ]
@@ -89,42 +80,6 @@ class PowerConstraints:
         if self.psi_t_db is None:
             raise ParameterError("psi_t_db not set")
         return float(db_to_linear(self.psi_t_db))
-
-
-# Most terms a binomial series sums before it counts as not converged
-_MAX_TERMS = 200
-
-
-def _binomial_series(om, z, b, k0):
-    """Sum over m of C(om + m - 1, m) (-z)^m b(k0 + m), the binomial
-    expansion of (1 + z)^-om weighted by b, with compensated summation.
-
-    Converged once three successive terms are below specfun._REL_TOL of
-    the sum, within _MAX_TERMS terms.  Aborted when the term ratio
-    |t_m / t_(m-1)| is above 1 and has risen on two successive steps
-    (weights b that outgrow the binomial); a plain binomial's ratio
-    (om + m - 1) z / m falls, so it is never aborted, even where its first
-    terms grow.  Returns (sum, converged, terms_used,
-    magnitude of the last term).
-    """
-    total = comp = mag = ratio = 0.0
-    rises = small = 0
-    for m in range(_MAX_TERMS):
-        term = float(binom(om + m - 1, m)) * (-z) ** m * b(k0 + m)
-        if not np.isfinite(term):
-            return total, False, m + 1, np.inf
-        t = total + (term - comp)
-        comp = (t - total) - (term - comp)
-        total = t
-        prev_mag, mag = mag, abs(term)
-        prev_ratio, ratio = ratio, mag / prev_mag if prev_mag else 0.0
-        rises = rises + 1 if ratio > max(1.0, prev_ratio) else 0
-        if rises >= 2:
-            return total, False, m + 1, mag
-        small = small + 1 if mag <= specfun._REL_TOL * max(abs(total), 1e-300) else 0
-        if small >= 3:
-            return total, True, m + 1, mag
-    return total, False, _MAX_TERMS, mag
 
 
 def _equal_stretch(at1, at2):
@@ -261,7 +216,7 @@ def lambda1(rf_sr, rf_sp, pc, snr):
                     * alpha_mu_cdf(rf_sr, x / pc.psi_t), x)
 
 
-def lambda2_exact(rf_sr, rf_sp, pc, snr):
+def lambda2(rf_sr, rf_sp, pc, snr):
     """Pr{x_r/x_p <= snr/psi_q, psi_q/x_p <= psi_t} as a sum of non-negative
     terms (equal alpha/2 only; snr scalar, giving a float, or array).
 
@@ -286,100 +241,12 @@ def lambda2_exact(rf_sr, rf_sp, pc, snr):
     return val if val.ndim else float(val)
 
 
-# Ratio z of the m5 sums below which they are summed (they converge for z < 1)
-_P2_MAX_RATIO = 0.8
-
-
-def _p2_ratio(rf_sr, rf_sp, pc, s):
-    """Ratio z of the m5 binomial sums of _p2_series at SNR scale s."""
-    at = rf_sr.alpha_tilde
-    return rf_sr.delta * s ** at / (rf_sp.delta * pc.psi_q ** at)
-
-
-def _p2_series(rf_sr, rf_sp, pc, s, bracket):
-    """The quadruple binomial series of the Scenario II tail at SNR scale s,
-    each term weighted by bracket(k), k = m_r + m4 + m5 (called at most once
-    per k).  With Om = mu_p + m_r, a = alpha~, w = (psi_q / psi_t)^a and
-    z = _p2_ratio(s), it is the sum over m_r < mu_r, m3 < Om, m4 <= m3 of
-
-      e^(-d_p w) d_p^-m_r d_r^m_r (s / psi_q)^(a m_r) Gamma(Om) / (Gamma(mu_p) m_r!)
-      * C(m3, m4) / m3! (d_p w)^(m3 - m4) (d_r psi_t^-a s^a)^m4
-      * sum_m5 C(Om + m5 - 1, m5) (-z)^m5 bracket(k).
-
-    lambda2 = P1 - e^(-d_r psi_t^-a x^a) times this at s = x, bracket = 1.
-    The outage bound takes s = sigma and eavesdropper moments as brackets.
-
-    Returns (value, info): info["terms"] gives the number of m5 terms of
-    each settled (m_r, m3, m4), info["bound"] the largest last term.  When
-    an m5 sum is aborted or does not settle, value is None and info["abort"]
-    names it.
-    """
-    at = rf_sr.alpha_tilde
-    d_r, d_p = rf_sr.delta, rf_sp.delta
-    psi_q, psi_t = pc.psi_q, pc.psi_t
-    w = (psi_q / psi_t) ** at
-    z = _p2_ratio(rf_sr, rf_sp, pc, s)
-    b = functools.cache(bracket)
-    exp_w = np.exp(-d_p * w)
-    total, bound, terms = 0.0, 0.0, {}
-    for m_r in range(rf_sr.mu):
-        om = rf_sp.mu + m_r
-        s_base = d_p ** (-m_r) * d_r ** m_r * psi_q ** (-at * m_r) \
-            * s ** (at * m_r) * _gamma(om) / (_gamma(rf_sp.mu) * _gamma(m_r + 1.0))
-        for m3 in range(om):
-            for m4 in range(m3 + 1):
-                c34 = _icomb(m3, m4) / _gamma(m3 + 1.0) \
-                    * (d_p * w) ** (m3 - m4) * (d_r * psi_t ** (-at) * s ** at) ** m4
-                val5, converged, n5, last = _binomial_series(om, z, b, m_r + m4)
-                if not converged:
-                    return None, {"terms": terms, "abort":
-                                  f"m_r={m_r} m3={m3} m4={m4} bound={last:.3g}"}
-                terms[m_r, m3, m4] = n5
-                bound = max(bound, last)
-                total += exp_w * s_base * c34 * val5
-    return total, {"terms": terms, "bound": bound}
-
-
-def lambda2_series_radius(rf_sr, rf_sp, pc):
-    """SNR below which the series expansion of lambda2 converges."""
-    at = rf_sr.alpha_tilde
-    return pc.psi_q * (rf_sp.delta / rf_sr.delta) ** (1.0 / at)
-
-
-def lambda2(rf_sr, rf_sp, pc, snr):
-    """Quadruple-series form of the tail piece, with diagnostics:
-    P1 - e^(-d_r psi_t^-a snr^a) * _p2_series(s = snr, bracket = 1).
-
-    Its m5 sums are plain binomials in the ratio z, convergent below
-    lambda2_series_radius (z < 1) and summed for z < 0.8.  Returns
-    (value, diagnostics); raises ConvergenceError, with the ratio
-    ("series_ratio") and the reason in its diagnostics, for z >= 0.8 or
-    when a sum does not settle.  lambda2_exact has no such limit.
-    """
-    require_equal_alpha(rf_sr, rf_sp)
-    x = float(_finite_snr(snr))
-    z = _p2_ratio(rf_sr, rf_sp, pc, x)
-    reason = f"series ratio {z:.3f} >= {_P2_MAX_RATIO}"
-    if z < _P2_MAX_RATIO:
-        p2, info = _p2_series(rf_sr, rf_sp, pc, x, lambda k: 1.0)
-        if p2 is not None:
-            at = rf_sr.alpha_tilde
-            p1 = gammaincc(rf_sp.mu, rf_sp.delta * (pc.psi_q / pc.psi_t) ** at)
-            val = p1 - np.exp(-rf_sr.delta * pc.psi_t ** (-at) * x ** at) * p2
-            return float(val), {"route": "series", "series_ratio": z,
-                                "terms": sum(info["terms"].values()),
-                                "truncation_bound": info["bound"]}
-        reason = f"m5 sum stopped at {info['abort']}"
-    raise ConvergenceError(f"lambda2 series at snr {x:.6g}: {reason}",
-                           diagnostics={"series_ratio": z, "reason": reason})
-
-
 def cdf_rf_scenario2(rf_sr, rf_sp, pc, snr):
-    """CDF of min(psi_q/x_p, psi_t) * x_r, lambda1 + lambda2_exact, as one
+    """CDF of min(psi_q/x_p, psi_t) * x_r, lambda1 + lambda2, as one
     array expression (snr scalar, giving a float, or array)."""
     x = _finite_snr(snr)
     return _cdf_out(lambda1(rf_sr, rf_sp, pc, x)
-                    + lambda2_exact(rf_sr, rf_sp, pc, x), x)
+                    + lambda2(rf_sr, rf_sp, pc, x), x)
 
 
 def cdf_hybrid_scenario2(cfg, snr):

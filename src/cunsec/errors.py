@@ -26,7 +26,7 @@ class ContourError(CunsecError, ArithmeticError):
 
 
 class ConvergenceError(CunsecError, ArithmeticError):
-    """Refinement or series summation failed to reach tolerance.
+    """A refinement or expectation failed to reach tolerance.
 
     Carries the last two estimates so callers can judge how bad it is.
     """

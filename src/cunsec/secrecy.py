@@ -11,35 +11,31 @@ expectation).
 
 The paper's closed assemblies, sop_lower_scenario1/2, expand the same
 expectation into the integral-term families (the I-terms for Scenario I, the
-R-terms for Scenario II); each family member has a Mellin-Barnes closed form.
-They require alpha_sr == alpha_sp and serve as the checked reproduction of
-the paper, off the metric path.  The binomial series of the I3/I4 and R4/R8
-families are asymptotic (their moments grow): an assembly returns its closed
-form (route "closed") where they truncate below tolerance before their terms
-turn up, and otherwise raises ConvergenceError naming the series.
+R-terms and the P2 terms for Scenario II); each family member has a
+Mellin-Barnes closed form.  They require alpha_sr == alpha_sp (Scenario II
+also alpha_se == alpha_sr) and serve as the checked reproduction of the
+paper, off the metric path.  The paper expands the I3/I4 and P2 factors
+(1 + z x^a~)^-n binomially in x; over x in (0, inf) that expansion is only
+asymptotic, so each such term is instead one exact Mellin convolution
+(_kernel_moment), and an assembly returns its closed value (route "closed")
+with an error bound.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
+from math import comb
 
 import numpy as np
 from scipy.special import gamma as _gamma, gammaincc
 
 from .channels import FsoLinkParams, MalagaCdfEvaluator, RfChannelParams
-from .cun_cdf import (_P2_MAX_RATIO, PowerConstraints, _binomial_series,
-                      _equal_stretch, _expect, _p2_ratio, _p2_series,
+from .cun_cdf import (PowerConstraints, _equal_stretch, _expect,
                       _scenario1_coeff, cdf_rf, require_equal_alpha)
 from . import specfun
-from .errors import ConvergenceError, NumericalIntegrityError, ParameterError
-from .specfun import (
-    BivariateFoxHSpec,
-    FoxHSpec,
-    LineEvaluator,
-    fox_h,
-    fox_h_bivariate,
-)
+from .errors import (NumericalIntegrityError, ParameterError,
+                     UnsupportedParametersError)
+from .specfun import BivariateFoxHSpec, FoxHSpec, fox_h, fox_h_bivariate
 
 __all__ = [
     "SecrecyConfig",
@@ -102,10 +98,15 @@ def _f_e_norm(e):
 # closed-form building blocks
 # --------------------------------------------------------------------------
 
+def _exp_weighted_moment(power, weight, at):
+    """int_0^inf x^power exp(-weight x^at) dx."""
+    a = (power + 1.0) / at
+    return _gamma(a) * weight ** (-a) / at
+
+
 def exp_moment(e, power):
     """int_0^inf x^power exp(-delta_e x^at_e) dx."""
-    a = (power + 1.0) / e.alpha_tilde
-    return _gamma(a) * e.delta ** (-a) / e.alpha_tilde
+    return _exp_weighted_moment(power, e.delta, e.alpha_tilde)
 
 
 def exp_pair_moment(e, power, coeff, at_r):
@@ -117,7 +118,7 @@ def exp_pair_moment(e, power, coeff, at_r):
     c0 = power + 1.0
     at_e = e.alpha_tilde
     if _equal_stretch(at_r, at_e):
-        return _gamma(c0 / at_e) * (coeff + e.delta) ** (-c0 / at_e) / at_e
+        return _exp_weighted_moment(power, coeff + e.delta, at_e)
     spec = FoxHSpec(m=1, n=1,
                     upper=((1.0 - c0 / at_e, at_r / at_e),),
                     lower=((0.0, 1.0),))
@@ -168,6 +169,38 @@ def g_exp_pair_moment(cfg, m_o, power, coeff, at_r):
     return e.delta ** (-xi9 / at_e) / at_e * fox_h_bivariate(spec, z1, z2)
 
 
+def _kernel_moment(cfg, power, weight, z, n, m_o):
+    """int_0^inf x^power exp(-weight x^at_e) (1 + z x^at_r)^-n
+    [G_cdfkernel(V sigma x / mu_s)] dx, with no G factor when m_o is None
+    (at_r of S-R, at_e of S-E).
+
+    (1 + y)^-n = H^{1,1}_{1,1}[y | (1 - n, 1); (0, 1)] / Gamma(n), so for
+    n >= 1 the integral is a Mellin convolution: without G the univariate
+    H^{1,2}_{2,1}, with G the bivariate H of g_exp_pair_moment with this
+    kernel in place of e^-y.  Both are exact for every z > 0, where the
+    binomial expansion of (1 + z x^at_r)^-n in x is only asymptotic.
+    """
+    e, fso = cfg.rf_se, cfg.fso
+    at_e, at_r = e.alpha_tilde, cfg.rf_sr.alpha_tilde
+    c_arg = fso.V * cfg.sigma / fso.mu_s
+    if n == 0:
+        if m_o is None:
+            return _exp_weighted_moment(power, weight, at_e)
+        return _g_weighted_moment(fso, m_o, power, weight, at_e, c_arg)
+    c0 = power + 1.0
+    joint = (1.0 - c0 / at_e, at_r / at_e)
+    kernel = FoxHSpec(m=1, n=1, upper=((1.0 - n, 1.0),), lower=((0.0, 1.0),))
+    z1 = z * weight ** (-at_r / at_e)
+    pre = weight ** (-c0 / at_e) / (at_e * _gamma(n))
+    if m_o is None:
+        spec = FoxHSpec(m=1, n=2, upper=(joint,) + kernel.upper,
+                        lower=kernel.lower)
+        return pre * fox_h(spec, z1)
+    spec = BivariateFoxHSpec(joint=(joint + (1.0 / at_e,),), kernel1=kernel,
+                             kernel2=fso.cdf_kernel_spec(m_o).as_fox_h())
+    return pre * fox_h_bivariate(spec, z1, c_arg * weight ** (-1.0 / at_e))
+
+
 # --------------------------------------------------------------------------
 # Scenario I term families
 # --------------------------------------------------------------------------
@@ -181,56 +214,25 @@ def im2_term(cfg, m_o):
     return g_exp_moment(cfg, m_o, cfg.rf_se.theta)
 
 
-def _pow_kernel_series(cfg, m_r, m_o):
+def _im34_term(cfg, m_r, m_o):
     """I3 (m_o None) / I4 term int x^(theta_e + at*m_r) e^(-d_e x^at_e)
-    (xi1 s^at x^at + d_p)^-xi2 [G(V s x / mu_s)] dx, expanded binomially in
-    m2; None when the expansion ratio is >= 1 or the series diverges."""
+    (xi1 s^at x^at + d_p)^-xi2 [G(V s x / mu_s)] dx, xi2 = m_r + mu_p, as
+    d_p^-xi2 times the kernel moment at z = xi1 s^at / d_p; with its route,
+    which is always "closed"."""
     r, p, e = cfg.rf_sr, cfg.rf_sp, cfg.rf_se
     at = r.alpha_tilde
     xi2 = m_r + p.mu
     zr = r.delta * cfg.pc.psi_q ** (-at) * cfg.sigma ** at / p.delta
-    if zr >= 1.0:
-        return None
-    base_pow = e.theta + at * m_r
-    if m_o is None:
-        moment = lambda m2: exp_moment(e, base_pow + at * m2)
-    else:
-        moment = lambda m2: g_exp_moment(cfg, m_o, base_pow + at * m2)
-    total, converged, _, _ = _binomial_series(xi2, zr, moment, 0)
-    return total * p.delta ** (-xi2) if converged else None
-
-
-def _pow_kernel_term(cfg, m_r, m_o):
-    """I3/I4 term and its route: the series, else the expectation over the
-    eavesdropper SNR of the defining integrand without its density."""
-    val = _pow_kernel_series(cfg, m_r, m_o)
-    if val is not None:
-        return val, "series"
-    r, p, e, fso = cfg.rf_sr, cfg.rf_sp, cfg.rf_se, cfg.fso
-    at = r.alpha_tilde
-    xi1s = r.delta * cfg.pc.psi_q ** (-at) * cfg.sigma ** at
-    xi2 = m_r + p.mu
-    kern = lambda x: 1.0
-    if m_o is not None:
-        c_arg = fso.V * cfg.sigma / fso.mu_s
-        line = LineEvaluator(fso.cdf_kernel_spec(m_o), max(c_arg * e.avg_snr, 1e-6))
-
-        def kern(x):
-            out = np.zeros(x.shape)
-            pos = x > 0
-            out[pos] = line.eval_many(c_arg * x[pos])
-            return out
-
-    f = lambda x: x ** (at * m_r) * (xi1s * x ** at + p.delta) ** (-xi2) * kern(x)
-    return _expect(e, f) / _f_e_norm(e), "quadrature"
+    val = _kernel_moment(cfg, e.theta + at * m_r, e.delta, zr, xi2, m_o)
+    return p.delta ** (-xi2) * val, "closed"
 
 
 def im3_term(cfg, m_r):
-    return _pow_kernel_term(cfg, m_r, None)
+    return _im34_term(cfg, m_r, None)
 
 
 def im4_term(cfg, m_r, m_o):
-    return _pow_kernel_term(cfg, m_r, m_o)
+    return _im34_term(cfg, m_r, m_o)
 
 
 # --------------------------------------------------------------------------
@@ -253,7 +255,8 @@ def r2_term(cfg, m_r):
 
 
 def r4_term(cfg, k):
-    """Same kernel as r2 at the combined series power k = m_r + m4 + m5."""
+    """The paper's R4: r2's kernel at the combined power k = m_r + m4 + m5
+    of its P2 quadruple series (the assembly sums exact P2 terms instead)."""
     return r2_term(cfg, k)
 
 
@@ -289,19 +292,22 @@ def sop_lower_quadrature(cfg):
 # metric assemblies
 # --------------------------------------------------------------------------
 
+def _closed_result(pieces, scen):
+    """An assembly's value, the sum of its pieces, each computed to relative
+    tolerance specfun._REL_TOL: diagnostics["error_bound"] is that tolerance
+    times the sum of their magnitudes, so where the pieces cancel to a value
+    below it, no digit of the value is certified."""
+    bound = specfun._REL_TOL * sum(abs(x) for x in pieces)
+    return SecrecyResult(_clamp_unit(sum(pieces), f"SOP_L^{scen}"), "SOP_L",
+                         scen, {"route": "closed", "error_bound": bound})
+
+
 def sop_lower_scenario1(cfg):
     """Secrecy-outage lower bound for the interference-only constraint: the
     paper's closed assembly of the I-terms (alpha_sr == alpha_sp only).
 
-    Raises ConvergenceError, with the (m_r, m_o) key of the first I3/I4
-    binomial series that does not truncate (m_o None for I3); the
-    elementary I3 series run before any I4 series (a Fox H call per term).
-
-    The value is a difference of pieces (P_o, the I2 part and one I3/I4
-    bracket per m_r), each computed to relative tolerance
-    specfun._REL_TOL, so diagnostics["error_bound"] is that tolerance
-    times the sum of their magnitudes: where the pieces cancel to a value
-    below it, no digit of the value is certified.
+    Its pieces are P_o, the I2 part and one I3/I4 bracket per m_r
+    (_closed_result).
     """
     if cfg.pc.scenario != "I":
         raise ParameterError("config is not Scenario I")
@@ -311,91 +317,89 @@ def sop_lower_scenario1(cfg):
     ce = _f_e_norm(e)
     P_o = fso.blockage_p
     m_os = range(1, fso.beta_o + 1)
-    terms = {}
-    for key in [(m_r, None) for m_r in range(r.mu)] + \
-            [(m_r, m_o) for m_r in range(r.mu) for m_o in m_os]:
-        terms[key] = _pow_kernel_series(cfg, *key)
-        if terms[key] is None:
-            raise ConvergenceError(
-                f"I{3 if key[1] is None else 4} binomial series at "
-                f"(m_r, m_o) = {key} does not truncate",
-                diagnostics={"key": key})
     pieces = [P_o, (1.0 - P_o) * fso.K * ce * sum(
         fso.varsigma(m_o) * im2_term(cfg, m_o) for m_o in m_os)]
     for m_r in range(r.mu):
         d_mr = _scenario1_coeff(r, p, m_r) * cfg.pc.psi_q ** (-at * m_r)
-        fso_part = sum(fso.varsigma(m_o) * terms[m_r, m_o] for m_o in m_os)
+        fso_part = sum(fso.varsigma(m_o) * im4_term(cfg, m_r, m_o)[0]
+                       for m_o in m_os)
         pieces.append(-ce * d_mr * cfg.sigma ** (at * m_r) * (
-            P_o * terms[m_r, None] + (1.0 - P_o) * fso.K * fso_part))
-    bound = specfun._REL_TOL * sum(abs(x) for x in pieces)
-    return SecrecyResult(_clamp_unit(sum(pieces), "SOP_L^I"), "SOP_L", "I",
-                         {"route": "closed", "error_bound": bound})
+            P_o * im3_term(cfg, m_r)[0] + (1.0 - P_o) * fso.K * fso_part))
+    return _closed_result(pieces, "I")
+
+
+def _p2_coefficients(r, p, c, kappa, big_a):
+    """{(m, n): coefficient} of A - lambda2 as a sum of
+    coefficient * X^m e^(-c kappa X) (1 + kappa X)^-n, X = (sigma x)^a~.
+
+    With rho = kappa X, Q(mu_r, rho c) = e^(-rho c) sum_{k<mu_r} (rho c)^k/k!
+    and Q(j + mu_r, c (1 + rho)) = e^(-c) e^(-rho c) sum_k c^k (1 + rho)^k/k!,
+    A - lambda2 is A Q(mu_r, rho c) minus sum_{j<mu_p} sum_{k<j+mu_r}
+    C(j + mu_r - 1, j) e^-c c^k/k! rho^mu_r e^(-rho c) (1 + rho)^-(mu_r+j-k)
+    (cun_cdf.lambda2); terms of equal (m, n) are added up.
+    """
+    coef = {(k, 0): big_a * (c * kappa) ** k / _gamma(k + 1.0)
+            for k in range(r.mu)}
+    for j in range(p.mu):
+        for k in range(j + r.mu):
+            key = (r.mu, r.mu + j - k)
+            coef[key] = coef.get(key, 0.0) - comb(j + r.mu - 1, j) \
+                * np.exp(-c) * c ** k / _gamma(k + 1.0) * kappa ** r.mu
+    return coef
 
 
 def sop_lower_scenario2(cfg):
     """Secrecy-outage lower bound for the double power constraint: the
-    paper's closed assembly of the R-terms (alpha_sr == alpha_sp only).
+    paper's closed assembly (alpha_sr == alpha_sp == alpha_se only).
 
-    Before any R5/R6 term, its P2 piece is summed as the quadruple series.
-    Raises ConvergenceError when the series ratio is >= 0.8 or the first R4
-    term ratio >= 0.9 (diagnostics "p2_series_ratio" and "r4_ratio"), or
-    when an m5 sum stops unsettled ("p2_series_abort").
+    With A = Q(mu_p, c), c = d_p (psi_q / psi_t)^a~, the RF CDF is
+    1 - ((1 - A) - lambda1) - (A - lambda2).  The pieces are E[F_fso*]
+    (R5), one R2/R6 bracket per m_r for the lambda1 part, and the P2 part
+    E[(A - lambda2) F_fso*], one kernel moment per term of
+    _p2_coefficients (_closed_result).  With alpha_se != alpha_sr a P2 term
+    with the optical kernel would be a trivariate Fox H, so that raises
+    UnsupportedParametersError before any Fox H call.
     """
     if cfg.pc.scenario != "II":
         raise ParameterError("config is not Scenario II")
     r, p, e, fso, pc = cfg.rf_sr, cfg.rf_sp, cfg.rf_se, cfg.fso, cfg.pc
     require_equal_alpha(r, p)
+    if not _equal_stretch(r.alpha_tilde, e.alpha_tilde):
+        raise UnsupportedParametersError(
+            "the Scenario II closed assembly requires alpha_se == alpha_sr "
+            f"(got {e.alpha} and {r.alpha})")
     at = r.alpha_tilde
     sig = cfg.sigma
     ce = _f_e_norm(e)
     P_o = fso.blockage_p
-    w = (pc.psi_q / pc.psi_t) ** at
-    big_a = float(gammaincc(p.mu, p.delta * w))  # = Xi5_II = sum Xi1_II
+    m_os = range(1, fso.beta_o + 1)
+    c = p.delta * (pc.psi_q / pc.psi_t) ** at
+    big_a = float(gammaincc(p.mu, c))
 
     def fso_bracket(term_plain, term_mix):
         return P_o * ce * term_plain + (1.0 - P_o) * fso.K * ce * term_mix
 
-    # P2 piece: the quadruple series, after a cheap asymptotic-growth
-    # pre-check on the elementary family
-    z5 = _p2_ratio(r, p, pc, sig)
-    r4_at = functools.cache(lambda k: r4_term(cfg, k))
-    ratios = {"p2_series_ratio": z5}
-    if z5 < _P2_MAX_RATIO:
-        ratios["r4_ratio"] = float(z5 * p.mu * r4_at(1) / max(r4_at(0), 1e-300))
-    if z5 >= _P2_MAX_RATIO or ratios["r4_ratio"] >= 0.9:
-        shown = ", ".join(f"{k} {v:.3f}" for k, v in ratios.items())
-        raise ConvergenceError(
-            f"P2 series cannot truncate: {shown} (limits {_P2_MAX_RATIO} "
-            "and 0.9)", diagnostics=ratios)
-
-    def bracket(k):
-        r8_mix = sum(fso.varsigma(m_o) * r8_term(cfg, k, m_o)
-                     for m_o in range(1, fso.beta_o + 1))
-        return fso_bracket(r4_at(k), r8_mix)
-
-    p2, info = _p2_series(r, p, pc, sig, bracket)
-    if p2 is None:
-        raise ConvergenceError(
-            f"P2 m5 sum stopped at {info['abort']}",
-            diagnostics={**ratios, "p2_series_abort": info["abort"]})
-    diags = {"route": "closed"}
-    diags.update((f"p2_terms[{m_r},{m3},{m4}]", n5)
-                 for (m_r, m3, m4), n5 in info["terms"].items())
-
     # constant piece: 1 * F_fso* expectation
-    r5_mix = sum(fso.varsigma(m_o) * r5_term(cfg, m_o)
-                 for m_o in range(1, fso.beta_o + 1))
-    total = P_o + (1.0 - P_o) * fso.K * ce * r5_mix
+    pieces = [P_o, (1.0 - P_o) * fso.K * ce * sum(
+        fso.varsigma(m_o) * r5_term(cfg, m_o) for m_o in m_os)]
 
-    # lambda1 tail piece (finite)
+    # lambda1 tail piece
     for m_r in range(r.mu):
         b_mr = r.delta ** m_r * pc.psi_t ** (-at * m_r) / _gamma(m_r + 1.0)
-        r6_mix = sum(fso.varsigma(m_o) * r6_term(cfg, m_r, m_o)
-                     for m_o in range(1, fso.beta_o + 1))
-        total -= (1.0 - big_a) * b_mr * sig ** (at * m_r) * \
-            fso_bracket(r2_term(cfg, m_r), r6_mix)
-    total -= p2
-    return SecrecyResult(_clamp_unit(total, "SOP_L^II"), "SOP_L", "II", diags)
+        r6_mix = sum(fso.varsigma(m_o) * r6_term(cfg, m_r, m_o) for m_o in m_os)
+        pieces.append(-(1.0 - big_a) * b_mr * sig ** (at * m_r)
+                      * fso_bracket(r2_term(cfg, m_r), r6_mix))
+
+    # P2 piece
+    kappa = r.delta / (p.delta * pc.psi_q ** at)
+    weight, z = e.delta + c * kappa * sig ** at, kappa * sig ** at
+    for (m, n), coef in _p2_coefficients(r, p, c, kappa, big_a).items():
+        power = e.theta + at * m
+        mix = sum(fso.varsigma(m_o) * _kernel_moment(cfg, power, weight, z, n, m_o)
+                  for m_o in m_os)
+        pieces.append(-coef * sig ** (at * m) * fso_bracket(
+            _kernel_moment(cfg, power, weight, z, n, None), mix))
+    return _closed_result(pieces, "II")
 
 
 def sop_lower(cfg):

@@ -1,5 +1,4 @@
 import ast
-import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +10,6 @@ from scipy.special import gamma, gammainc, gammaincc, gammaincinv
 
 import cunsec
 
-from cunsec import cun_cdf, specfun
 from cunsec.channels import (
     RfChannelParams,
     alpha_mu_cdf,
@@ -20,7 +18,6 @@ from cunsec.channels import (
 )
 from cunsec.cun_cdf import (
     PowerConstraints,
-    _binomial_series,
     _expect,
     cdf_hybrid_scenario1,
     cdf_hybrid_scenario2,
@@ -30,8 +27,6 @@ from cunsec.cun_cdf import (
     cdf_rf_quad,
     lambda1,
     lambda2,
-    lambda2_exact,
-    lambda2_series_radius,
 )
 from cunsec.errors import ConvergenceError, ParameterError, UnsupportedParametersError
 from cunsec.figures import figure_config
@@ -162,7 +157,7 @@ def test_cdf_rf_rejects_non_finite_snr(make):
 
 def test_scenario2_pieces_reject_non_finite_snr():
     for bad in (np.nan, np.inf, -np.inf):
-        for fn in (lambda1, lambda2_exact, lambda2):
+        for fn in (lambda1, lambda2):
             with pytest.raises(ParameterError):
                 fn(RF_R7, RF_P7, PC7, bad)
 
@@ -257,21 +252,20 @@ class TestLambda1:
 
 class TestLambda2:
     def test_zero_vs_quadrature(self):
-        got, diag = lambda2(RF_R7, RF_P7, PC7, 0.0)
+        got = lambda2(RF_R7, RF_P7, PC7, 0.0)
         ref = lambda2_defining_integral(RF_R7, RF_P7, PC7, 0.0)
         assert_allclose(got, ref, rtol=1e-8, atol=1e-12)
-        assert diag["route"] == "series"
 
     def test_transmit_cap_relaxed_gives_scenario1_tail(self):
         pc = PowerConstraints(psi_q_db=5.0, psi_t_db=80.0, scenario="II")
         x = 2.0
-        got = lambda2_exact(RF_R7, RF_P7, pc, x)
+        got = lambda2(RF_R7, RF_P7, pc, x)
         want = cdf_rf_scenario1(RF_R7, RF_P7, pc, x)
         assert_allclose(got, want, atol=1e-6)
 
     @pytest.mark.parametrize("x", [0.2, 1.0, 3.0, 20.0])
     def test_exact_vs_quadrature(self, x):
-        got = lambda2_exact(RF_R7, RF_P7, PC7, x)
+        got = lambda2(RF_R7, RF_P7, PC7, x)
         ref = lambda2_defining_integral(RF_R7, RF_P7, PC7, x)
         assert_allclose(got, ref, rtol=1e-8, atol=1e-10)
 
@@ -281,51 +275,15 @@ class TestLambda2:
         # (356 of these points on fig10), which cdf_rf clips to 0
         cfg = figure_config(fig)
         x = np.logspace(-8, 3, 2000)
-        assert np.all(lambda2_exact(cfg.rf_sr, cfg.rf_sp, cfg.pc, x) >= 0.0)
+        assert np.all(lambda2(cfg.rf_sr, cfg.rf_sp, cfg.pc, x) >= 0.0)
         assert np.all(cdf_rf(cfg, x) > 0.0)
 
     @pytest.mark.parametrize("x", [1e-3, 1e-2])
     def test_exact_relative_accuracy_where_small(self, x):
         cfg = figure_config("fig10")
         r, p, pc = cfg.rf_sr, cfg.rf_sp, cfg.pc
-        assert_allclose(lambda2_exact(r, p, pc, x),
+        assert_allclose(lambda2(r, p, pc, x),
                         lambda2_reference(r, p, pc, x), rtol=1e-10, atol=0)
-
-    def test_series_matches_exact_in_radius(self):
-        radius = lambda2_series_radius(RF_R7, RF_P7, PC7)
-        for x in np.linspace(0.05, 0.7 * radius, 7):
-            got, diag = lambda2(RF_R7, RF_P7, PC7, float(x))
-            assert diag["route"] == "series"
-            assert_allclose(got, lambda2_exact(RF_R7, RF_P7, PC7, float(x)),
-                            rtol=1e-7, atol=1e-12)
-
-    def test_divergent_region_raises(self):
-        x = 2.0 * lambda2_series_radius(RF_R7, RF_P7, PC7)
-        with pytest.raises(ConvergenceError) as info:
-            lambda2(RF_R7, RF_P7, PC7, x)
-        diag = info.value.diagnostics
-        assert_allclose(diag["series_ratio"], 2.0, rtol=1e-12)
-        assert diag["reason"] == "series ratio 2.000 >= 0.8"
-
-    def test_series_route_up_to_ratio_079(self):
-        # m5 sums with Omega up to 5 grow for their first terms at z near
-        # 0.8; the shared stop rule must not abort them
-        r = RfChannelParams(alpha=2, mu=2, avg_snr_db=-5.0)
-        p = RfChannelParams(alpha=2, mu=4, avg_snr_db=-5.0)
-        for z in np.linspace(0.05, 0.79, 9):
-            x = PC7.psi_q * (z * p.delta / r.delta) ** (1.0 / r.alpha_tilde)
-            got, diag = lambda2(r, p, PC7, x)
-            assert diag["route"] == "series"
-            assert_allclose(got, lambda2_exact(r, p, PC7, x), rtol=1e-7)
-
-    def test_truncation_soundness(self, monkeypatch):
-        monkeypatch.setattr(specfun, "_REL_TOL", 1e-10)
-        for x in (0.1, 0.5, 1.0):
-            monkeypatch.setattr(cun_cdf, "_MAX_TERMS", 200)
-            a, _ = lambda2(RF_R7, RF_P7, PC7, x)
-            monkeypatch.setattr(cun_cdf, "_MAX_TERMS", 400)
-            b, _ = lambda2(RF_R7, RF_P7, PC7, x)
-            assert abs(a - b) <= 1e-10 * max(abs(a), 1e-12) + 1e-14
 
 
 class TestScenario2:
@@ -367,7 +325,7 @@ class TestScenario2:
         assert_allclose(got, want, rtol=0, atol=1e-12)
         assert isinstance(want[0][0], float)
         assert isinstance(lambda1(RF_R7, RF_P7, PC7, 2.0), float)
-        assert isinstance(lambda2_exact(RF_R7, RF_P7, PC7, 2.0), float)
+        assert isinstance(lambda2(RF_R7, RF_P7, PC7, 2.0), float)
 
     def test_monotone_bounded(self):
         grid = np.logspace(-2, 3, 60)
@@ -410,7 +368,7 @@ class TestHybrid2:
             r.delta ** m_r * pc.psi_t ** (-at * m_r) / factorial(m_r)
             * x ** (at * m_r) * np.exp(-r.delta * pc.psi_t ** (-at) * x ** at)
             for m_r in range(r.mu))
-        p2 = xi5 - lambda2_exact(r, p, pc, x)
+        p2 = xi5 - lambda2(r, p, pc, x)
         f_rf_expanded = chi - (1.0 - sum_xi1) * tail1 - p2
         f_fso = fso_blocked_cdf(fso, x)
         got = cdf_hybrid_scenario2(cfg, x)
@@ -469,18 +427,3 @@ def test_power_constraints_validation():
         PowerConstraints(psi_q_db=0.0, scenario="III")
     pc = PowerConstraints(psi_q_db=0.0, scenario="2", psi_t_db=10.0)
     assert pc.scenario == "II"
-
-
-def test_binomial_series_sums_past_an_early_hump(monkeypatch):
-    # (1 + 0.7)^-6: the terms grow until m = 11, but their ratio falls
-    monkeypatch.setattr(specfun, "_REL_TOL", 1e-12)
-    total, converged, _, _ = _binomial_series(6, 0.7, lambda k: 1.0, 0)
-    assert converged
-    assert_allclose(total, 1.7 ** -6, rtol=1e-10)
-
-
-def test_binomial_series_aborts_on_rising_ratio():
-    # t_m = m! (-0.5)^m: the ratio m/2 rises past 1
-    _, converged, used, _ = _binomial_series(1, 0.5, math.factorial, 0)
-    assert not converged
-    assert used < 10

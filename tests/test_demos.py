@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-# 06 is a long Monte-Carlo validation run; each demo runs in its own
-# temporary directory, where 05 writes its sweep CSVs
+# each demo runs in its own temporary directory, where 05 writes its sweep
+# CSVs
 DEMOS = ("01_special_functions", "02_channel_models", "03_underlay_cdfs",
-         "04_secrecy_metrics", "05_figure_sweeps")
+         "04_secrecy_metrics", "05_figure_sweeps", "06_validation_run")
 
 
 @pytest.mark.parametrize("demo", DEMOS)
