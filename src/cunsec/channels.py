@@ -263,15 +263,23 @@ def malaga_pdf(fso, snr):
     return val
 
 
+def _cdf_at(fso, snr, blocked):
+    """The evaluator's CDF at snr (scalar, giving a float, or array), its
+    contours converged at the largest entry."""
+    x = np.asarray(snr, dtype=float)
+    return MalagaCdfEvaluator(fso, float(np.max(x, initial=0.0)),
+                              blocked).eval_many(x)
+
+
 def malaga_cdf(fso, snr):
-    """SNR CDF of the (unblocked) Malaga link, from its contours converged
-    at snr."""
-    return MalagaCdfEvaluator(fso, snr)(snr)
+    """SNR CDF of the (unblocked) Malaga link (snr scalar or array)."""
+    return _cdf_at(fso, snr, False)
 
 
 def fso_blocked_cdf(fso, snr):
-    """CDF of the blocked link: mass blockage_p at zero plus the Malaga tail."""
-    return MalagaCdfEvaluator(fso, snr, blocked=True)(snr)
+    """CDF of the blocked link: mass blockage_p at zero plus the Malaga tail
+    (snr scalar or array)."""
+    return _cdf_at(fso, snr, True)
 
 
 class MalagaCdfEvaluator:

@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import (betainc, gamma as _gamma, gammainc,
-                           gammaincc, gammainccinv, gammaincinv)
+from scipy.special import (betainc, gammainc, gammaincc, gammainccinv,
+                           gammaincinv)
 
 from .channels import _finite_snr, alpha_mu_cdf, db_to_linear, fso_blocked_cdf
 from . import specfun
@@ -122,14 +122,6 @@ def cdf_rf_scenario1(rf_sr, rf_sp, pc, snr):
     x = _finite_snr(snr)
     rho = _scenario1_rho(rf_sr, rf_sp, pc, x)
     return _cdf_out(betainc(rf_sr.mu, rf_sp.mu, rho / (1.0 + rho)), x)
-
-
-def _scenario1_coeff(rf_sr, rf_sp, m_r):
-    """Gamma(xi2) delta_r^m_r delta_p^mu_p / (Gamma(mu_p) m_r!), with
-    xi2 = m_r + mu_p: the m_r-th coefficient of the finite-sum Scenario I
-    tail that the closed outage assembly integrates term by term."""
-    return _gamma(m_r + rf_sp.mu) / (_gamma(rf_sp.mu) * _gamma(m_r + 1.0)) \
-        * rf_sr.delta ** m_r * rf_sp.delta ** rf_sp.mu
 
 
 # Nested tanh-sinh rule on u = u0 + (1 - u0) * (1 + tanh(pi/2 sinh t)) / 2

@@ -11,14 +11,18 @@ expectation).
 
 The paper's closed assemblies, sop_lower_scenario1/2, expand the same
 expectation into the integral-term families (the I-terms for Scenario I, the
-R-terms and the P2 terms for Scenario II); each family member has a
-Mellin-Barnes closed form.  They require alpha_sr == alpha_sp (Scenario II
-also alpha_se == alpha_sr) and serve as the checked reproduction of the
-paper, off the metric path.  The paper expands the I3/I4 and P2 factors
-(1 + z x^a~)^-n binomially in x; over x in (0, inf) that expansion is only
-asymptotic, so each such term is instead one exact Mellin convolution
-(_kernel_moment), and an assembly returns its closed value (route "closed")
-with an error bound.
+R-terms and the P2 terms for Scenario II).  They require alpha_sr == alpha_sp
+(Scenario II also alpha_se == alpha_sr) and serve as the checked
+reproduction of the paper, off the metric path.  Every term is one exact
+Mellin-Barnes integral, _kernel_moment:
+int x^p e^(-w x^at_e) k(z x^at_r) [G(c x)] dx with k = 1 (z = 0 or n = 0),
+e^-y (the R2/R6 kernel) or (1 + y)^-n (the I3/I4 and P2 kernels, which the
+paper expands binomially in x, an expansion that over x in (0, inf) is only
+asymptotic).  The paper-named terms (im1_term ... r8_term) and the moments
+exp_pair_moment, g_exp_moment and g_exp_pair_moment are one call of it each.
+Each assembly lists its RF terms (coef, power, weight, z, n), and
+_assemble adds the constant FSO piece and one P_o / G bracket per term; it
+returns the closed value (route "closed") with an error bound.
 """
 
 from __future__ import annotations
@@ -30,11 +34,13 @@ import numpy as np
 from scipy.special import gamma as _gamma, gammaincc
 
 from .channels import FsoLinkParams, MalagaCdfEvaluator, RfChannelParams
-from .cun_cdf import (PowerConstraints, _equal_stretch, _expect,
-                      _scenario1_coeff, cdf_rf, require_equal_alpha)
+from .cun_cdf import (PowerConstraints, _equal_stretch, _expect, cdf_rf,
+                      require_equal_alpha)
 from . import specfun
 from .errors import (NumericalIntegrityError, ParameterError,
                      UnsupportedParametersError)
+# _kernel_moment looks fox_h and fox_h_bivariate up in this module at each
+# call, so that patching them here (tests, the benchmark tracer) reaches it
 from .specfun import BivariateFoxHSpec, FoxHSpec, fox_h, fox_h_bivariate
 
 __all__ = [
@@ -104,96 +110,46 @@ def _exp_weighted_moment(power, weight, at):
     return _gamma(a) * weight ** (-a) / at
 
 
-def exp_moment(e, power):
-    """int_0^inf x^power exp(-delta_e x^at_e) dx."""
-    return _exp_weighted_moment(power, e.delta, e.alpha_tilde)
+def _kernel_moment(cfg, power, weight, m_o=None, z=0.0, n=None):
+    """int_0^inf x^power exp(-weight x^at_e) k(z x^at_r)
+    [G_cdfkernel(V sigma x / mu_s)] dx, the one integral behind every I-,
+    R- and P2 term (at_r of S-R, at_e of S-E; no G factor when m_o is None).
 
-
-def exp_pair_moment(e, power, coeff, at_r):
-    """int_0^inf x^power exp(-coeff x^at_r) exp(-delta_e x^at_e) dx.
-
-    Elementary when the two stretch exponents match, univariate Fox H
-    otherwise.
-    """
-    c0 = power + 1.0
-    at_e = e.alpha_tilde
-    if _equal_stretch(at_r, at_e):
-        return _exp_weighted_moment(power, coeff + e.delta, at_e)
-    spec = FoxHSpec(m=1, n=1,
-                    upper=((1.0 - c0 / at_e, at_r / at_e),),
-                    lower=((0.0, 1.0),))
-    z = coeff * e.delta ** (-at_r / at_e)
-    return e.delta ** (-c0 / at_e) / at_e * fox_h(spec, z)
-
-
-def _g_weighted_moment(fso, m_o, power, weight, at, c_arg):
-    """int_0^inf x^power exp(-weight x^at) G_cdfkernel(c_arg x) dx as a
-    univariate Fox H with one stretched upper pair."""
-    mu_fac = (power + 1.0) / at
-    base = fso.cdf_kernel_spec(m_o).as_fox_h()
-    spec = FoxHSpec(m=base.m, n=base.n + 1,
-                    upper=((1.0 - mu_fac, 1.0 / at),) + base.upper,
-                    lower=base.lower)
-    z = c_arg * weight ** (-1.0 / at)
-    return weight ** (-mu_fac) / at * fox_h(spec, z)
-
-
-def g_exp_moment(cfg, m_o, power):
-    """int_0^inf x^power exp(-delta_e x^at_e) G_cdfkernel(V sigma x / mu_s) dx."""
-    e, fso = cfg.rf_se, cfg.fso
-    return _g_weighted_moment(fso, m_o, power, e.delta, e.alpha_tilde,
-                              fso.V * cfg.sigma / fso.mu_s)
-
-
-def g_exp_pair_moment(cfg, m_o, power, coeff, at_r):
-    """int_0^inf x^power exp(-coeff x^at_r) exp(-delta_e x^at_e)
-    G_cdfkernel(V sigma x / mu_s) dx.
-
-    When the stretch exponents match, the two exponentials merge and this
-    is the univariate weighted moment; otherwise a bivariate Fox H (the
-    same split as exp_pair_moment).
-    """
-    e, fso = cfg.rf_se, cfg.fso
-    at_e = e.alpha_tilde
-    c_arg = fso.V * cfg.sigma / fso.mu_s
-    if _equal_stretch(at_r, at_e):
-        return _g_weighted_moment(fso, m_o, power, coeff + e.delta, at_e, c_arg)
-    xi9 = power + 1.0
-    spec = BivariateFoxHSpec(
-        joint=((1.0 - xi9 / at_e, at_r / at_e, 1.0 / at_e),),
-        kernel1=FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),)),
-        kernel2=fso.cdf_kernel_spec(m_o).as_fox_h(),
-    )
-    z1 = coeff * e.delta ** (-at_r / at_e)
-    z2 = c_arg * e.delta ** (-1.0 / at_e)
-    return e.delta ** (-xi9 / at_e) / at_e * fox_h_bivariate(spec, z1, z2)
-
-
-def _kernel_moment(cfg, power, weight, z, n, m_o):
-    """int_0^inf x^power exp(-weight x^at_e) (1 + z x^at_r)^-n
-    [G_cdfkernel(V sigma x / mu_s)] dx, with no G factor when m_o is None
-    (at_r of S-R, at_e of S-E).
-
-    (1 + y)^-n = H^{1,1}_{1,1}[y | (1 - n, 1); (0, 1)] / Gamma(n), so for
-    n >= 1 the integral is a Mellin convolution: without G the univariate
-    H^{1,2}_{2,1}, with G the bivariate H of g_exp_pair_moment with this
-    kernel in place of e^-y.  Both are exact for every z > 0, where the
-    binomial expansion of (1 + z x^at_r)^-n in x is only asymptotic.
+    k(y) is e^-y when n is None and (1 + y)^-n otherwise.  Where
+    at_r == at_e, e^-y merges into the weight; at z = 0 or n = 0 there is no
+    factor at all, and the integral is the exponential moment, or with G a
+    univariate H.  Otherwise k is the Fox H kernel H^{1,0}_{0,1}[y | -; (0, 1)]
+    or H^{1,1}_{1,1}[y | (1 - n, 1); (0, 1)] / Gamma(n), and the integral is
+    one exact Mellin convolution (where the binomial expansion of
+    (1 + z x^at_r)^-n in x is only asymptotic): without G the univariate H
+    with the extra upper pair (1 - c0/at_e, at_r/at_e), with G the bivariate
+    H with joint triple (1 - c0/at_e, at_r/at_e, 1/at_e), c0 = power + 1.
     """
     e, fso = cfg.rf_se, cfg.fso
     at_e, at_r = e.alpha_tilde, cfg.rf_sr.alpha_tilde
+    c0 = power + 1.0
     c_arg = fso.V * cfg.sigma / fso.mu_s
-    if n == 0:
+    if n is None and _equal_stretch(at_r, at_e):
+        weight, z = weight + z, 0.0
+    if z == 0 or n == 0:
         if m_o is None:
             return _exp_weighted_moment(power, weight, at_e)
-        return _g_weighted_moment(fso, m_o, power, weight, at_e, c_arg)
-    c0 = power + 1.0
+        base = fso.cdf_kernel_spec(m_o).as_fox_h()
+        spec = FoxHSpec(m=base.m, n=base.n + 1,
+                        upper=((1.0 - c0 / at_e, 1.0 / at_e),) + base.upper,
+                        lower=base.lower)
+        return weight ** (-c0 / at_e) / at_e \
+            * fox_h(spec, c_arg * weight ** (-1.0 / at_e))
+    if n is None:
+        kernel, norm = FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),)), 1.0
+    else:
+        kernel = FoxHSpec(m=1, n=1, upper=((1.0 - n, 1.0),), lower=((0.0, 1.0),))
+        norm = _gamma(n)
     joint = (1.0 - c0 / at_e, at_r / at_e)
-    kernel = FoxHSpec(m=1, n=1, upper=((1.0 - n, 1.0),), lower=((0.0, 1.0),))
     z1 = z * weight ** (-at_r / at_e)
-    pre = weight ** (-c0 / at_e) / (at_e * _gamma(n))
+    pre = weight ** (-c0 / at_e) / (at_e * norm)
     if m_o is None:
-        spec = FoxHSpec(m=1, n=2, upper=(joint,) + kernel.upper,
+        spec = FoxHSpec(m=1, n=kernel.n + 1, upper=(joint,) + kernel.upper,
                         lower=kernel.lower)
         return pre * fox_h(spec, z1)
     spec = BivariateFoxHSpec(joint=(joint + (1.0 / at_e,),), kernel1=kernel,
@@ -201,29 +157,59 @@ def _kernel_moment(cfg, power, weight, z, n, m_o):
     return pre * fox_h_bivariate(spec, z1, c_arg * weight ** (-1.0 / at_e))
 
 
+def exp_pair_moment(cfg, power, coeff):
+    """int_0^inf x^power exp(-coeff x^at_r) exp(-delta_e x^at_e) dx."""
+    return _kernel_moment(cfg, power, cfg.rf_se.delta, z=coeff)
+
+
+def g_exp_moment(cfg, m_o, power):
+    """int_0^inf x^power exp(-delta_e x^at_e) G_cdfkernel(V sigma x / mu_s) dx."""
+    return _kernel_moment(cfg, power, cfg.rf_se.delta, m_o)
+
+
+def g_exp_pair_moment(cfg, m_o, power, coeff):
+    """int_0^inf x^power exp(-coeff x^at_r) exp(-delta_e x^at_e)
+    G_cdfkernel(V sigma x / mu_s) dx."""
+    return _kernel_moment(cfg, power, cfg.rf_se.delta, m_o, coeff)
+
+
 # --------------------------------------------------------------------------
 # Scenario I term families
 # --------------------------------------------------------------------------
 
+def _scenario1_coeff(rf_sr, rf_sp, m_r):
+    """Gamma(xi2) delta_r^m_r delta_p^mu_p / (Gamma(mu_p) m_r!), with
+    xi2 = m_r + mu_p: the m_r-th coefficient of the finite-sum Scenario I
+    tail that the closed outage assembly integrates term by term."""
+    return _gamma(m_r + rf_sp.mu) / (_gamma(rf_sp.mu) * _gamma(m_r + 1.0)) \
+        * rf_sr.delta ** m_r * rf_sp.delta ** rf_sp.mu
+
+
 def im1_term(e):
     """Plain eavesdropper exponential moment (normalises the density)."""
-    return exp_moment(e, e.theta)
+    return _exp_weighted_moment(e.theta, e.delta, e.alpha_tilde)
 
 
 def im2_term(cfg, m_o):
     return g_exp_moment(cfg, m_o, cfg.rf_se.theta)
 
 
+def _zr(cfg):
+    """z of the I3/I4 kernel: xi1 s^at / d_p."""
+    r = cfg.rf_sr
+    at = r.alpha_tilde
+    return r.delta * cfg.pc.psi_q ** (-at) * cfg.sigma ** at / cfg.rf_sp.delta
+
+
 def _im34_term(cfg, m_r, m_o):
     """I3 (m_o None) / I4 term int x^(theta_e + at*m_r) e^(-d_e x^at_e)
     (xi1 s^at x^at + d_p)^-xi2 [G(V s x / mu_s)] dx, xi2 = m_r + mu_p, as
-    d_p^-xi2 times the kernel moment at z = xi1 s^at / d_p; with its route,
-    which is always "closed"."""
-    r, p, e = cfg.rf_sr, cfg.rf_sp, cfg.rf_se
-    at = r.alpha_tilde
+    d_p^-xi2 times the kernel moment at z = _zr; with its route, which is
+    always "closed"."""
+    p, e = cfg.rf_sp, cfg.rf_se
     xi2 = m_r + p.mu
-    zr = r.delta * cfg.pc.psi_q ** (-at) * cfg.sigma ** at / p.delta
-    val = _kernel_moment(cfg, e.theta + at * m_r, e.delta, zr, xi2, m_o)
+    val = _kernel_moment(cfg, e.theta + cfg.rf_sr.alpha_tilde * m_r, e.delta,
+                         m_o, _zr(cfg), xi2)
     return p.delta ** (-xi2) * val, "closed"
 
 
@@ -249,9 +235,8 @@ def r1_term(cfg):
 
 
 def r2_term(cfg, m_r):
-    r, e = cfg.rf_sr, cfg.rf_se
-    return exp_pair_moment(e, e.theta + r.alpha_tilde * m_r, _xi10(cfg),
-                           r.alpha_tilde)
+    return exp_pair_moment(cfg, cfg.rf_se.theta + cfg.rf_sr.alpha_tilde * m_r,
+                           _xi10(cfg))
 
 
 def r4_term(cfg, k):
@@ -265,9 +250,9 @@ def r5_term(cfg, m_o):
 
 
 def r6_term(cfg, m_r, m_o):
-    r, e = cfg.rf_sr, cfg.rf_se
-    return g_exp_pair_moment(cfg, m_o, e.theta + r.alpha_tilde * m_r,
-                             _xi10(cfg), r.alpha_tilde)
+    return g_exp_pair_moment(cfg, m_o,
+                             cfg.rf_se.theta + cfg.rf_sr.alpha_tilde * m_r,
+                             _xi10(cfg))
 
 
 def r8_term(cfg, k, m_o):
@@ -292,11 +277,28 @@ def sop_lower_quadrature(cfg):
 # metric assemblies
 # --------------------------------------------------------------------------
 
-def _closed_result(pieces, scen):
-    """An assembly's value, the sum of its pieces, each computed to relative
-    tolerance specfun._REL_TOL: diagnostics["error_bound"] is that tolerance
-    times the sum of their magnitudes, so where the pieces cancel to a value
-    below it, no digit of the value is certified."""
+def _assemble(cfg, scen, terms):
+    """SOP_L as the sum of the paper's closed pieces, each computed to
+    relative tolerance specfun._REL_TOL.
+
+    The pieces are the constant FSO piece E[F_fso*] = P_o + (1 - P_o) K c_e
+    sum_m_o varsigma(m_o) I2(m_o), and for each RF term (coef, power,
+    weight, z, n) the bracket coef E[k-term F_fso*] = coef c_e (P_o M +
+    (1 - P_o) K sum_m_o varsigma(m_o) M_m_o), M the _kernel_moment without
+    and M_m_o with the optical kernel.  diagnostics["error_bound"] is the
+    tolerance times the sum of the pieces' magnitudes, so where they cancel
+    to a value below it, no digit of the value is certified.
+    """
+    e, fso = cfg.rf_se, cfg.fso
+    ce, P_o = _f_e_norm(e), fso.blockage_p
+    m_os = range(1, fso.beta_o + 1)
+    pieces = [P_o, (1.0 - P_o) * fso.K * ce * sum(
+        fso.varsigma(m_o) * im2_term(cfg, m_o) for m_o in m_os)]
+    for coef, power, weight, z, n in terms:
+        mix = sum(fso.varsigma(m_o) * _kernel_moment(cfg, power, weight, m_o, z, n)
+                  for m_o in m_os)
+        plain = _kernel_moment(cfg, power, weight, None, z, n)
+        pieces.append(coef * (P_o * ce * plain + (1.0 - P_o) * fso.K * ce * mix))
     bound = specfun._REL_TOL * sum(abs(x) for x in pieces)
     return SecrecyResult(_clamp_unit(sum(pieces), f"SOP_L^{scen}"), "SOP_L",
                          scen, {"route": "closed", "error_bound": bound})
@@ -306,26 +308,19 @@ def sop_lower_scenario1(cfg):
     """Secrecy-outage lower bound for the interference-only constraint: the
     paper's closed assembly of the I-terms (alpha_sr == alpha_sp only).
 
-    Its pieces are P_o, the I2 part and one I3/I4 bracket per m_r
-    (_closed_result).
+    With xi2 = m_r + mu_p, the RF term of each m_r < mu_r is the I3/I4
+    kernel (1 + z_r x^a~)^-xi2 of _im34_term (_assemble).
     """
     if cfg.pc.scenario != "I":
         raise ParameterError("config is not Scenario I")
-    r, p, e, fso = cfg.rf_sr, cfg.rf_sp, cfg.rf_se, cfg.fso
+    r, p, e = cfg.rf_sr, cfg.rf_sp, cfg.rf_se
     require_equal_alpha(r, p)
     at = r.alpha_tilde
-    ce = _f_e_norm(e)
-    P_o = fso.blockage_p
-    m_os = range(1, fso.beta_o + 1)
-    pieces = [P_o, (1.0 - P_o) * fso.K * ce * sum(
-        fso.varsigma(m_o) * im2_term(cfg, m_o) for m_o in m_os)]
-    for m_r in range(r.mu):
-        d_mr = _scenario1_coeff(r, p, m_r) * cfg.pc.psi_q ** (-at * m_r)
-        fso_part = sum(fso.varsigma(m_o) * im4_term(cfg, m_r, m_o)[0]
-                       for m_o in m_os)
-        pieces.append(-ce * d_mr * cfg.sigma ** (at * m_r) * (
-            P_o * im3_term(cfg, m_r)[0] + (1.0 - P_o) * fso.K * fso_part))
-    return _closed_result(pieces, "I")
+    terms = [(-_scenario1_coeff(r, p, m_r) * cfg.pc.psi_q ** (-at * m_r)
+              * cfg.sigma ** (at * m_r) * p.delta ** (-(m_r + p.mu)),
+              e.theta + at * m_r, e.delta, _zr(cfg), m_r + p.mu)
+             for m_r in range(r.mu)]
+    return _assemble(cfg, "I", terms)
 
 
 def _p2_coefficients(r, p, c, kappa, big_a):
@@ -353,16 +348,16 @@ def sop_lower_scenario2(cfg):
     paper's closed assembly (alpha_sr == alpha_sp == alpha_se only).
 
     With A = Q(mu_p, c), c = d_p (psi_q / psi_t)^a~, the RF CDF is
-    1 - ((1 - A) - lambda1) - (A - lambda2).  The pieces are E[F_fso*]
-    (R5), one R2/R6 bracket per m_r for the lambda1 part, and the P2 part
-    E[(A - lambda2) F_fso*], one kernel moment per term of
-    _p2_coefficients (_closed_result).  With alpha_se != alpha_sr a P2 term
-    with the optical kernel would be a trivariate Fox H, so that raises
+    1 - ((1 - A) - lambda1) - (A - lambda2).  Its RF terms (_assemble) are
+    one R2/R6 kernel e^(-xi10 x^a~) per m_r for the lambda1 part, and the
+    P2 part E[(A - lambda2) F_fso*] as one kernel per term of
+    _p2_coefficients.  With alpha_se != alpha_sr a P2 term with the optical
+    kernel would be a trivariate Fox H, so that raises
     UnsupportedParametersError before any Fox H call.
     """
     if cfg.pc.scenario != "II":
         raise ParameterError("config is not Scenario II")
-    r, p, e, fso, pc = cfg.rf_sr, cfg.rf_sp, cfg.rf_se, cfg.fso, cfg.pc
+    r, p, e, pc = cfg.rf_sr, cfg.rf_sp, cfg.rf_se, cfg.pc
     require_equal_alpha(r, p)
     if not _equal_stretch(r.alpha_tilde, e.alpha_tilde):
         raise UnsupportedParametersError(
@@ -370,36 +365,17 @@ def sop_lower_scenario2(cfg):
             f"(got {e.alpha} and {r.alpha})")
     at = r.alpha_tilde
     sig = cfg.sigma
-    ce = _f_e_norm(e)
-    P_o = fso.blockage_p
-    m_os = range(1, fso.beta_o + 1)
     c = p.delta * (pc.psi_q / pc.psi_t) ** at
     big_a = float(gammaincc(p.mu, c))
-
-    def fso_bracket(term_plain, term_mix):
-        return P_o * ce * term_plain + (1.0 - P_o) * fso.K * ce * term_mix
-
-    # constant piece: 1 * F_fso* expectation
-    pieces = [P_o, (1.0 - P_o) * fso.K * ce * sum(
-        fso.varsigma(m_o) * r5_term(cfg, m_o) for m_o in m_os)]
-
-    # lambda1 tail piece
-    for m_r in range(r.mu):
-        b_mr = r.delta ** m_r * pc.psi_t ** (-at * m_r) / _gamma(m_r + 1.0)
-        r6_mix = sum(fso.varsigma(m_o) * r6_term(cfg, m_r, m_o) for m_o in m_os)
-        pieces.append(-(1.0 - big_a) * b_mr * sig ** (at * m_r)
-                      * fso_bracket(r2_term(cfg, m_r), r6_mix))
-
-    # P2 piece
+    terms = [(-(1.0 - big_a) * r.delta ** m_r * pc.psi_t ** (-at * m_r)
+              / _gamma(m_r + 1.0) * sig ** (at * m_r),
+              e.theta + at * m_r, e.delta, _xi10(cfg), None)
+             for m_r in range(r.mu)]
     kappa = r.delta / (p.delta * pc.psi_q ** at)
     weight, z = e.delta + c * kappa * sig ** at, kappa * sig ** at
-    for (m, n), coef in _p2_coefficients(r, p, c, kappa, big_a).items():
-        power = e.theta + at * m
-        mix = sum(fso.varsigma(m_o) * _kernel_moment(cfg, power, weight, z, n, m_o)
-                  for m_o in m_os)
-        pieces.append(-coef * sig ** (at * m) * fso_bracket(
-            _kernel_moment(cfg, power, weight, z, n, None), mix))
-    return _closed_result(pieces, "II")
+    terms += [(-coef * sig ** (at * m), e.theta + at * m, weight, z, n)
+              for (m, n), coef in _p2_coefficients(r, p, c, kappa, big_a).items()]
+    return _assemble(cfg, "II", terms)
 
 
 def sop_lower(cfg):

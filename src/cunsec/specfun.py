@@ -114,7 +114,7 @@ _BIVARIATE_MAX_NODES = 2 ** 12 + 1
 # The one relative tolerance of every contour and expectation: the contour
 # refinement (`_refine`) and the tanh-sinh expectation (cun_cdf._expect)
 # stop once two levels pass `_settled`, and the closed outage assemblies
-# (secrecy._closed_result) scale it into their error bound.  Every reader
+# (secrecy._assemble) scale it into their error bound.  Every reader
 # looks it up here at each call, so that one
 # monkeypatch.setattr(specfun, "_REL_TOL", ...) reaches all of them.
 _REL_TOL = 1e-8

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from cunsec import cli, secrecy, specfun
+from cunsec.figures import figure_config
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -36,3 +37,31 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
     assert tracer.wrapped_calls() == 0
     assert (secrecy.sop_lower_quadrature, secrecy.fox_h, cli.sop_lower,
             dict(cli.METRICS), specfun.LineEvaluator.__init__) == before
+
+
+def test_traced_closed_forms_reach_every_wrapped_name(monkeypatch):
+    # no benchmark workload calls the closed-form terms, so a term that
+    # stopped reaching a wrapped name would go unnoticed by the benchmark
+    module = _load_tracer(monkeypatch)
+    fig4, fig7 = figure_config("fig4"), figure_config("fig7")
+    theta, coeff = fig7.rf_se.theta, fig7.rf_se.delta
+    args = {
+        "im3_term": (fig4, 0),
+        "im4_term": (fig4, 0, 1),
+        "g_exp_moment": (fig7, 1, theta),
+        "g_exp_pair_moment": (fig7, 1, theta, coeff),
+        "exp_pair_moment": (fig7, theta, coeff),
+        "r2_term": (fig7, 0),
+        "r4_term": (fig7, 1),
+        "r5_term": (fig7, 1),
+        "sop_lower_quadrature": (fig4,),
+    }
+    assert set(args) == set(module.SECRECY_TERMS)
+    with module.Tracer() as tracer:
+        for name in module.SECRECY_TERMS:
+            getattr(secrecy, name)(*args[name])
+        secrecy.sop_lower_scenario1(fig4)
+        secrecy.sop_lower_scenario2(fig7)
+    spans = [f"secrecy.{name}" for name in module.SECRECY_TERMS]
+    for span in spans + ["specfun.fox_h", "specfun.fox_h_bivariate"]:
+        assert tracer.stats[span].calls > 0, span

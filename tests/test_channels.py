@@ -154,6 +154,28 @@ class TestMalaga:
         assert malaga_cdf(fso, fso.mu_s) > 0.0
         assert len(calls) == fso.beta_o
 
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_cdf_array_matches_scalar(self, blocked):
+        fso = FsoLinkParams(s=2, avg_snr_db=10.0, blockage_p=0.1, **FIG_FSO)
+        cdf = fso_blocked_cdf if blocked else malaga_cdf
+        xs = fso.mu_s * np.array([[0.0, 1e-4, 0.01, 0.3], [1.0, 3.0, 40.0, 1e3]])
+        got = cdf(fso, xs)
+        assert got.shape == xs.shape
+        want = [[cdf(fso, float(x)) for x in row] for row in xs]
+        assert all(isinstance(v, float) for row in want for v in row)
+        assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_cdf_of_empty_or_zero_array_builds_no_contour(self, monkeypatch):
+        fso = FsoLinkParams(s=1, avg_snr_db=10.0, blockage_p=0.1, **FIG_FSO)
+        calls = []
+        refine = specfun._refine
+        monkeypatch.setattr(specfun, "_refine",
+                            lambda *a, **k: calls.append(1) or refine(*a, **k))
+        assert malaga_cdf(fso, np.array([])).shape == (0,)
+        assert malaga_cdf(fso, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+        assert fso_blocked_cdf(fso, np.zeros((2, 2))).tolist() == [[0.1, 0.1]] * 2
+        assert not calls
+
     def test_cdf_out_of_range_is_loud(self):
         # the raw value is checked before it is clipped to [0, 1]
         fso = FsoLinkParams(s=1, avg_snr_db=10.0, **FIG_FSO)

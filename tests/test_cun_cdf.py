@@ -173,6 +173,20 @@ def test_cdf_rf_array_matches_scalar(make):
     assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("fig, hybrid", [
+    ("fig4", cdf_hybrid_scenario1), ("fig7", cdf_hybrid_scenario2)])
+def test_cdf_hybrid_array_matches_product(fig, hybrid):
+    # an array SNR gives the RF factor times the blocked-FSO factor of each
+    # entry
+    cfg = figure_config(fig)
+    xs = np.array([[0.0, 1e-3, 0.05, 0.3], [1.0, 4.0, 30.0, 500.0]])
+    got = hybrid(cfg, xs)
+    assert got.shape == xs.shape
+    want = [[cdf_rf(cfg, float(x)) * fso_blocked_cdf(cfg.fso, float(x))
+             for x in row] for row in xs]
+    assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 class TestScenario1:
     def test_zero(self):
         assert cdf_rf_scenario1(RF_R, RF_P, PC1, 0.0) == 0.0

@@ -414,7 +414,7 @@ class TestRTerms:
         z2 = fso.V * cfg.sigma / fso.mu_s * e.delta ** (-1.0 / at)
         direct = e.delta ** (-(power + 1.0) / at) / at * \
             fox_h_bivariate(spec, coeff / e.delta, z2)
-        assert_allclose(g_exp_pair_moment(cfg, m_o, power, coeff, at),
+        assert_allclose(g_exp_pair_moment(cfg, m_o, power, coeff),
                         direct, rtol=1e-10)
 
     def test_scenario_guard(self):
@@ -492,7 +492,7 @@ class TestSopScenario1:
         if (fig, psi_q_db) == ("fig9", 30.0):
             assert bound > res.value
 
-    def test_tail_quadrature_route(self):
+    def test_fso_piece_minus_tail_expectation_is_sop(self):
         # the closed FSO piece minus one expectation of the RF tail over the
         # eavesdropper SNR is SOP_L
         cfg = figure_config("fig4")
@@ -505,13 +505,26 @@ class TestSopScenario1:
         got = fso_piece(cfg) - _blocked_fso_mean(cfg, tail)
         assert_allclose(got, sop_lower(cfg).value, rtol=0, atol=1e-9)
 
-    def test_series_route_engages_and_matches(self):
+    def test_closed_matches_defining_integral_at_high_ceiling(self):
         cfg = figure_config("fig4")
         cfg = dataclasses.replace(
             cfg, pc=PowerConstraints(psi_q_db=30.0, scenario="I"))
         res = sop_lower_scenario1(cfg)
         assert res.diagnostics["route"] == "closed"
         assert_allclose(res.value, sop1_defining_integral(cfg), rtol=1e-6)
+
+    @pytest.mark.parametrize(
+        "name", [name for name in I_TERM_CONFIGS if "-" in name])
+    def test_closed_matches_metric_at_mixed_alpha_se(self, name):
+        # alpha_se != alpha_sr: each I3/I4 term is still one exact
+        # Mellin-Barnes integral, so the assembly returns its closed value,
+        # within its bound of the expectation
+        cfg = I_TERM_CONFIGS[name]()
+        res = sop_lower_scenario1(cfg)
+        ref = sop_lower(cfg).value
+        assert res.diagnostics["route"] == "closed"
+        assert abs(res.value - ref) <= res.diagnostics["error_bound"]
+        assert abs(res.value - ref) <= 1e-10 * ref
 
     def test_float_detection_order(self):
         # JSON may carry s as 2.0; q1/q2 index range() with it
@@ -603,7 +616,7 @@ class TestSopScenario2:
             sop_lower_scenario2(MIXED_ALPHA_S2[name]())
         assert calls == []
 
-    def test_series_route_engages_and_matches(self):
+    def test_closed_matches_defining_integral(self):
         cfg = config_from_dict({
             "rf_sr": {"alpha": 2, "mu": 2, "avg_snr_db": 0.0},
             "rf_sp": {"alpha": 2, "mu": 2, "avg_snr_db": 0.0},
