@@ -246,10 +246,16 @@ def electrical_snr(fso):
 
 
 def malaga_pdf(fso, snr):
-    """SNR density of the (unblocked) Malaga link."""
-    x = float(snr)
-    if x <= 0:
+    """SNR density of the (unblocked) Malaga link (snr scalar, giving a
+    float, or array), every entry > 0.  Each entry converges its own
+    contours: a density read off lines frozen at another argument loses
+    digits far from it."""
+    x = np.asarray(snr, dtype=float)
+    if not np.all(x > 0):
         raise ParameterError("snr must be > 0 for the density")
+    if x.ndim:
+        return np.reshape([malaga_pdf(fso, v) for v in x.flat], x.shape)
+    x = float(x)
     e2 = fso.epsilon ** 2
     z = fso.varpi * (x / fso.mu_s) ** (1.0 / fso.s)
     tot = 0.0

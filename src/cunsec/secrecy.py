@@ -10,19 +10,21 @@ closed form) and "quadrature" otherwise (the RF CDF is itself an
 expectation).
 
 The paper's closed assemblies, sop_lower_scenario1/2, expand the same
-expectation into the integral-term families (the I-terms for Scenario I, the
-R-terms and the P2 terms for Scenario II).  They require alpha_sr == alpha_sp
+expectation into integral terms.  They require alpha_sr == alpha_sp
 (Scenario II also alpha_se == alpha_sr) and serve as the checked
 reproduction of the paper, off the metric path.  Every term is one exact
 Mellin-Barnes integral, _kernel_moment:
-int x^p e^(-w x^at_e) k(z x^at_r) [G(c x)] dx with k = 1 (z = 0 or n = 0),
-e^-y (the R2/R6 kernel) or (1 + y)^-n (the I3/I4 and P2 kernels, which the
-paper expands binomially in x, an expansion that over x in (0, inf) is only
-asymptotic).  The paper-named terms (im1_term ... r8_term) and the moments
-exp_pair_moment, g_exp_moment and g_exp_pair_moment are one call of it each.
-Each assembly lists its RF terms (coef, power, weight, z, n), and
-_assemble adds the constant FSO piece and one P_o / G bracket per term; it
-returns the closed value (route "closed") with an error bound.
+int x^p e^(-w x^at_e) k(z x^at_r) [G(c x)] dx with k = 1 (z = 0) or one
+of three Fox H kernels: e^-y (the R2/R6 kernel), (1 + y)^-n (the I3/I4
+kernel) and the regularized gamma P(mu, y).  The paper-named terms
+(im1_term ... r8_term) and the moments exp_pair_moment, g_exp_moment and
+g_exp_pair_moment are one call of it each.  Each assembly writes the RF CDF
+as cun_cdf does, a sum of non-negative terms: Scenario I by the
+negative-binomial form of I_p(mu_r, mu_p) for integer mu_p, Scenario II by
+two P(mu_r, .) terms and the positive (1 + y)^-n terms of the rest of
+lambda2.  It lists them as (coef, power, weight, z, kernel), every coef
+positive, and _assemble adds one P_o / G bracket per term; it returns the
+closed value (route "closed") with an error bound relative to it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from math import comb
 
 import numpy as np
-from scipy.special import gamma as _gamma, gammaincc
+from scipy.special import gamma as _gamma, gammainc, gammaincc
 
 from .channels import FsoLinkParams, MalagaCdfEvaluator, RfChannelParams
 from .cun_cdf import (PowerConstraints, _equal_stretch, _expect, cdf_rf,
@@ -110,28 +112,45 @@ def _exp_weighted_moment(power, weight, at):
     return _gamma(a) * weight ** (-a) / at
 
 
-def _kernel_moment(cfg, power, weight, m_o=None, z=0.0, n=None):
-    """int_0^inf x^power exp(-weight x^at_e) k(z x^at_r)
-    [G_cdfkernel(V sigma x / mu_s)] dx, the one integral behind every I-,
-    R- and P2 term (at_r of S-R, at_e of S-E; no G factor when m_o is None).
+# The Fox H kernels k(y) of _kernel_moment, each a spec and its normaliser:
+# e^-y = H^{1,0}_{0,1}[y | -; (0, 1)], (1 + y)^-n =
+# H^{1,1}_{1,1}[y | (1 - n, 1); (0, 1)] / Gamma(n), and the regularized gamma
+# P(mu, y) = H^{1,1}_{1,2}[y | (1, 1); (mu, 1), (0, 1)] / Gamma(mu).
+_EXP_KERNEL = (FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),)), 1.0)
 
-    k(y) is e^-y when n is None and (1 + y)^-n otherwise.  Where
-    at_r == at_e, e^-y merges into the weight; at z = 0 or n = 0 there is no
-    factor at all, and the integral is the exponential moment, or with G a
-    univariate H.  Otherwise k is the Fox H kernel H^{1,0}_{0,1}[y | -; (0, 1)]
-    or H^{1,1}_{1,1}[y | (1 - n, 1); (0, 1)] / Gamma(n), and the integral is
-    one exact Mellin convolution (where the binomial expansion of
-    (1 + z x^at_r)^-n in x is only asymptotic): without G the univariate H
-    with the extra upper pair (1 - c0/at_e, at_r/at_e), with G the bivariate
-    H with joint triple (1 - c0/at_e, at_r/at_e, 1/at_e), c0 = power + 1.
+
+def _binomial_kernel(n):
+    return (FoxHSpec(m=1, n=1, upper=((1.0 - n, 1.0),), lower=((0.0, 1.0),)),
+            _gamma(n))
+
+
+def _gamma_p_kernel(mu):
+    return (FoxHSpec(m=1, n=1, upper=((1.0, 1.0),),
+                     lower=((mu, 1.0), (0.0, 1.0))), _gamma(mu))
+
+
+def _kernel_moment(cfg, power, weight, m_o=None, z=0.0, kernel=_EXP_KERNEL):
+    """int_0^inf x^power exp(-weight x^at_e) k(z x^at_r)
+    [G_cdfkernel(V sigma x / mu_s)] dx, the one integral behind every I- and
+    R-term and every assembly term (at_r of S-R, at_e of S-E; no G factor
+    when m_o is None).
+
+    k is one of the Fox H kernels above, given as (spec, norm).  Where
+    at_r == at_e, e^-y merges into the weight; at z = 0 there is no factor
+    at all, and the integral is the exponential moment, or with G a
+    univariate H.  Otherwise the integral is one exact Mellin convolution
+    (where the binomial expansion of (1 + z x^at_r)^-n in x is only
+    asymptotic): without G the univariate H with the kernel's pairs and
+    the extra upper pair (1 - c0/at_e, at_r/at_e), with G the bivariate H
+    with joint triple (1 - c0/at_e, at_r/at_e, 1/at_e), c0 = power + 1.
     """
     e, fso = cfg.rf_se, cfg.fso
     at_e, at_r = e.alpha_tilde, cfg.rf_sr.alpha_tilde
     c0 = power + 1.0
     c_arg = fso.V * cfg.sigma / fso.mu_s
-    if n is None and _equal_stretch(at_r, at_e):
+    if kernel is _EXP_KERNEL and _equal_stretch(at_r, at_e):
         weight, z = weight + z, 0.0
-    if z == 0 or n == 0:
+    if z == 0:
         if m_o is None:
             return _exp_weighted_moment(power, weight, at_e)
         base = fso.cdf_kernel_spec(m_o).as_fox_h()
@@ -140,19 +159,15 @@ def _kernel_moment(cfg, power, weight, m_o=None, z=0.0, n=None):
                         lower=base.lower)
         return weight ** (-c0 / at_e) / at_e \
             * fox_h(spec, c_arg * weight ** (-1.0 / at_e))
-    if n is None:
-        kernel, norm = FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),)), 1.0
-    else:
-        kernel = FoxHSpec(m=1, n=1, upper=((1.0 - n, 1.0),), lower=((0.0, 1.0),))
-        norm = _gamma(n)
+    k_spec, norm = kernel
     joint = (1.0 - c0 / at_e, at_r / at_e)
     z1 = z * weight ** (-at_r / at_e)
     pre = weight ** (-c0 / at_e) / (at_e * norm)
     if m_o is None:
-        spec = FoxHSpec(m=1, n=kernel.n + 1, upper=(joint,) + kernel.upper,
-                        lower=kernel.lower)
+        spec = FoxHSpec(m=k_spec.m, n=k_spec.n + 1,
+                        upper=(joint,) + k_spec.upper, lower=k_spec.lower)
         return pre * fox_h(spec, z1)
-    spec = BivariateFoxHSpec(joint=(joint + (1.0 / at_e,),), kernel1=kernel,
+    spec = BivariateFoxHSpec(joint=(joint + (1.0 / at_e,),), kernel1=k_spec,
                              kernel2=fso.cdf_kernel_spec(m_o).as_fox_h())
     return pre * fox_h_bivariate(spec, z1, c_arg * weight ** (-1.0 / at_e))
 
@@ -177,14 +192,6 @@ def g_exp_pair_moment(cfg, m_o, power, coeff):
 # Scenario I term families
 # --------------------------------------------------------------------------
 
-def _scenario1_coeff(rf_sr, rf_sp, m_r):
-    """Gamma(xi2) delta_r^m_r delta_p^mu_p / (Gamma(mu_p) m_r!), with
-    xi2 = m_r + mu_p: the m_r-th coefficient of the finite-sum Scenario I
-    tail that the closed outage assembly integrates term by term."""
-    return _gamma(m_r + rf_sp.mu) / (_gamma(rf_sp.mu) * _gamma(m_r + 1.0)) \
-        * rf_sr.delta ** m_r * rf_sp.delta ** rf_sp.mu
-
-
 def im1_term(e):
     """Plain eavesdropper exponential moment (normalises the density)."""
     return _exp_weighted_moment(e.theta, e.delta, e.alpha_tilde)
@@ -195,7 +202,8 @@ def im2_term(cfg, m_o):
 
 
 def _zr(cfg):
-    """z of the I3/I4 kernel: xi1 s^at / d_p."""
+    """z of the I3/I4 kernel, xi1 s^at / d_p: rho = z x^at in both RF CDFs
+    (kappa s^at in Scenario II)."""
     r = cfg.rf_sr
     at = r.alpha_tilde
     return r.delta * cfg.pc.psi_q ** (-at) * cfg.sigma ** at / cfg.rf_sp.delta
@@ -209,7 +217,7 @@ def _im34_term(cfg, m_r, m_o):
     p, e = cfg.rf_sp, cfg.rf_se
     xi2 = m_r + p.mu
     val = _kernel_moment(cfg, e.theta + cfg.rf_sr.alpha_tilde * m_r, e.delta,
-                         m_o, _zr(cfg), xi2)
+                         m_o, _zr(cfg), _binomial_kernel(xi2))
     return p.delta ** (-xi2) * val, "closed"
 
 
@@ -241,7 +249,8 @@ def r2_term(cfg, m_r):
 
 def r4_term(cfg, k):
     """The paper's R4: r2's kernel at the combined power k = m_r + m4 + m5
-    of its P2 quadruple series (the assembly sums exact P2 terms instead)."""
+    of its P2 quadruple series (the assembly sums the non-negative terms of
+    lambda2 instead)."""
     return r2_term(cfg, k)
 
 
@@ -281,23 +290,21 @@ def _assemble(cfg, scen, terms):
     """SOP_L as the sum of the paper's closed pieces, each computed to
     relative tolerance specfun._REL_TOL.
 
-    The pieces are the constant FSO piece E[F_fso*] = P_o + (1 - P_o) K c_e
-    sum_m_o varsigma(m_o) I2(m_o), and for each RF term (coef, power,
-    weight, z, n) the bracket coef E[k-term F_fso*] = coef c_e (P_o M +
-    (1 - P_o) K sum_m_o varsigma(m_o) M_m_o), M the _kernel_moment without
-    and M_m_o with the optical kernel.  diagnostics["error_bound"] is the
-    tolerance times the sum of the pieces' magnitudes, so where they cancel
-    to a value below it, no digit of the value is certified.
+    For each RF term (coef, power, weight, z, kernel) the piece is
+    coef E[k-term F_fso*] = coef c_e (P_o M + (1 - P_o) K
+    sum_m_o varsigma(m_o) M_m_o), M the _kernel_moment without and M_m_o
+    with the optical kernel.  Every coef, and so every piece, is
+    non-negative, and diagnostics["error_bound"], the tolerance times the
+    sum of the pieces' magnitudes, is the tolerance relative to the value.
     """
     e, fso = cfg.rf_se, cfg.fso
     ce, P_o = _f_e_norm(e), fso.blockage_p
-    m_os = range(1, fso.beta_o + 1)
-    pieces = [P_o, (1.0 - P_o) * fso.K * ce * sum(
-        fso.varsigma(m_o) * im2_term(cfg, m_o) for m_o in m_os)]
-    for coef, power, weight, z, n in terms:
-        mix = sum(fso.varsigma(m_o) * _kernel_moment(cfg, power, weight, m_o, z, n)
-                  for m_o in m_os)
-        plain = _kernel_moment(cfg, power, weight, None, z, n)
+    pieces = []
+    for coef, power, weight, z, kernel in terms:
+        mix = sum(fso.varsigma(m_o)
+                  * _kernel_moment(cfg, power, weight, m_o, z, kernel)
+                  for m_o in range(1, fso.beta_o + 1))
+        plain = _kernel_moment(cfg, power, weight, None, z, kernel)
         pieces.append(coef * (P_o * ce * plain + (1.0 - P_o) * fso.K * ce * mix))
     bound = specfun._REL_TOL * sum(abs(x) for x in pieces)
     return SecrecyResult(_clamp_unit(sum(pieces), f"SOP_L^{scen}"), "SOP_L",
@@ -308,50 +315,34 @@ def sop_lower_scenario1(cfg):
     """Secrecy-outage lower bound for the interference-only constraint: the
     paper's closed assembly of the I-terms (alpha_sr == alpha_sp only).
 
-    With xi2 = m_r + mu_p, the RF term of each m_r < mu_r is the I3/I4
-    kernel (1 + z_r x^a~)^-xi2 of _im34_term (_assemble).
+    The RF CDF is I_{rho/(1+rho)}(mu_r, mu_p), rho = z_r x^a~ (_zr), and for
+    integer mu_p its negative-binomial form sum_{j<mu_p} C(mu_r + j - 1, j)
+    rho^mu_r (1 + rho)^-(mu_r+j) gives one I3/I4 kernel term per j
+    (_assemble).
     """
     if cfg.pc.scenario != "I":
         raise ParameterError("config is not Scenario I")
     r, p, e = cfg.rf_sr, cfg.rf_sp, cfg.rf_se
     require_equal_alpha(r, p)
-    at = r.alpha_tilde
-    terms = [(-_scenario1_coeff(r, p, m_r) * cfg.pc.psi_q ** (-at * m_r)
-              * cfg.sigma ** (at * m_r) * p.delta ** (-(m_r + p.mu)),
-              e.theta + at * m_r, e.delta, _zr(cfg), m_r + p.mu)
-             for m_r in range(r.mu)]
+    z_r = _zr(cfg)
+    terms = [(comb(r.mu + j - 1, j) * z_r ** r.mu, e.theta + r.alpha_tilde * r.mu,
+              e.delta, z_r, _binomial_kernel(r.mu + j))
+             for j in range(p.mu)]
     return _assemble(cfg, "I", terms)
-
-
-def _p2_coefficients(r, p, c, kappa, big_a):
-    """{(m, n): coefficient} of A - lambda2 as a sum of
-    coefficient * X^m e^(-c kappa X) (1 + kappa X)^-n, X = (sigma x)^a~.
-
-    With rho = kappa X, Q(mu_r, rho c) = e^(-rho c) sum_{k<mu_r} (rho c)^k/k!
-    and Q(j + mu_r, c (1 + rho)) = e^(-c) e^(-rho c) sum_k c^k (1 + rho)^k/k!,
-    A - lambda2 is A Q(mu_r, rho c) minus sum_{j<mu_p} sum_{k<j+mu_r}
-    C(j + mu_r - 1, j) e^-c c^k/k! rho^mu_r e^(-rho c) (1 + rho)^-(mu_r+j-k)
-    (cun_cdf.lambda2); terms of equal (m, n) are added up.
-    """
-    coef = {(k, 0): big_a * (c * kappa) ** k / _gamma(k + 1.0)
-            for k in range(r.mu)}
-    for j in range(p.mu):
-        for k in range(j + r.mu):
-            key = (r.mu, r.mu + j - k)
-            coef[key] = coef.get(key, 0.0) - comb(j + r.mu - 1, j) \
-                * np.exp(-c) * c ** k / _gamma(k + 1.0) * kappa ** r.mu
-    return coef
 
 
 def sop_lower_scenario2(cfg):
     """Secrecy-outage lower bound for the double power constraint: the
     paper's closed assembly (alpha_sr == alpha_sp == alpha_se only).
 
-    With A = Q(mu_p, c), c = d_p (psi_q / psi_t)^a~, the RF CDF is
-    1 - ((1 - A) - lambda1) - (A - lambda2).  Its RF terms (_assemble) are
-    one R2/R6 kernel e^(-xi10 x^a~) per m_r for the lambda1 part, and the
-    P2 part E[(A - lambda2) F_fso*] as one kernel per term of
-    _p2_coefficients.  With alpha_se != alpha_sr a P2 term with the optical
+    With A = Q(mu_p, c), c = d_p (psi_q / psi_t)^a~, and rho = z x^a~
+    (_zr), the RF CDF is lambda1 + lambda2 in the non-negative form of
+    cun_cdf.lambda2: lambda1 = (1 - A) P(mu_r, xi10 x^a~), then
+    A P(mu_r, rho c), then, from Q(j + mu_r, c (1 + rho)) =
+    e^(-c) e^(-rho c) sum_{k<j+mu_r} c^k (1 + rho)^k / k!, the terms
+    sum_{j<mu_p} sum_{k<j+mu_r} C(j + mu_r - 1, j) e^-c c^k/k! rho^mu_r
+    e^(-rho c) (1 + rho)^-(mu_r+j-k), added up per n = mu_r + j - k
+    (_assemble).  With alpha_se != alpha_sr such a term with the optical
     kernel would be a trivariate Fox H, so that raises
     UnsupportedParametersError before any Fox H call.
     """
@@ -364,17 +355,19 @@ def sop_lower_scenario2(cfg):
             "the Scenario II closed assembly requires alpha_se == alpha_sr "
             f"(got {e.alpha} and {r.alpha})")
     at = r.alpha_tilde
-    sig = cfg.sigma
     c = p.delta * (pc.psi_q / pc.psi_t) ** at
-    big_a = float(gammaincc(p.mu, c))
-    terms = [(-(1.0 - big_a) * r.delta ** m_r * pc.psi_t ** (-at * m_r)
-              / _gamma(m_r + 1.0) * sig ** (at * m_r),
-              e.theta + at * m_r, e.delta, _xi10(cfg), None)
-             for m_r in range(r.mu)]
-    kappa = r.delta / (p.delta * pc.psi_q ** at)
-    weight, z = e.delta + c * kappa * sig ** at, kappa * sig ** at
-    terms += [(-coef * sig ** (at * m), e.theta + at * m, weight, z, n)
-              for (m, n), coef in _p2_coefficients(r, p, c, kappa, big_a).items()]
+    z = _zr(cfg)
+    p_mu_r = _gamma_p_kernel(r.mu)
+    terms = [(float(gammainc(p.mu, c)), e.theta, e.delta, _xi10(cfg), p_mu_r),
+             (float(gammaincc(p.mu, c)), e.theta, e.delta, c * z, p_mu_r)]
+    coef = {}
+    for j in range(p.mu):
+        for k in range(j + r.mu):
+            coef[r.mu + j - k] = coef.get(r.mu + j - k, 0.0) + comb(
+                j + r.mu - 1, j) * np.exp(-c) * c ** k / _gamma(k + 1.0)
+    terms += [(cn * z ** r.mu, e.theta + at * r.mu, e.delta + c * z, z,
+               _binomial_kernel(n))
+              for n, cn in coef.items()]
     return _assemble(cfg, "II", terms)
 
 

@@ -6,6 +6,7 @@ that saturated probabilities (0 or 1) stay well-posed.
 """
 
 import dataclasses
+import functools
 import math
 import time
 
@@ -143,7 +144,10 @@ def test_c2_cdf_ks_validation():
 # C3  term-level oracles on a 20-point grid (< 5 min)
 # --------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _g_kernel_mp(fso, m_o, z):
+    # a pure function of the frozen link, m_o and z (mp.dps is set once, at
+    # import): quad revisits the same nodes across the oracles of one point
     return float(mp.meijerg([[1.0], list(fso.q1)],
                             [list(fso.q2(m_o)), [0.0]], z))
 

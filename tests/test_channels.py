@@ -22,6 +22,7 @@ from cunsec.channels import (
 )
 from cunsec import specfun
 from cunsec.errors import NumericalIntegrityError, ParameterError
+from cunsec.figures import figure_config
 from cunsec.mc import ks_distance, sample_alpha_mu, sample_malaga_snr
 
 mp.mp.dps = 30
@@ -122,6 +123,17 @@ class TestMalaga:
         f1 = FsoLinkParams(s=1, avg_snr_db=10.0, **FIG_FSO)
         f2 = FsoLinkParams(s=2, avg_snr_db=10.0, **FIG_FSO)
         assert malaga_pdf(f1, 5.0) != malaga_pdf(f2, 5.0)
+
+    def test_pdf_array_matches_scalar(self):
+        fso = figure_config("fig4").fso
+        xs = fso.mu_s * np.array([[1e-3, 0.05, 0.7], [1.0, 4.0, 60.0]])
+        got = malaga_pdf(fso, xs)
+        assert got.shape == xs.shape
+        assert got.tolist() == [[malaga_pdf(fso, float(x)) for x in row]
+                                for row in xs]
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(ParameterError):
+                malaga_pdf(fso, np.array([fso.mu_s, bad]))
 
     def test_cdf_zero_and_limit(self):
         fso = FsoLinkParams(s=1, avg_snr_db=10.0, **FIG_FSO)
