@@ -98,11 +98,16 @@ def _finite_snr(snr):
     return x
 
 
+def _alpha_mu_norm(ch):
+    """The normaliser a~ d^mu / Gamma(mu) of the alpha-mu SNR density."""
+    return ch.alpha_tilde * ch.delta ** ch.mu / _gamma(ch.mu)
+
+
 def alpha_mu_pdf(ch, snr):
     """SNR density a~ d^mu / Gamma(mu) * exp(-d x^a~) x^(a~ mu - 1); 0 at
     snr = +inf."""
     x = _nonneg_snr(snr)
-    pref = ch.alpha_tilde * ch.delta ** ch.mu / _gamma(ch.mu)
+    pref = _alpha_mu_norm(ch)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = pref * np.exp(-ch.delta * x ** ch.alpha_tilde) * x ** ch.theta
     out = np.where(np.isposinf(x), 0.0, out)

@@ -19,12 +19,13 @@ of three Fox H kernels: e^-y (the R2/R6 kernel), (1 + y)^-n (the I3/I4
 kernel) and the regularized gamma P(mu, y).  The paper-named terms
 (im1_term ... r8_term) and the moments exp_pair_moment, g_exp_moment and
 g_exp_pair_moment are one call of it each.  Each assembly writes the RF CDF
-as cun_cdf does, a sum of non-negative terms: Scenario I by the
-negative-binomial form of I_p(mu_r, mu_p) for integer mu_p, Scenario II by
-two P(mu_r, .) terms and the positive (1 + y)^-n terms of the rest of
-lambda2.  It lists them as (coef, power, weight, z, kernel), every coef
-positive, and _assemble adds one P_o / G bracket per term; it returns the
-closed value (route "closed") with an error bound relative to it.
+as cun_cdf does, a sum of non-negative terms: Scenario II as two
+P(mu_r, .) terms and the positive (1 + y)^-n terms of lambda2
+(_lambda2_terms), Scenario I as that term list at c = 0, the
+negative-binomial form of I_p(mu_r, mu_p) for integer mu_p.  Each term is
+(coef, power, weight, z, kernel), every coef positive, and _assemble adds
+one P_o / G bracket per term; it returns the closed value (route "closed")
+with an error bound relative to it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from math import comb
 import numpy as np
 from scipy.special import gamma as _gamma, gammainc, gammaincc
 
-from .channels import FsoLinkParams, MalagaCdfEvaluator, RfChannelParams
+from .channels import (FsoLinkParams, MalagaCdfEvaluator, RfChannelParams,
+                       _alpha_mu_norm)
 from .cun_cdf import (PowerConstraints, _equal_stretch, _expect, cdf_rf,
                       require_equal_alpha)
 from . import specfun
@@ -95,11 +97,6 @@ def _clamp_unit(value, what):
     if value < -1e-9 or value > 1.0 + 1e-9:
         raise NumericalIntegrityError(f"{what} = {value} outside [0, 1]")
     return float(min(max(value, 0.0), 1.0))
-
-
-def _f_e_norm(e):
-    """Normalisation of the eavesdropper density in front of every term."""
-    return e.alpha_tilde * e.delta ** e.mu / _gamma(e.mu)
 
 
 # --------------------------------------------------------------------------
@@ -298,7 +295,7 @@ def _assemble(cfg, scen, terms):
     sum of the pieces' magnitudes, is the tolerance relative to the value.
     """
     e, fso = cfg.rf_se, cfg.fso
-    ce, P_o = _f_e_norm(e), fso.blockage_p
+    ce, P_o = _alpha_mu_norm(e), fso.blockage_p
     pieces = []
     for coef, power, weight, z, kernel in terms:
         mix = sum(fso.varsigma(m_o)
@@ -311,24 +308,39 @@ def _assemble(cfg, scen, terms):
                          scen, {"route": "closed", "error_bound": bound})
 
 
+def _lambda2_terms(cfg, c):
+    """The (1 + y)^-n terms of cun_cdf.lambda2, c = d_p (psi_q / psi_t)^a~
+    and rho = z x^a~ (_zr): from Q(j + mu_r, c (1 + rho)) = e^(-c)
+    e^(-rho c) sum_{k<j+mu_r} c^k (1 + rho)^k / k!, the terms
+    sum_{j<mu_p} sum_{k<j+mu_r} C(j + mu_r - 1, j) e^-c c^k/k! rho^mu_r
+    e^(-rho c) (1 + rho)^-(mu_r+j-k), added up per n = mu_r + j - k, with
+    the zero coefficients dropped.  At c = 0 (psi_t -> inf) only k = 0 is
+    left: n = mu_r ... mu_r + mu_p - 1, in order."""
+    r, p, e = cfg.rf_sr, cfg.rf_sp, cfg.rf_se
+    z = _zr(cfg)
+    coef = {}
+    for j in range(p.mu):
+        for k in range(j + r.mu):
+            coef[r.mu + j - k] = coef.get(r.mu + j - k, 0.0) + comb(
+                j + r.mu - 1, j) * np.exp(-c) * c ** k / _gamma(k + 1.0)
+    return [(cn * z ** r.mu, e.theta + r.alpha_tilde * r.mu, e.delta + c * z,
+             z, _binomial_kernel(n))
+            for n, cn in coef.items() if cn != 0]
+
+
 def sop_lower_scenario1(cfg):
     """Secrecy-outage lower bound for the interference-only constraint: the
     paper's closed assembly of the I-terms (alpha_sr == alpha_sp only).
 
     The RF CDF is I_{rho/(1+rho)}(mu_r, mu_p), rho = z_r x^a~ (_zr), and for
     integer mu_p its negative-binomial form sum_{j<mu_p} C(mu_r + j - 1, j)
-    rho^mu_r (1 + rho)^-(mu_r+j) gives one I3/I4 kernel term per j
-    (_assemble).
+    rho^mu_r (1 + rho)^-(mu_r+j) is lambda2's term list at c = 0
+    (_lambda2_terms): one I3/I4 kernel term per j (_assemble).
     """
     if cfg.pc.scenario != "I":
         raise ParameterError("config is not Scenario I")
-    r, p, e = cfg.rf_sr, cfg.rf_sp, cfg.rf_se
-    require_equal_alpha(r, p)
-    z_r = _zr(cfg)
-    terms = [(comb(r.mu + j - 1, j) * z_r ** r.mu, e.theta + r.alpha_tilde * r.mu,
-              e.delta, z_r, _binomial_kernel(r.mu + j))
-             for j in range(p.mu)]
-    return _assemble(cfg, "I", terms)
+    require_equal_alpha(cfg.rf_sr, cfg.rf_sp)
+    return _assemble(cfg, "I", _lambda2_terms(cfg, 0.0))
 
 
 def sop_lower_scenario2(cfg):
@@ -338,10 +350,7 @@ def sop_lower_scenario2(cfg):
     With A = Q(mu_p, c), c = d_p (psi_q / psi_t)^a~, and rho = z x^a~
     (_zr), the RF CDF is lambda1 + lambda2 in the non-negative form of
     cun_cdf.lambda2: lambda1 = (1 - A) P(mu_r, xi10 x^a~), then
-    A P(mu_r, rho c), then, from Q(j + mu_r, c (1 + rho)) =
-    e^(-c) e^(-rho c) sum_{k<j+mu_r} c^k (1 + rho)^k / k!, the terms
-    sum_{j<mu_p} sum_{k<j+mu_r} C(j + mu_r - 1, j) e^-c c^k/k! rho^mu_r
-    e^(-rho c) (1 + rho)^-(mu_r+j-k), added up per n = mu_r + j - k
+    A P(mu_r, rho c), then the (1 + y)^-n terms of _lambda2_terms
     (_assemble).  With alpha_se != alpha_sr such a term with the optical
     kernel would be a trivariate Fox H, so that raises
     UnsupportedParametersError before any Fox H call.
@@ -354,21 +363,12 @@ def sop_lower_scenario2(cfg):
         raise UnsupportedParametersError(
             "the Scenario II closed assembly requires alpha_se == alpha_sr "
             f"(got {e.alpha} and {r.alpha})")
-    at = r.alpha_tilde
-    c = p.delta * (pc.psi_q / pc.psi_t) ** at
-    z = _zr(cfg)
+    c = p.delta * (pc.psi_q / pc.psi_t) ** r.alpha_tilde
     p_mu_r = _gamma_p_kernel(r.mu)
     terms = [(float(gammainc(p.mu, c)), e.theta, e.delta, _xi10(cfg), p_mu_r),
-             (float(gammaincc(p.mu, c)), e.theta, e.delta, c * z, p_mu_r)]
-    coef = {}
-    for j in range(p.mu):
-        for k in range(j + r.mu):
-            coef[r.mu + j - k] = coef.get(r.mu + j - k, 0.0) + comb(
-                j + r.mu - 1, j) * np.exp(-c) * c ** k / _gamma(k + 1.0)
-    terms += [(cn * z ** r.mu, e.theta + at * r.mu, e.delta + c * z, z,
-               _binomial_kernel(n))
-              for n, cn in coef.items()]
-    return _assemble(cfg, "II", terms)
+             (float(gammaincc(p.mu, c)), e.theta, e.delta, c * _zr(cfg),
+              p_mu_r)]
+    return _assemble(cfg, "II", terms + _lambda2_terms(cfg, c))
 
 
 def sop_lower(cfg):

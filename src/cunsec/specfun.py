@@ -32,7 +32,9 @@ then maps onto one line of joint values, and the double sum is a single
 convolution of the two kernel lines weighted by that line (`_lattice_sum`).
 Halving the spacing halves both axis spacings, so the lattice nests too.
 Each of its two abscissas comes from the same rule, with the joint factors
-in the magnitude and the strip clipped to positive joint arguments.
+in the magnitude and the strip clipped to positive joint arguments.  Both
+kernels must decay along their own lines (BivariateFoxHSpec rejects any
+other), so each axis's half-length comes from its kernel line alone.
 """
 
 from __future__ import annotations
@@ -244,13 +246,11 @@ class BivariateFoxHSpec:
     magnitude plus `log_joint`'s, over its kernel's strip clipped to
     positive joint arguments.
 
-    Each axis's half-length comes from its kernel line alone when the
-    kernel decays by itself (decay_rate() > 0): the joint factors peak at
-    Y = 0, so that bound holds for every point of the other axis.  A kernel
-    that does not decay by itself is trimmed by its product with the joint
-    factors on the slice where the other axis is at y = 0.  A kernel that
-    decays only slowly by itself still sets a long line, which may run past
-    _BIVARIATE_MAX_NODES.
+    Each kernel must decay by itself (decay_rate() > 0), or the spec raises
+    ParameterError: each axis's half-length then comes from its kernel line
+    alone, since the joint factors peak at Y = 0 and that bound holds for
+    every point of the other axis.  A kernel that decays only slowly still
+    sets a long line, which may run past _BIVARIATE_MAX_NODES.
     """
 
     joint: tuple
@@ -268,6 +268,11 @@ class BivariateFoxHSpec:
         if len({(A1, A2) for _, A1, A2 in trip}) > 1:
             raise ParameterError("joint triples must share one (A1, A2)")
         object.__setattr__(self, "joint", tuple(trip))
+        for kernel in (self.kernel1, self.kernel2):
+            if kernel.decay_rate() <= 0:
+                raise ParameterError(
+                    "each kernel must decay along its own line, got decay "
+                    f"rate {kernel.decay_rate()}")
 
     def log_joint(self, t):
         """Log of the joint factors at t = A1*t1 + A2*t2."""
@@ -336,7 +341,6 @@ class _Line:
 
     def __init__(self, log_phi, c, h):
         self.log_phi, self.c, self.h, self.level = log_phi, c, h, 0
-        self.tail = None
         self.K = int(np.ceil(_HALF0 / h - 1e-9))
         self.vals = self._eval(np.arange(-self.K, self.K + 1))
 
@@ -371,17 +375,8 @@ class _Line:
 
     def span(self):
         """Half-length to the first node past the outermost one within
-        1e-17 of the peak magnitude, or None while an end is above that.
-
-        With a tail line set (same level, node k of both lines at the same
-        Y), the magnitude tested is that of the product of the two lines.
-        """
-        vals = self.vals
-        if self.tail is not None:
-            self.tail.cover(max(self.tail.K, self.K))
-            vals = vals + self.tail.vals[self.tail.K - self.K:
-                                         self.tail.K + self.K + 1]
-        mag = np.where(np.isfinite(vals), vals.real, -np.inf)
+        1e-17 of the peak magnitude, or None while an end is above that."""
+        mag = np.where(np.isfinite(self.vals), self.vals.real, -np.inf)
         keep = np.flatnonzero(mag >= mag.max() + _LOG_TAIL)
         if keep[0] == 0 or keep[-1] == len(mag) - 1:
             return None
@@ -607,11 +602,6 @@ def fox_h_bivariate(spec, z1, z2):
             _Line(spec.kernel2.log_phi, c2, h / A2)]
 
     joint = _Line(spec.log_joint, A1 * c1 + A2 * c2, h)
-    # a kernel that does not decay by itself is trimmed together with the
-    # joint factors on its axis (the other axis at y = 0)
-    for ln, kernel in zip(axes, (spec.kernel1, spec.kernel2)):
-        if kernel.decay_rate() <= 0:
-            ln.tail = joint
     estimates, err, l1 = _refine(
         axes, lambda: _lattice_sum(z1, z2, *axes, joint),
         _BIVARIATE_MAX_NODES)

@@ -37,8 +37,6 @@ from cunsec.specfun import (
     upper_incomplete_gamma,
 )
 
-mp.mp.dps = 25
-
 N_MC = 1_000_000
 SEED = 20240801
 FIGS = ["fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
@@ -145,9 +143,10 @@ def test_c2_cdf_ks_validation():
 # --------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
+@mp.workdps(25)
 def _g_kernel_mp(fso, m_o, z):
-    # a pure function of the frozen link, m_o and z (mp.dps is set once, at
-    # import): quad revisits the same nodes across the oracles of one point
+    # a pure function of the frozen link, m_o and z (it sets its own
+    # precision): quad revisits the same nodes across the oracles of one point
     return float(mp.meijerg([[1.0], list(fso.q1)],
                             [list(fso.q2(m_o)), [0.0]], z))
 

@@ -25,8 +25,6 @@ from cunsec.errors import NumericalIntegrityError, ParameterError
 from cunsec.figures import figure_config
 from cunsec.mc import ks_distance, sample_alpha_mu, sample_malaga_snr
 
-mp.mp.dps = 30
-
 
 def rf(alpha, mu, phi_linear):
     return RfChannelParams(alpha=alpha, mu=mu,
@@ -48,9 +46,11 @@ class TestAlphaMu:
 
     def test_pdf_generic_vs_highprec(self):
         ch = rf(3, 2, 2.0)
-        at = mp.mpf(3) / 2
-        delta = mp.mpf(2) ** -at
-        ref = at * delta ** 2 / mp.gamma(2) * mp.e ** (-delta) * mp.mpf(1) ** (at * 2 - 1)
+        with mp.workdps(30):
+            at = mp.mpf(3) / 2
+            delta = mp.mpf(2) ** -at
+            ref = at * delta ** 2 / mp.gamma(2) * mp.e ** (-delta) \
+                * mp.mpf(1) ** (at * 2 - 1)
         assert_allclose(alpha_mu_pdf(ch, 1.0), float(ref), rtol=1e-12)
 
     def test_cdf_zero(self):
@@ -257,12 +257,14 @@ class TestElectricalSnr:
     def test_imdd_formula(self):
         fso = FsoLinkParams(s=2, avg_snr_db=0.0, **FIG_FSO)
         # independent high-precision evaluation of the moment-ratio factor
-        a, b, g, om, e2 = (mp.mpf("2.296"), mp.mpf(2), mp.mpf(2), mp.mpf(1),
-                           mp.mpf(1))
-        num = a * e2 * (e2 + 2) * (g + om)
-        den = (e2 + 1) ** 2 * (a + 1) * (2 * g * (g + 2 * om)
-                                         + om ** 2 * (1 + 1 / b))
-        assert_allclose(electrical_snr(fso), float(num / den), rtol=1e-12)
+        with mp.workdps(30):
+            a, b, g, om, e2 = (mp.mpf("2.296"), mp.mpf(2), mp.mpf(2),
+                               mp.mpf(1), mp.mpf(1))
+            num = a * e2 * (e2 + 2) * (g + om)
+            den = (e2 + 1) ** 2 * (a + 1) * (2 * g * (g + 2 * om)
+                                             + om ** 2 * (1 + 1 / b))
+            ratio = num / den
+        assert_allclose(electrical_snr(fso), float(ratio), rtol=1e-12)
 
     def test_pointing_factor_limit(self):
         wide = FsoLinkParams(s=2, avg_snr_db=0.0, alpha_o=2.296, beta_o=2,

@@ -10,7 +10,8 @@ from scipy.integrate import quad
 from scipy.special import betainc, gammainc, gammainccinv, gammaincinv
 
 from cunsec.channels import (MalagaCdfEvaluator, RfChannelParams,
-                             alpha_mu_cdf, alpha_mu_pdf, fso_blocked_cdf)
+                             _alpha_mu_norm, alpha_mu_cdf, alpha_mu_pdf,
+                             fso_blocked_cdf)
 from cunsec.config import config_from_dict
 from cunsec.cun_cdf import (PowerConstraints, _expect, cdf_rf_scenario1,
                             lambda1, lambda2)
@@ -18,8 +19,9 @@ from cunsec.errors import ParameterError, UnsupportedParametersError
 from cunsec.figures import FIGURES, figure_config, figure_dict
 from cunsec.mc import simulate_metrics
 from cunsec.secrecy import (
+    _EXP_KERNEL,
     SecrecyConfig,
-    _f_e_norm,
+    _binomial_kernel,
     _gamma_p_kernel,
     _kernel_moment,
     _xi10,
@@ -40,12 +42,12 @@ from cunsec.secrecy import (
     sop_lower_scenario2,
     spsc,
 )
+from cunsec import specfun
 from cunsec.specfun import (BivariateFoxHSpec, FoxHSpec, LineEvaluator,
                             fox_h_bivariate)
 
-mp.mp.dps = 25
 
-
+@mp.workdps(25)
 def mp_g_cdf_kernel(fso, m_o, z):
     """Independent evaluation of the optical-CDF Meijer kernel."""
     return float(mp.meijerg([[1.0], list(fso.q1)],
@@ -283,7 +285,8 @@ def im34_by_expectation(cfg, m_o):
     m_r = np.arange(r.mu)[:, None]
     kern = optical_kernel(cfg, m_o)
     return _expect(e, lambda x: x ** (at * m_r) * kern(x)
-                   * (xi1s * x ** at + p.delta) ** (-(m_r + p.mu))) / _f_e_norm(e)
+                   * (xi1s * x ** at + p.delta) ** (-(m_r + p.mu))) \
+        / _alpha_mu_norm(e)
 
 
 def _blocked_fso_mean(cfg, weight=lambda sx: 1.0):
@@ -301,7 +304,7 @@ def fso_piece(cfg):
     mix = sum(fso.varsigma(m_o) * im2_term(cfg, m_o)
               for m_o in range(1, fso.beta_o + 1))
     return fso.blockage_p + \
-        (1.0 - fso.blockage_p) * fso.K * _f_e_norm(cfg.rf_se) * mix
+        (1.0 - fso.blockage_p) * fso.K * _alpha_mu_norm(cfg.rf_se) * mix
 
 
 def lambda1_piece(cfg):
@@ -316,7 +319,7 @@ def lambda1_piece(cfg):
         b_mr = (r.delta * (cfg.sigma / pc.psi_t) ** at) ** m_r / math.factorial(m_r)
         r6_mix = sum(fso.varsigma(m_o) * r6_term(cfg, m_r, m_o)
                      for m_o in range(1, fso.beta_o + 1))
-        total += one_minus_a * b_mr * _f_e_norm(e) * (
+        total += one_minus_a * b_mr * _alpha_mu_norm(e) * (
             P_o * r2_term(cfg, m_r) + (1.0 - P_o) * fso.K * r6_mix)
     return total
 
@@ -376,7 +379,7 @@ class TestImTerms:
         for m_o in [None] + list(range(1, cfg.fso.beta_o + 1)):
             kern = optical_kernel(cfg, m_o)
             ref = _expect(e, lambda x: gammainc(r.mu, z * x ** r.alpha_tilde)
-                          * kern(x)) / _f_e_norm(e)
+                          * kern(x)) / _alpha_mu_norm(e)
             got = _kernel_moment(cfg, e.theta, e.delta, m_o, z,
                                  _gamma_p_kernel(r.mu))
             assert_allclose(got, ref, rtol=1e-12)
@@ -429,6 +432,40 @@ class TestRTerms:
         for m_r, m_o in [(0, 1), (1, 2)]:
             assert_allclose(r6_term(cfg, m_r, m_o), oracle_r6(cfg, m_r, m_o),
                             rtol=1e-6)
+
+    def test_r6_with_c1_held_past_its_default(self, monkeypatch):
+        # alpha_sr = 4 against alpha_se = 1.5 at epsilon = 0.5: the optical
+        # kernel's strip leaves c2 no room for the joint poles with c1 at
+        # -0.5, so the product contour holds c1 further right
+        cfg = _with_alpha_se("fig7", 1.5, alpha_sr=4.0, mu=1, avg_snr_db=5.0)
+        cfg = dataclasses.replace(
+            cfg, fso=dataclasses.replace(cfg.fso, epsilon=0.5))
+        held = []
+
+        def spy(spec, z1, z2, real=specfun._bivar_abscissas):
+            c1, c2 = real(spec, z1, z2)
+            held.append(c1)
+            return c1, c2
+
+        monkeypatch.setattr(specfun, "_bivar_abscissas", spy)
+        got = r6_term(cfg, 0, 1)
+        assert len(held) == 1 and held[0] > -0.5
+        assert_allclose(got, oracle_r6(cfg, 0, 1), rtol=1e-8)
+
+    @pytest.mark.parametrize("kernel, rate", [
+        (_EXP_KERNEL[0], 1.0),
+        (_binomial_kernel(1)[0], 2.0),
+        (_binomial_kernel(4)[0], 2.0),
+        (_gamma_p_kernel(2)[0], 1.0),
+        (figure_config("fig4").fso.cdf_kernel_spec(2).as_fox_h(), 2.0),
+        (figure_config("fig2").fso.cdf_kernel_spec(2).as_fox_h(), 4.0),
+    ], ids=["exp", "binomial-1", "binomial-4", "gamma-p", "malaga-s1",
+            "malaga-s2"])
+    def test_every_kernel_decays_by_itself(self, kernel, rate):
+        # BivariateFoxHSpec rejects a kernel with decay_rate() <= 0; each
+        # kernel _kernel_moment builds decays at its own rate: e^-y at 1,
+        # (1 + y)^-n at 2, P(mu, y) at 1 and the Malaga G at 2s
+        assert kernel.decay_rate() == rate
 
     def test_equal_exponent_collapse_matches_bivariate(self):
         # at alpha_sr == alpha_se g_exp_pair_moment merges the exponentials
