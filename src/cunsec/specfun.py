@@ -10,7 +10,14 @@ nodes, and the difference of two levels is the error check (`_settled`,
 against the one tolerance `_REL_TOL`).  A univariate
 line is one `LineEvaluator`: `fox_h` and `meijer_g` return its value at
 the argument it converged at, and its frozen last level serves other
-arguments.  The convention is
+arguments.  For a real spec at a real argument the integrand is
+conjugate-symmetric, Phi(c - iy) z^(c-iy) = conj[Phi(c + iy) z^(c+iy)],
+so a univariate line holds only its nodes y >= 0 (a half line) and sums
+them in real arithmetic: the y = 0 node once, every other node twice its
+real part.  The refinement and the frozen line share that one sum.  The
+symmetry it rests on is checked once per line, on the mirrored nodes of
+the coarsest level (`_asymmetry`); an asymmetric integrand raises
+ConvergenceError.  The convention is
 
     H(z) = (1/2*pi*i) * int_L Phi(t) z^t dt,
     Phi(t) = prod_{j<=m} Gamma(b_j - B_j t) * prod_{j<=n} Gamma(1 - a_j + A_j t)
@@ -333,54 +340,71 @@ def _abscissa(log_mag, lo, hi):
 
 
 class _Line:
-    """log Phi at the nodes t = c + i*h*k, |k| <= K, of one vertical line.
+    """log Phi at the nodes t = c + i*h*k of one vertical line: |k| <= K,
+    or only k = 0...K on a half line.
 
     cover() sets K and halve() halves h; both evaluate log Phi only at the
     nodes the line does not hold yet.  A new line covers half-length _HALF0.
+    A univariate line is a half line: for a real spec at a real argument,
+    Phi(c - iy) = conj Phi(c + iy), so the k < 0 half repeats the other.
+    The bivariate axes and joint line hold both halves, which their
+    convolution needs (`_lattice_sum`).
     """
 
-    def __init__(self, log_phi, c, h):
-        self.log_phi, self.c, self.h, self.level = log_phi, c, h, 0
+    def __init__(self, log_phi, c, h, half=False):
+        self.log_phi, self.c, self.h, self.half = log_phi, c, h, half
+        self.level = 0
         self.K = int(np.ceil(_HALF0 / h - 1e-9))
-        self.vals = self._eval(np.arange(-self.K, self.K + 1))
+        self.vals = self._eval(self.k)
 
     def _eval(self, k):
         with np.errstate(all="ignore"):
             return self.log_phi(self.c + 1j * self.h * k)
 
     @property
+    def k(self):
+        return np.arange(0 if self.half else -self.K, self.K + 1)
+
+    @property
     def nodes(self):
+        """Nodes of the whole line, 2K + 1: a half line holds K + 1 of them
+        and its sum stands for all, so the node budget means the same line
+        on both kinds."""
         return 2 * self.K + 1
 
     @property
     def t(self):
-        return self.c + 1j * self.h * np.arange(-self.K, self.K + 1)
+        return self.c + 1j * self.h * self.k
 
     def cover(self, K):
         if K < self.K:
-            self.vals = self.vals[self.K - K:self.K + K + 1]
+            self.vals = (self.vals[:K + 1] if self.half
+                         else self.vals[self.K - K:self.K + K + 1])
         elif K > self.K:
             k = np.arange(self.K + 1, K + 1)
-            self.vals = np.concatenate([self._eval(-k[::-1]), self.vals,
-                                        self._eval(k)])
+            parts = [self.vals, self._eval(k)]
+            if not self.half:
+                parts.insert(0, self._eval(-k[::-1]))
+            self.vals = np.concatenate(parts)
         self.K = K
 
     def halve(self):
         self.h /= 2.0
         self.level += 1
-        vals = np.empty(2 * self.nodes - 1, dtype=complex)
+        vals = np.empty(2 * len(self.vals) - 1, dtype=complex)
         vals[0::2] = self.vals
-        vals[1::2] = self._eval(np.arange(-2 * self.K + 1, 2 * self.K, 2))
+        vals[1::2] = self._eval(np.arange(1 if self.half else -2 * self.K + 1,
+                                          2 * self.K, 2))
         self.vals, self.K = vals, 2 * self.K
 
     def span(self):
         """Half-length to the first node past the outermost one within
         1e-17 of the peak magnitude, or None while an end is above that."""
         mag = np.where(np.isfinite(self.vals), self.vals.real, -np.inf)
-        keep = np.flatnonzero(mag >= mag.max() + _LOG_TAIL)
-        if keep[0] == 0 or keep[-1] == len(mag) - 1:
+        k = self.k[mag >= mag.max() + _LOG_TAIL]
+        if k[0] == -self.K or k[-1] == self.K:
             return None
-        return self.h * (max(self.K - keep[0], keep[-1] - self.K) + 1)
+        return self.h * (max(-k[0], k[-1]) + 1)
 
 
 def _over_budget(axes, estimates, max_nodes):
@@ -399,13 +423,14 @@ def _refine(axes, total, max_nodes):
     axes holds the _Line of each contour axis, the coarsest at spacing _H0;
     total() returns (integral, l1) of the trapezoid rule over the lines as
     they stand.  First one half-length, a multiple of _H0, is fixed for
-    every axis: it doubles from _HALF0 until both ends of each line are
+    every axis: it doubles from _HALF0 until the ends of each line are
     below 1e-17 of its peak (`_Line.span`), then shrinks to the widest
     axis's span.  Then every spacing halves until two levels pass
     `_settled`.  Returns (estimates, error, l1), where
     estimates holds the last two values (the second is the result); raises
     ConvergenceError with the last two estimates, the half-lengths and the
-    per-axis node counts once an unconverged line holds more than max_nodes.
+    per-axis node counts once an unconverged line covers more than
+    max_nodes (`_Line.nodes`).
     """
     half, prev = _HALF0, None
     while True:
@@ -433,25 +458,49 @@ def _refine(axes, total, max_nodes):
         prev = value
 
 
-def _terms(log_phi, t, lz):
-    """Trapezoid terms exp(log Phi + t*ln z) at the nodes t, with non-finite
-    terms set to 0; lz broadcasts against t.  Callers weight the sum by
-    h/(2*pi): weighting each term would round the sum differently."""
+def _asymmetry(line, lz):
+    """How far a half line's integrand is from conjugate symmetry at
+    ln z = lz: (H/2pi) * sum_k |f(c - iHk) - conj f(c + iHk)| over the
+    nodes k = 0...K_0 of the coarsest level, spacing H = h*2^level, with
+    f = Phi(t)*z^t and the nodes of non-finite log Phi dropped.  The k < 0
+    nodes are evaluated here (about 1/2^level of a line); k = 0 is its own
+    mirror, so it counts twice its imaginary part.  Zero on every figure
+    kernel, since loggamma(conj t) = conj loggamma(t) to the bit there;
+    otherwise it measures what the half line's sum would miss."""
+    step = 2 ** line.level
+    k = np.arange(0, line.K + 1, step)
+    t = line.c + 1j * line.h * k
+    held = line.vals[::step]
+    mirror = np.concatenate([held[:1], line._eval(-k[1:])])
     with np.errstate(all="ignore"):
-        vals = np.exp(log_phi + t * lz)
-    return np.nan_to_num(vals, nan=0.0, posinf=0.0, neginf=0.0)
+        f = np.where(np.isfinite(held), np.exp(held + t * lz), 0.0)
+        g = np.where(np.isfinite(mirror), np.exp(mirror + np.conj(t) * lz),
+                     0.0)
+    return float(np.abs(g - np.conj(f)).sum() * line.h * step / (2.0 * np.pi))
 
 
 class LineEvaluator:
     """The converged Mellin-Barnes line of one G/H spec.
 
-    The constructor checks z_ref, picks the abscissa and refines one line
-    at z_ref (`_refine`); value and error are the result there and its
-    bound, after the imaginary-residue check of `_finalize`.  The last level
-    is kept frozen, so eval_many evaluates other arguments in one
-    vectorised pass: that serves quadrature fallbacks and CDF grids where
-    thousands of evaluations of the same kernel are needed.  Accuracy at
-    arguments far from z_ref is that of the frozen grid.
+    The constructor checks z_ref, picks the abscissa and refines one half
+    line at z_ref (`_refine`); value and error are the result there and
+    its bound, after the conjugate-symmetry check (`_asymmetry`, against
+    `_finalize`'s budget).  The last level is kept frozen, so eval_many
+    evaluates other arguments in one vectorised pass: that serves
+    quadrature fallbacks and CDF grids where thousands of evaluations of
+    the same kernel are needed.  Accuracy at arguments far from z_ref is
+    that of the frozen grid, which covers |k| <= K at spacing h.
+
+    The refinement and eval_many share one sum (`_sum`) in real
+    arithmetic over the held nodes k = 0...K, with w_0 = 1, w_k = 2 and
+    top the largest Re log Phi_k:
+
+        (h/2pi) * e^(top + c ln z) * sum_k w_k e^(Re log Phi_k - top)
+                                          * cos(Im log Phi_k + h k ln z),
+
+    and l1 the same with cos replaced by 1.  So value, fox_h and eval_many
+    at z_ref agree to the bit.  A node with non-finite log Phi is dropped
+    once, when a level is frozen.
 
     The line ends at the first node past the outermost one where
     Re log Phi(c+iy) >= peak + ln 1e-17 (`_refine`).  Since
@@ -466,21 +515,37 @@ class LineEvaluator:
         if not np.isfinite(z_ref) or z_ref <= 0:
             raise ParameterError(
                 f"argument must be a positive real, got {z_ref}")
-        lz = np.log(z_ref)
-        c = _abscissa(lambda cs: spec.log_phi(cs).real + cs * lz,
+        lz = np.log(np.array([z_ref]))
+        c = _abscissa(lambda cs: spec.log_phi(cs).real + cs * lz[0],
                       *spec.pole_interval())
-        line = _Line(spec.log_phi, c, _H0)
+        line = _Line(spec.log_phi, c, _H0, half=True)
 
         def total():
-            terms = _terms(line.vals, line.t, lz)
-            scale = line.h / (2.0 * np.pi)
-            return terms.sum() * scale, np.abs(terms).sum() * scale
+            self._freeze(line)
+            value, l1 = self._sum(lz)
+            return value[0], l1[0]
 
         estimates, err, l1 = _refine([line], total, _MAX_NODES)
-        self.value, self.error = _finalize(estimates, err, l1)
+        self.value, self.error = _finalize(estimates, err, l1,
+                                           _asymmetry(line, lz[0]))
+        self.K = line.K
+
+    def _freeze(self, line):
+        """Hold the finite nodes of line as it stands, for `_sum`."""
+        keep = np.isfinite(line.vals)
+        lg = line.vals[keep]
+        k = np.arange(line.K + 1)[keep]
         self.c, self.h = line.c, line.h
-        self.log_phi = line.vals
-        self.t = line.t
+        self._top = lg.real.max(initial=-np.inf)
+        self._amp = np.where(k == 0, 1.0, 2.0) * np.exp(lg.real - self._top)
+        self._phase = lg.imag
+        self._y = line.h * k
+
+    def _sum(self, lz):
+        """(value, l1) of the frozen half line at each ln z of the 1-D lz."""
+        scale = self.h / (2.0 * np.pi) * np.exp(self._top + self.c * lz)
+        cos = np.cos(self._phase + self._y * lz[:, None])
+        return scale * (self._amp * cos).sum(axis=1), scale * self._amp.sum()
 
     def eval_many(self, zs):
         zs = np.asarray(zs, dtype=float)
@@ -488,11 +553,9 @@ class LineEvaluator:
             raise ParameterError("arguments must be finite positive reals")
         flat = zs.reshape(-1)
         out = np.empty(len(flat))
-        chunk = max(1, (1 << 21) // len(self.t))
+        chunk = max(1, (1 << 21) // max(1, len(self._amp)))
         for i in range(0, len(flat), chunk):
-            lz = np.log(flat[i:i + chunk])[:, None]
-            out[i:i + chunk] = _terms(self.log_phi, self.t, lz).sum(
-                axis=1).real * (self.h / (2.0 * np.pi))
+            out[i:i + chunk] = self._sum(np.log(flat[i:i + chunk]))[0]
         out = out.reshape(zs.shape)
         return out if out.ndim else float(out)
 
@@ -500,13 +563,16 @@ class LineEvaluator:
         return float(self.eval_many(np.array([float(z)]))[0])
 
 
-def _finalize(estimates, err, l1):
+def _finalize(estimates, err, l1, residue):
+    """(value, error) of a converged real-by-construction integral.  residue
+    is what breaks its realness (an imaginary part, or an asymmetry), held
+    against max(_REL_TOL*|value|, 1e-13*l1)."""
     value = estimates[-1]
     noise = 1e-14 * l1
-    im_budget = max(_REL_TOL * abs(value.real), 10.0 * noise)
-    if abs(value.imag) > im_budget:
+    budget = max(_REL_TOL * abs(value.real), 10.0 * noise)
+    if not residue <= budget:
         raise ConvergenceError(
-            f"imaginary residue {value.imag:.3e} exceeds budget {im_budget:.3e} "
+            f"residue {residue:.3e} exceeds budget {budget:.3e} "
             "for a real-by-construction integral",
             estimates=estimates,
         )
@@ -605,4 +671,4 @@ def fox_h_bivariate(spec, z1, z2):
     estimates, err, l1 = _refine(
         axes, lambda: _lattice_sum(z1, z2, *axes, joint),
         _BIVARIATE_MAX_NODES)
-    return _finalize(estimates, err, l1)[0]
+    return _finalize(estimates, err, l1, abs(estimates[-1].imag))[0]

@@ -26,6 +26,7 @@ from cunsec.specfun import (
     upper_incomplete_gamma,
     _H0,
     _Line,
+    _asymmetry,
     _bivar_abscissas,
     _lattice_sum,
 )
@@ -477,16 +478,88 @@ class TestLineEvaluator:
         return seen
 
     def test_trimmed_contour_matches_full_contour(self):
-        # eight decades around z_ref: the frozen line against the same
-        # spacing over twice its half-length
+        # eight decades around z_ref: the frozen line, which covers
+        # |k| <= ev.K, against the same spacing over twice its half-length
         for gspec, z_ref in self._malaga_kernels():
             spec = gspec.as_fox_h()
             ev = LineEvaluator(spec, z_ref)
-            K = len(ev.t) // 2
             zs = z_ref * np.logspace(-4, 4, 17)
-            full = [_line_sum_ref(spec, z, ev.c, ev.h, 2 * K)[0].real
+            full = [_line_sum_ref(spec, z, ev.c, ev.h, 2 * ev.K)[0].real
                     for z in zs]
             assert_allclose(ev.eval_many(zs), full, rtol=0, atol=1e-13)
+
+    def test_half_line_sum_matches_full_complex_line(self):
+        # the real half-line sum against the complex trapezoid over
+        # |k| <= K at the same c and h, for s = 1 and s = 2 kernels
+        for gspec, z_ref in self._malaga_kernels():
+            spec = gspec.as_fox_h()
+            ev = LineEvaluator(spec, z_ref)
+            zs = z_ref * np.logspace(-4, 4, 17)
+            ref = [_line_sum_ref(spec, z, ev.c, ev.h, ev.K) for z in zs]
+            val = np.array([v for v, _ in ref])
+            l1 = np.array([a for _, a in ref])
+            assert np.all(np.abs(ev.eval_many(zs) - val.real) <= 1e-15 * l1)
+            assert np.all(np.abs(val.imag) <= 1e-15 * l1)
+
+    def test_non_finite_node_contributes_zero(self):
+        # log Phi is nan on one band of the line and +inf on another: those
+        # nodes add nothing, as in the full line with non-finite terms zeroed
+        class Holed(FoxHSpec):
+            def log_phi(self, t):
+                t = np.asarray(t, dtype=complex)
+                y = np.abs(t.imag)
+                out = super().log_phi(t)
+                out = np.where((y > 0.3) & (y < 0.5), np.nan, out)
+                return np.where((y > 0.9) & (y < 1.1), np.inf, out)
+
+        base = MeijerGSpec(m=3, n=1, a=(1.0, 2.0),
+                           b=(1.0, 2.296, 1.0, 0.0)).as_fox_h()
+        spec = Holed(base.m, base.n, base.upper, base.lower)
+        z_ref = 0.5
+        # the holes would stall the refinement, so the evaluator's frozen
+        # line is swapped for the holed spec's line at the same c, h and K
+        ev = LineEvaluator(base, z_ref)
+        zs = z_ref * np.logspace(-2, 2, 9)
+        intact = ev.eval_many(zs)
+        line = _Line(spec.log_phi, ev.c, ev.h, half=True)
+        line.cover(ev.K)
+        assert np.isnan(line.vals).any() and np.isinf(line.vals).any()
+        ev._freeze(line)
+        ref = [_line_sum_ref(spec, z, ev.c, ev.h, ev.K) for z in zs]
+        val = np.array([v for v, _ in ref])
+        l1 = np.array([a for _, a in ref])
+        got = ev.eval_many(zs)
+        assert np.all(np.abs(got - val.real) <= 1e-15 * l1)
+        # the holes are real: the intact line differs by far more
+        assert np.all(np.abs(got - intact) > 1e-6)
+
+    def test_conjugate_asymmetry_raises(self):
+        # a real term odd in Im t breaks Phi(c - iy) = conj Phi(c + iy);
+        # the half line would silently sum only one side of it
+        class Skewed(FoxHSpec):
+            def log_phi(self, t):
+                t = np.asarray(t, dtype=complex)
+                return super().log_phi(t) + 1e-3 * t.imag
+
+        base = MeijerGSpec(m=3, n=1, a=(1.0, 2.0),
+                           b=(1.0, 2.296, 1.0, 0.0)).as_fox_h()
+        spec = Skewed(base.m, base.n, base.upper, base.lower)
+        for z in (0.05, 0.5, 5.0):
+            with pytest.raises(ConvergenceError, match="residue"):
+                LineEvaluator(spec, z)
+            with pytest.raises(ConvergenceError, match="residue"):
+                fox_h(spec, z)
+            assert fox_h(base, z) > 0
+
+    def test_figure_kernels_are_conjugate_symmetric(self):
+        # the check passes on every figure kernel; at every node of the
+        # frozen line, not only the coarsest level's, the mirrored node is
+        # the exact conjugate of the held one
+        for gspec, z_ref in self._malaga_kernels():
+            ev = LineEvaluator(gspec, z_ref)
+            line = _Line(gspec.as_fox_h().log_phi, ev.c, ev.h, half=True)
+            line.cover(ev.K)
+            assert _asymmetry(line, np.log(z_ref)) == 0.0
 
     def test_value_is_fox_h(self, monkeypatch):
         # fox_h is the value of one converged line, and malaga_cdf that of
