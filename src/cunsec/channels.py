@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import binom, gamma as _gamma, gammainc
+from scipy.special import binom, gamma as _gamma, gammainc, loggamma
 
 from .errors import NumericalIntegrityError, ParameterError
-from .specfun import LineEvaluator, MeijerGSpec, meijer_g
+from .specfun import LineEvaluator, MeijerGSpec, fox_h
 
 __all__ = [
     "RfChannelParams",
@@ -235,6 +235,55 @@ class FsoLinkParams:
                            a=(1.0,) + self.q1,
                            b=self.q2(m_o) + (0.0,))
 
+    def pdf_mixture_spec(self):
+        """The integrand of sum_m vartheta(m) G[pdf_kernel_spec(m)]."""
+        return _MalagaMixture(self.alpha_o, self.epsilon ** 2, 1, False,
+                              tuple(map(self.vartheta,
+                                        range(1, self.beta_o + 1))))
+
+    def cdf_mixture_spec(self):
+        """The integrand of sum_m varsigma(m) G[cdf_kernel_spec(m)]."""
+        return _MalagaMixture(self.alpha_o, self.epsilon ** 2, self.s, True,
+                              tuple(map(self.varsigma,
+                                        range(1, self.beta_o + 1))))
+
+
+@dataclass(frozen=True)
+class _MalagaMixture:
+    """Mellin-Barnes integrand of sum_m w_m Phi_m(t), m = 1..len(weights),
+    for `LineEvaluator` (which needs only log_phi and pole_interval).
+
+    In the CDF kernel Phi_m, Gamma((e2+k)/s - t) over Gamma((e2+k+1)/s - t)
+    leaves 1/(e2/s - t) and Gamma(t)/Gamma(1+t) = 1/t; the PDF kernel is
+    the same with s = 1 and no 1/t.  D_m(t) = prod_{k<s} Gamma((m+k)/s - t)
+    obeys D_{m+1} = (m/s - t) D_m, so the mixture is D_1 times
+    P(t) = sum_m w_m prod_{j<m} (j/s - t): 2s loggammas per node for all
+    terms.  P has real coefficients and is positive on the real strip of
+    the m = 1 kernel, which is the mixture's.
+    """
+
+    alpha_o: float
+    e2: float
+    s: int
+    over_t: bool
+    weights: tuple
+
+    def pole_interval(self):
+        return (0.0 if self.over_t else -np.inf,
+                min(self.alpha_o, self.e2, 1.0) / self.s)
+
+    def log_phi(self, t):
+        t = np.asarray(t, dtype=complex)
+        s = self.s
+        b = np.array([(x + k) / s for x in (self.alpha_o, 1.0)
+                      for k in range(s)])
+        poly, prod = 0.0, 1.0
+        for m, w in enumerate(self.weights, 1):
+            poly, prod = poly + w * prod, prod * (m / s - t)
+        out = loggamma(b[:, None] - t.ravel()).sum(axis=0).reshape(t.shape)
+        out = out + np.log(poly) - np.log(self.e2 / s - t)
+        return out - np.log(t) if self.over_t else out
+
 
 def electrical_snr(fso):
     """Electrical SNR mu_s (linear): mu_1 equals the average SNR; mu_2 scales
@@ -252,9 +301,9 @@ def electrical_snr(fso):
 
 def malaga_pdf(fso, snr):
     """SNR density of the (unblocked) Malaga link (snr scalar, giving a
-    float, or array), every entry > 0.  Each entry converges its own
-    contours: a density read off lines frozen at another argument loses
-    digits far from it."""
+    float, or array), every entry > 0.  Each entry converges its own line
+    of the whole mixture (`FsoLinkParams.pdf_mixture_spec`): a density
+    read off a line frozen at another argument loses digits far from it."""
     x = np.asarray(snr, dtype=float)
     if not np.all(x > 0):
         raise ParameterError("snr must be > 0 for the density")
@@ -263,10 +312,8 @@ def malaga_pdf(fso, snr):
     x = float(x)
     e2 = fso.epsilon ** 2
     z = fso.varpi * (x / fso.mu_s) ** (1.0 / fso.s)
-    tot = 0.0
-    for m_o in range(1, fso.beta_o + 1):
-        tot += fso.vartheta(m_o) * meijer_g(fso.pdf_kernel_spec(m_o), z)
-    val = e2 * fso.chi_o / (2.0 ** fso.s * x) * tot
+    val = e2 * fso.chi_o / (2.0 ** fso.s * x) * \
+        fox_h(fso.pdf_mixture_spec(), z)
     if val < 0:
         if val < -1e-9:
             raise NumericalIntegrityError(f"malaga_pdf({x}) = {val} < 0")
@@ -296,9 +343,10 @@ def fso_blocked_cdf(fso, snr):
 class MalagaCdfEvaluator:
     """Reusable fixed-contour evaluator of the Malaga (optionally blocked)
     CDF, for quadrature integrands and sample grids: one `LineEvaluator`
-    per m_o, built when the first positive SNR arrives (the CDF at 0 needs
-    none).  snr_ref sets where the contours are converged (not below
-    kernel argument 1e-6)."""
+    over the integrand of the whole beta_o-term mixture
+    (`FsoLinkParams.cdf_mixture_spec`), built when the first positive SNR
+    arrives (the CDF at 0 needs none).  snr_ref sets where the line is
+    converged (not below kernel argument 1e-6)."""
 
     def __init__(self, fso, snr_ref=None, blocked=False):
         self.fso = fso
@@ -306,14 +354,10 @@ class MalagaCdfEvaluator:
         self._snr_ref = snr_ref if snr_ref is not None else fso.mu_s
 
     @cached_property
-    def _kernels(self):
+    def _line(self):
         fso = self.fso
         z_ref = max(fso.V * self._snr_ref / fso.mu_s, 1e-6)
-        return [
-            (fso.varsigma(m_o),
-             LineEvaluator(fso.cdf_kernel_spec(m_o), z_ref))
-            for m_o in range(1, fso.beta_o + 1)
-        ]
+        return LineEvaluator(fso.cdf_mixture_spec(), z_ref)
 
     def eval_many(self, snr):
         xs = _finite_snr(snr)
@@ -322,10 +366,7 @@ class MalagaCdfEvaluator:
         pos = flat > 0
         if np.any(pos):
             z = self.fso.V * flat[pos] / self.fso.mu_s
-            acc = np.zeros(z.shape)
-            for weight, kern in self._kernels:
-                acc += weight * kern.eval_many(z)
-            raw = self.fso.K * acc
+            raw = self.fso.K * self._line.eval_many(z)
             bad = ~((raw >= -1e-7) & (raw <= 1.0 + 1e-7))
             if np.any(bad):
                 raise NumericalIntegrityError(

@@ -139,7 +139,8 @@ def _scenario_snrs(cfg, batch, eavesdropper):
     return snr_f, snr_e
 
 
-def simulate_metrics(cfg, n, seed, eavesdropper="independent"):
+def simulate_metrics(cfg, n, seed, eavesdropper="independent", *,
+                     _first=None):
     """Empirical SOP, SOP_L, SPSC, EST (and EST_L) with standard errors.
 
     The default eavesdropper model draws the wiretap SNR from its own
@@ -147,6 +148,9 @@ def simulate_metrics(cfg, n, seed, eavesdropper="independent"):
     "shared_power" variant reuses the per-draw transmit-power factor on the
     wiretap link (physically faithful coupling through the interference
     draw); it is provided for model-gap studies.
+
+    _first, a list, receives chunk 0, `sample_batch(cfg, min(n, CHUNK),
+    seed, 0)`, so that `cli.run_validate` draws it once.
     """
     n = int(n)
     if n < 10_000:
@@ -154,17 +158,18 @@ def simulate_metrics(cfg, n, seed, eavesdropper="independent"):
             "n must be >= 1e4 (standard error would exceed 0.005)")
     sig = cfg.sigma
     counts = {"SOP": 0, "SOP_L": 0, "SPSC": 0}
-    done = 0
-    chunk_index = 0
-    while done < n:
-        m = min(CHUNK, n - done)
+    # chunk 0 last: the batch the loop ends with is the one for _first, so
+    # keeping it holds no memory while the other chunks are drawn
+    n_chunks = -(-n // CHUNK)
+    for chunk_index in [*range(1, n_chunks), 0]:
+        m = min(CHUNK, n - chunk_index * CHUNK)
         batch = sample_batch(cfg, m, seed, chunk_index)
         snr_f, snr_e = _scenario_snrs(cfg, batch, eavesdropper)
         counts["SOP"] += int(np.count_nonzero(snr_f <= sig * snr_e + sig - 1.0))
         counts["SOP_L"] += int(np.count_nonzero(snr_f <= sig * snr_e))
         counts["SPSC"] += int(np.count_nonzero(snr_f > snr_e))
-        done += m
-        chunk_index += 1
+    if _first is not None:
+        _first.append(batch)
 
     def prob(c):
         p = c / n

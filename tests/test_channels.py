@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -21,6 +22,7 @@ from cunsec.channels import (
     malaga_pdf,
 )
 from cunsec import specfun
+from cunsec.specfun import LineEvaluator, _Line, _asymmetry, meijer_g
 from cunsec.errors import NumericalIntegrityError, ParameterError
 from cunsec.figures import figure_config
 from cunsec.mc import ks_distance, sample_alpha_mu, sample_malaga_snr
@@ -164,7 +166,7 @@ class TestMalaga:
                 cdf(fso, -1.0)
         assert not calls
         assert malaga_cdf(fso, fso.mu_s) > 0.0
-        assert len(calls) == fso.beta_o
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("blocked", [False, True])
     def test_cdf_array_matches_scalar(self, blocked):
@@ -192,9 +194,65 @@ class TestMalaga:
         # the raw value is checked before it is clipped to [0, 1]
         fso = FsoLinkParams(s=1, avg_snr_db=10.0, **FIG_FSO)
         ev = MalagaCdfEvaluator(fso)
-        ev._kernels = [(2.0 * w, kern) for w, kern in ev._kernels]
+        spec = fso.cdf_mixture_spec()
+        doubled = replace(spec, weights=tuple(2.0 * w for w in spec.weights))
+        ev._line = LineEvaluator(doubled, fso.V)
         with pytest.raises(NumericalIntegrityError):
             ev.eval_many(np.array([1e3 * fso.mu_s]))
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("beta_o,epsilon", [(1, 1.0), (2, 1.0), (3, 0.7),
+                                                (4, 2.5), (2, 1.5)])
+    def test_one_line_is_the_per_m_o_sum(self, s, beta_o, epsilon):
+        # the factored mixture against one line per m_o, near z_ref; the
+        # last case has epsilon^2 = alpha_o, so two pole families meet
+        alpha_o = 2.25 if epsilon == 1.5 else FIG_FSO["alpha_o"]
+        fso = FsoLinkParams(s=s, avg_snr_db=10.0, alpha_o=alpha_o,
+                            beta_o=beta_o, g=2.0, omega_total=1.0,
+                            epsilon=epsilon)
+        spec = fso.cdf_mixture_spec()
+        z_ref = fso.V
+        zs = z_ref * np.logspace(-3, 3, 13)
+        ev = LineEvaluator(spec, z_ref)
+        per_m = sum(fso.varsigma(m) * LineEvaluator(fso.cdf_kernel_spec(m),
+                                                    z_ref).eval_many(zs)
+                    for m in range(1, beta_o + 1))
+        assert_allclose(ev.eval_many(zs), per_m, rtol=1e-12)
+        line = _Line(spec.log_phi, ev.c, ev.h, half=True)
+        line.cover(ev.K)
+        assert _asymmetry(line, np.log(z_ref)) == 0.0
+        # the density's one line per value, against one per m_o
+        xs = fso.mu_s * np.array([1e-3, 1.0, 1e2])
+        per_m = [fso.epsilon ** 2 * fso.chi_o / (2.0 ** s * x)
+                 * sum(fso.vartheta(m) * meijer_g(
+                     fso.pdf_kernel_spec(m),
+                     fso.varpi * (x / fso.mu_s) ** (1.0 / s))
+                       for m in range(1, beta_o + 1)) for x in xs]
+        assert_allclose(malaga_pdf(fso, xs), per_m, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", ["fig2", "fig7", "fig10", "fig11"])
+    def test_one_line_vs_mpmath_far_from_z_ref(self, name):
+        # the mixture's frozen line over twelve decades around the metric
+        # evaluator's z_ref, against the 30-digit mpmath.meijerg mixture
+        cfg = figure_config(name)
+        fso = cfg.fso
+        z_ref = max(fso.V * cfg.sigma * cfg.rf_se.avg_snr / fso.mu_s, 1e-6)
+        zs = z_ref * np.logspace(-6, 6, 13)
+        got = LineEvaluator(fso.cdf_mixture_spec(), z_ref).eval_many(zs)
+        specs = [(fso.varsigma(m), fso.cdf_kernel_spec(m))
+                 for m in range(1, fso.beta_o + 1)]
+        with mp.workdps(30):
+            # the CDF's limit, each kernel's residue at t = 0: past kernel
+            # argument 1e5 mpmath's series at s = 1 needs thousands of
+            # bits, and the rest, a G^{4,0}_{2,4}, is below exp(-2 sqrt z)
+            limit = sum(w * mp.fprod(map(mp.gamma, g.b[:g.m]))
+                        / mp.fprod(map(mp.gamma, g.a[g.n:])) for w, g in specs)
+            want = np.array([float(limit) if fso.s == 1 and z > 1e5 else
+                             float(sum(w * mp.meijerg(
+                                 [g.a[:g.n], g.a[g.n:]],
+                                 [g.b[:g.m], g.b[g.m:]], z)
+                                 for w, g in specs)) for z in zs])
+        assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("s", [1, 2])
     def test_cdf_vs_pdf_quadrature(self, s):
