@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import binom, gamma as _gamma, gammainc, loggamma
 
 from .errors import NumericalIntegrityError, ParameterError
-from .specfun import LineEvaluator, MeijerGSpec, fox_h
+from .specfun import LineEvaluator, fox_h
 
 __all__ = [
     "RfChannelParams",
@@ -32,11 +32,28 @@ __all__ = [
 
 
 def db_to_linear(x_db):
-    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
+    """10^(x_db / 10); +inf, without a warning, past the float range."""
+    with np.errstate(over="ignore"):
+        return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
 
 
 def linear_to_db(x):
     return 10.0 * np.log10(x)
+
+
+def _require_positive_finite(obj, *names):
+    """ParameterError unless each named linear quantity of obj is positive
+    and finite: a dB input thousands of dB from 0 under- or overflows it
+    (or a power of it), and no formula holds there."""
+    for name in names:
+        try:
+            value = getattr(obj, name)
+        except OverflowError:  # a float power past the float range
+            value = np.inf
+        if not 0.0 < value < np.inf:
+            raise ParameterError(
+                f"{name} = {value} at these dB inputs; it must be positive "
+                "and finite")
 
 
 # --------------------------------------------------------------------------
@@ -64,6 +81,7 @@ class RfChannelParams:
         object.__setattr__(self, "mu", int(self.mu))
         if not np.isfinite(self.avg_snr_db):
             raise ParameterError("avg_snr_db must be finite")
+        _require_positive_finite(self, "avg_snr", "delta")
 
     @cached_property
     def avg_snr(self):
@@ -167,6 +185,7 @@ class FsoLinkParams:
         object.__setattr__(self, "s", int(self.s))
         if not (0.0 <= self.blockage_p <= 1.0):
             raise ParameterError("blockage_p must lie in [0, 1]")
+        _require_positive_finite(self, "mu_s")
 
     # mixture constants -----------------------------------------------------
 
@@ -204,17 +223,6 @@ class FsoLinkParams:
         return self.varpi ** self.s / self.s ** (2.0 * self.s)
 
     @cached_property
-    def q1(self):
-        e2, s = self.epsilon ** 2, self.s
-        return tuple((e2 + k) / s for k in range(1, s + 1))
-
-    def q2(self, m_o):
-        e2, a, s = self.epsilon ** 2, self.alpha_o, self.s
-        return tuple([(e2 + k) / s for k in range(s)]
-                     + [(a + k) / s for k in range(s)]
-                     + [(m_o + k) / s for k in range(s)])
-
-    @cached_property
     def mu_s(self):
         if self.electrical_snr_db is not None:
             return float(db_to_linear(self.electrical_snr_db))
@@ -226,32 +234,30 @@ class FsoLinkParams:
         e2 = self.epsilon ** 2
         return (self.g + self.omega_total) * e2 / (e2 + 1.0)
 
-    def pdf_kernel_spec(self, m_o):
-        return MeijerGSpec(m=3, n=0, a=(self.epsilon ** 2 + 1.0,),
-                           b=(self.epsilon ** 2, self.alpha_o, float(m_o)))
-
-    def cdf_kernel_spec(self, m_o):
-        return MeijerGSpec(m=3 * self.s, n=1,
-                           a=(1.0,) + self.q1,
-                           b=self.q2(m_o) + (0.0,))
-
     def pdf_mixture_spec(self):
-        """The integrand of sum_m vartheta(m) G[pdf_kernel_spec(m)]."""
+        """The integrand of sum_m vartheta(m) G^{3,0}_{1,3}[e2 + 1;
+        e2, alpha_o, m]."""
         return _MalagaMixture(self.alpha_o, self.epsilon ** 2, 1, False,
                               tuple(map(self.vartheta,
                                         range(1, self.beta_o + 1))))
 
     def cdf_mixture_spec(self):
-        """The integrand of sum_m varsigma(m) G[cdf_kernel_spec(m)]."""
+        """The integrand of sum_m varsigma(m) G^{3s,1}_{s+1,3s+1}[1, (e2+k)/s;
+        (e2+k-1)/s, (alpha_o+k-1)/s, (m+k-1)/s, 0], k = 1..s."""
         return _MalagaMixture(self.alpha_o, self.epsilon ** 2, self.s, True,
                               tuple(map(self.varsigma,
                                         range(1, self.beta_o + 1))))
+
+    def cdf_kernel_spec(self, m_o):
+        """The integrand of G_m_o alone: the mixture with weight 1 at m_o."""
+        return _MalagaMixture(self.alpha_o, self.epsilon ** 2, self.s, True,
+                              (0.0,) * (m_o - 1) + (1.0,))
 
 
 @dataclass(frozen=True)
 class _MalagaMixture:
     """Mellin-Barnes integrand of sum_m w_m Phi_m(t), m = 1..len(weights),
-    for `LineEvaluator` (which needs only log_phi and pole_interval).
+    w_m >= 0: the package's one encoding of the Malaga kernels.
 
     In the CDF kernel Phi_m, Gamma((e2+k)/s - t) over Gamma((e2+k+1)/s - t)
     leaves 1/(e2/s - t) and Gamma(t)/Gamma(1+t) = 1/t; the PDF kernel is
@@ -259,7 +265,7 @@ class _MalagaMixture:
     obeys D_{m+1} = (m/s - t) D_m, so the mixture is D_1 times
     P(t) = sum_m w_m prod_{j<m} (j/s - t): 2s loggammas per node for all
     terms.  P has real coefficients and is positive on the real strip of
-    the m = 1 kernel, which is the mixture's.
+    the m = 1 kernel, which is the mixture's; it decays at rate 2s.
     """
 
     alpha_o: float
@@ -267,6 +273,9 @@ class _MalagaMixture:
     s: int
     over_t: bool
     weights: tuple
+
+    def decay_rate(self):
+        return 2.0 * self.s
 
     def pole_interval(self):
         return (0.0 if self.over_t else -np.inf,

@@ -30,7 +30,8 @@ import numpy as np
 from scipy.special import (betainc, gammainc, gammaincc, gammainccinv,
                            gammaincinv)
 
-from .channels import _finite_snr, alpha_mu_cdf, db_to_linear, fso_blocked_cdf
+from .channels import (_finite_snr, _require_positive_finite, alpha_mu_cdf,
+                       db_to_linear, fso_blocked_cdf)
 from . import specfun
 from .errors import ConvergenceError, ParameterError, UnsupportedParametersError
 
@@ -49,7 +50,8 @@ __all__ = [
 @dataclass(frozen=True)
 class PowerConstraints:
     """Interference ceiling psi_q (both scenarios) and transmit cap psi_t
-    (Scenario II only), in dB over the receiver noise power."""
+    (Scenario II only), in dB over the receiver noise power.  Scenario I has
+    no cap: psi_t is +inf there, which makes it the uncapped Scenario II."""
 
     psi_q_db: float
     psi_t_db: float | None = None
@@ -70,6 +72,9 @@ class PowerConstraints:
             raise ParameterError("scenario II requires psi_t_db")
         if self.psi_t_db is not None and not np.isfinite(self.psi_t_db):
             raise ParameterError("psi_t_db must be finite")
+        _require_positive_finite(self, "psi_q")
+        if scen == "II":
+            _require_positive_finite(self, "psi_t")
 
     @property
     def psi_q(self):
@@ -77,8 +82,8 @@ class PowerConstraints:
 
     @property
     def psi_t(self):
-        if self.psi_t_db is None:
-            raise ParameterError("psi_t_db not set")
+        if self.scenario == "I":
+            return np.inf
         return float(db_to_linear(self.psi_t_db))
 
 
@@ -250,15 +255,13 @@ def cdf_hybrid_scenario2(cfg, snr):
 def cdf_rf_quad(rf_sr, rf_sp, pc, snr):
     """Defining-integral RF CDF, valid for any non-linearity pair: lambda1
     plus one expectation over x_p of F_r(snr x_p / psi_q) from
-    u0 = F_p(psi_q / psi_t), for every snr at once.  In Scenario I there is
-    no transmit cap, so lambda1 = u0 = 0 and the expectation runs over all
-    of x_p."""
+    u0 = F_p(psi_q / psi_t), for every snr at once.  In Scenario I
+    (psi_t = inf) lambda1 = u0 = 0 and the expectation runs over all of
+    x_p."""
     x = _finite_snr(snr)
     xs = x.reshape(-1, 1)
-    l1, u0 = 0.0, 0.0
-    if pc.scenario == "II":
-        l1 = lambda1(rf_sr, rf_sp, pc, xs[:, 0])
-        u0 = alpha_mu_cdf(rf_sp, pc.psi_q / pc.psi_t)
+    l1 = lambda1(rf_sr, rf_sp, pc, xs[:, 0])
+    u0 = alpha_mu_cdf(rf_sp, pc.psi_q / pc.psi_t)
     l2 = _expect(rf_sp, lambda y: alpha_mu_cdf(rf_sr, xs * y / pc.psi_q), u0)
     return _cdf_out(l1 + l2, x)
 

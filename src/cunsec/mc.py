@@ -118,10 +118,9 @@ def sample_batch(cfg, n, seed, chunk_index=0):
 
 
 def _scenario_power(pc, snr_p):
-    """The secondary transmitter's power factor at each S-P SNR draw:
-    psi_q / x_p in Scenario I, min(psi_q / x_p, psi_t) in Scenario II."""
-    factor = pc.psi_q / snr_p
-    return factor if pc.scenario == "I" else np.minimum(factor, pc.psi_t)
+    """The secondary transmitter's power factor at each S-P SNR draw,
+    min(psi_q / x_p, psi_t) (psi_t = inf in Scenario I)."""
+    return np.minimum(pc.psi_q / snr_p, pc.psi_t)
 
 
 def _scenario_snrs(cfg, batch, eavesdropper):

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from math import comb
 
 import numpy as np
-from scipy.special import gamma as _gamma, gammainc, gammaincc
+from scipy.special import gamma as _gamma, gammainc, gammaincc, loggamma
 
 from .channels import (FsoLinkParams, MalagaCdfEvaluator, RfChannelParams,
                        _alpha_mu_norm)
@@ -126,46 +126,56 @@ def _gamma_p_kernel(mu):
                      lower=((mu, 1.0), (0.0, 1.0))), _gamma(mu))
 
 
-def _kernel_moment(cfg, power, weight, m_o=None, z=0.0, kernel=_EXP_KERNEL):
-    """int_0^inf x^power exp(-weight x^at_e) k(z x^at_r)
-    [G_cdfkernel(V sigma x / mu_s)] dx, the one integral behind every I- and
-    R-term and every assembly term (at_r of S-R, at_e of S-E; no G factor
-    when m_o is None).
+@dataclass(frozen=True)
+class _TimesGamma:
+    """spec's Mellin-Barnes integrand times Gamma(1 - a + A t) (poles left)."""
 
-    k is one of the Fox H kernels above, given as (spec, norm).  Where
-    at_r == at_e, e^-y merges into the weight; at z = 0 there is no factor
-    at all, and the integral is the exponential moment, or with G a
-    univariate H.  Otherwise the integral is one exact Mellin convolution
-    (where the binomial expansion of (1 + z x^at_r)^-n in x is only
-    asymptotic): without G the univariate H with the kernel's pairs and
-    the extra upper pair (1 - c0/at_e, at_r/at_e), with G the bivariate H
-    with joint triple (1 - c0/at_e, at_r/at_e, 1/at_e), c0 = power + 1.
+    spec: object
+    a: float
+    A: float
+
+    def pole_interval(self):
+        lo, hi = self.spec.pole_interval()
+        return max(lo, (self.a - 1.0) / self.A), hi
+
+    def log_phi(self, t):
+        t = np.asarray(t, dtype=complex)
+        return self.spec.log_phi(t) + loggamma(1.0 - self.a + self.A * t)
+
+
+def _kernel_moment(cfg, power, weight, optical=None, z=0.0,
+                   kernel=_EXP_KERNEL):
+    """int_0^inf x^power exp(-weight x^at_e) k(z x^at_r) [G(V sigma x / mu_s)]
+    dx, the one integral behind every I- and R-term and every assembly term
+    (at_r of S-R, at_e of S-E; optical is G's integrand, a FsoLinkParams
+    kernel or mixture spec, and there is no G factor when it is None).
+
+    k is one of the Fox H kernels above, given as (spec, norm); where
+    at_r == at_e, e^-y merges into the weight.  At z = 0 the integral is the
+    exponential moment, or with G the next case with G as k at slope 1 and
+    norm 1.  Otherwise it is one exact Mellin convolution (the binomial
+    expansion of (1 + z x^at_r)^-n in x is only asymptotic): without G the
+    univariate H of k's integrand times Gamma((c0 + at_r t)/at_e),
+    c0 = power + 1, and with G the bivariate H with joint triple
+    (1 - c0/at_e, at_r/at_e, 1/at_e).
     """
-    e, fso = cfg.rf_se, cfg.fso
-    at_e, at_r = e.alpha_tilde, cfg.rf_sr.alpha_tilde
+    at_e, at_r = cfg.rf_se.alpha_tilde, cfg.rf_sr.alpha_tilde
     c0 = power + 1.0
-    c_arg = fso.V * cfg.sigma / fso.mu_s
+    c_arg = cfg.fso.V * cfg.sigma / cfg.fso.mu_s
     if kernel is _EXP_KERNEL and _equal_stretch(at_r, at_e):
         weight, z = weight + z, 0.0
     if z == 0:
-        if m_o is None:
+        if optical is None:
             return _exp_weighted_moment(power, weight, at_e)
-        base = fso.cdf_kernel_spec(m_o).as_fox_h()
-        spec = FoxHSpec(m=base.m, n=base.n + 1,
-                        upper=((1.0 - c0 / at_e, 1.0 / at_e),) + base.upper,
-                        lower=base.lower)
-        return weight ** (-c0 / at_e) / at_e \
-            * fox_h(spec, c_arg * weight ** (-1.0 / at_e))
+        kernel, z, at_r, optical = (optical, 1.0), c_arg, 1.0, None
     k_spec, norm = kernel
     joint = (1.0 - c0 / at_e, at_r / at_e)
     z1 = z * weight ** (-at_r / at_e)
     pre = weight ** (-c0 / at_e) / (at_e * norm)
-    if m_o is None:
-        spec = FoxHSpec(m=k_spec.m, n=k_spec.n + 1,
-                        upper=(joint,) + k_spec.upper, lower=k_spec.lower)
-        return pre * fox_h(spec, z1)
+    if optical is None:
+        return pre * fox_h(_TimesGamma(k_spec, *joint), z1)
     spec = BivariateFoxHSpec(joint=(joint + (1.0 / at_e,),), kernel1=k_spec,
-                             kernel2=fso.cdf_kernel_spec(m_o).as_fox_h())
+                             kernel2=optical)
     return pre * fox_h_bivariate(spec, z1, c_arg * weight ** (-1.0 / at_e))
 
 
@@ -175,14 +185,16 @@ def exp_pair_moment(cfg, power, coeff):
 
 
 def g_exp_moment(cfg, m_o, power):
-    """int_0^inf x^power exp(-delta_e x^at_e) G_cdfkernel(V sigma x / mu_s) dx."""
-    return _kernel_moment(cfg, power, cfg.rf_se.delta, m_o)
+    """int_0^inf x^power exp(-delta_e x^at_e) G_m_o(V sigma x / mu_s) dx."""
+    return _kernel_moment(cfg, power, cfg.rf_se.delta,
+                          cfg.fso.cdf_kernel_spec(m_o))
 
 
 def g_exp_pair_moment(cfg, m_o, power, coeff):
     """int_0^inf x^power exp(-coeff x^at_r) exp(-delta_e x^at_e)
-    G_cdfkernel(V sigma x / mu_s) dx."""
-    return _kernel_moment(cfg, power, cfg.rf_se.delta, m_o, coeff)
+    G_m_o(V sigma x / mu_s) dx."""
+    return _kernel_moment(cfg, power, cfg.rf_se.delta,
+                          cfg.fso.cdf_kernel_spec(m_o), coeff)
 
 
 # --------------------------------------------------------------------------
@@ -206,15 +218,15 @@ def _zr(cfg):
     return r.delta * cfg.pc.psi_q ** (-at) * cfg.sigma ** at / cfg.rf_sp.delta
 
 
-def _im34_term(cfg, m_r, m_o):
-    """I3 (m_o None) / I4 term int x^(theta_e + at*m_r) e^(-d_e x^at_e)
+def _im34_term(cfg, m_r, optical):
+    """I3 (optical None) / I4 term int x^(theta_e + at*m_r) e^(-d_e x^at_e)
     (xi1 s^at x^at + d_p)^-xi2 [G(V s x / mu_s)] dx, xi2 = m_r + mu_p, as
     d_p^-xi2 times the kernel moment at z = _zr; with its route, which is
     always "closed"."""
     p, e = cfg.rf_sp, cfg.rf_se
     xi2 = m_r + p.mu
     val = _kernel_moment(cfg, e.theta + cfg.rf_sr.alpha_tilde * m_r, e.delta,
-                         m_o, _zr(cfg), _binomial_kernel(xi2))
+                         optical, _zr(cfg), _binomial_kernel(xi2))
     return p.delta ** (-xi2) * val, "closed"
 
 
@@ -223,7 +235,7 @@ def im3_term(cfg, m_r):
 
 
 def im4_term(cfg, m_r, m_o):
-    return _im34_term(cfg, m_r, m_o)
+    return _im34_term(cfg, m_r, cfg.fso.cdf_kernel_spec(m_o))
 
 
 # --------------------------------------------------------------------------
@@ -288,20 +300,17 @@ def _assemble(cfg, scen, terms):
     relative tolerance specfun._REL_TOL.
 
     For each RF term (coef, power, weight, z, kernel) the piece is
-    coef E[k-term F_fso*] = coef c_e (P_o M + (1 - P_o) K
-    sum_m_o varsigma(m_o) M_m_o), M the _kernel_moment without and M_m_o
-    with the optical kernel.  Every coef, and so every piece, is
-    non-negative, and diagnostics["error_bound"], the tolerance times the
-    sum of the pieces' magnitudes, is the tolerance relative to the value.
+    coef E[k-term F_fso*] = coef c_e (P_o M + (1 - P_o) K M_mix), M the
+    _kernel_moment without G and M_mix with the whole optical mixture (one
+    optical Fox H).  Every coef, and so every piece, is non-negative, and
+    diagnostics["error_bound"], the tolerance times the sum of the pieces'
+    magnitudes, is the tolerance relative to the value.
     """
-    e, fso = cfg.rf_se, cfg.fso
-    ce, P_o = _alpha_mu_norm(e), fso.blockage_p
-    pieces = []
+    fso, P_o, ce = cfg.fso, cfg.fso.blockage_p, _alpha_mu_norm(cfg.rf_se)
+    optical, pieces = fso.cdf_mixture_spec(), []
     for coef, power, weight, z, kernel in terms:
-        mix = sum(fso.varsigma(m_o)
-                  * _kernel_moment(cfg, power, weight, m_o, z, kernel)
-                  for m_o in range(1, fso.beta_o + 1))
-        plain = _kernel_moment(cfg, power, weight, None, z, kernel)
+        plain, mix = (_kernel_moment(cfg, power, weight, g, z, kernel)
+                      for g in (None, optical))
         pieces.append(coef * (P_o * ce * plain + (1.0 - P_o) * fso.K * ce * mix))
     bound = specfun._REL_TOL * sum(abs(x) for x in pieces)
     return SecrecyResult(_clamp_unit(sum(pieces), f"SOP_L^{scen}"), "SOP_L",

@@ -37,6 +37,8 @@ from cunsec.specfun import (
     upper_incomplete_gamma,
 )
 
+from conftest import paper_g_kernel
+
 N_MC = 1_000_000
 SEED = 20240801
 FIGS = ["fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
@@ -147,8 +149,8 @@ def test_c2_cdf_ks_validation():
 def _g_kernel_mp(fso, m_o, z):
     # a pure function of the frozen link, m_o and z (it sets its own
     # precision): quad revisits the same nodes across the oracles of one point
-    return float(mp.meijerg([[1.0], list(fso.q1)],
-                            [list(fso.q2(m_o)), [0.0]], z))
+    g = paper_g_kernel(fso, m_o)
+    return float(mp.meijerg([g.a[:g.n], g.a[g.n:]], [g.b[:g.m], g.b[g.m:]], z))
 
 
 def _i_point(phi_e, alpha_e, mu_e, s, eps, rate, psi_q):

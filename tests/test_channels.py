@@ -27,6 +27,8 @@ from cunsec.errors import NumericalIntegrityError, ParameterError
 from cunsec.figures import figure_config
 from cunsec.mc import ks_distance, sample_alpha_mu, sample_malaga_snr
 
+from conftest import paper_g_kernel
+
 
 def rf(alpha, mu, phi_linear):
     return RfChannelParams(alpha=alpha, mu=mu,
@@ -214,7 +216,7 @@ class TestMalaga:
         z_ref = fso.V
         zs = z_ref * np.logspace(-3, 3, 13)
         ev = LineEvaluator(spec, z_ref)
-        per_m = sum(fso.varsigma(m) * LineEvaluator(fso.cdf_kernel_spec(m),
+        per_m = sum(fso.varsigma(m) * LineEvaluator(paper_g_kernel(fso, m),
                                                     z_ref).eval_many(zs)
                     for m in range(1, beta_o + 1))
         assert_allclose(ev.eval_many(zs), per_m, rtol=1e-12)
@@ -225,7 +227,7 @@ class TestMalaga:
         xs = fso.mu_s * np.array([1e-3, 1.0, 1e2])
         per_m = [fso.epsilon ** 2 * fso.chi_o / (2.0 ** s * x)
                  * sum(fso.vartheta(m) * meijer_g(
-                     fso.pdf_kernel_spec(m),
+                     paper_g_kernel(fso, m, cdf=False),
                      fso.varpi * (x / fso.mu_s) ** (1.0 / s))
                        for m in range(1, beta_o + 1)) for x in xs]
         assert_allclose(malaga_pdf(fso, xs), per_m, rtol=1e-12)
@@ -239,7 +241,7 @@ class TestMalaga:
         z_ref = max(fso.V * cfg.sigma * cfg.rf_se.avg_snr / fso.mu_s, 1e-6)
         zs = z_ref * np.logspace(-6, 6, 13)
         got = LineEvaluator(fso.cdf_mixture_spec(), z_ref).eval_many(zs)
-        specs = [(fso.varsigma(m), fso.cdf_kernel_spec(m))
+        specs = [(fso.varsigma(m), paper_g_kernel(fso, m))
                  for m in range(1, fso.beta_o + 1)]
         with mp.workdps(30):
             # the CDF's limit, each kernel's residue at t = 0: past kernel

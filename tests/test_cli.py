@@ -130,6 +130,32 @@ class TestEval:
         # fig4 has no psi_t -> overriding to scenario II must fail loudly
         assert rc == 2
 
+    @pytest.mark.parametrize("fig, section, key, db", [
+        ("fig4", "rf_se", "avg_snr_db", -3100.0),
+        ("fig4", "rf_sr", "avg_snr_db", -3300.0),
+        ("fig4", "rf_sp", "avg_snr_db", -3300.0),
+        ("fig4", "rf_se", "avg_snr_db", -3300.0),
+        ("fig4", "fso", "avg_snr_db", -3300.0),
+        ("fig2", "fso", "electrical_snr_db", -3300.0),
+        ("fig7", "power", "psi_t_db", -3300.0),
+        ("fig4", "rf_se", "avg_snr_db", 3100.0),
+        ("fig4", "power", "psi_q_db", -3300.0),
+    ])
+    def test_extreme_db_input_is_a_config_error(self, tmp_path, capsys, fig,
+                                                section, key, db):
+        # a finite dB value thousands of dB from 0 under- or overflows its
+        # linear value, an RF delta or mu_s: exit 2 with a JSON error line,
+        # not a traceback or a NaN far downstream
+        d = figure_dict(fig)
+        d[section][key] = db
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        rc = main(["eval", "--config", str(path), "--metric", "sop"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "must be positive and finite" in err["message"]
+
 
 class TestSweep:
     def test_degenerate_two_point_sweep(self, capsys, tmp_path):

@@ -348,6 +348,28 @@ class TestScenario2:
         assert all(0.0 <= v <= 1.0 for v in vals)
 
 
+class TestScenario1IsUncappedScenario2:
+    def test_psi_t_is_infinite(self):
+        # Scenario I has no transmit cap, also where the config carries one
+        pc = PowerConstraints(psi_q_db=5.0, psi_t_db=10.0, scenario="I")
+        assert pc.psi_t == np.inf
+        assert PowerConstraints(psi_q_db=5.0).psi_t == np.inf
+
+    @pytest.mark.parametrize("fig", ["fig4", "fig9", "minimal"])
+    def test_scenario2_cdf_at_infinite_cap(self, fig):
+        # at psi_t = inf lambda1 vanishes and lambda2, and so the Scenario II
+        # CDF, is the Scenario I beta
+        cfg = figure_config(fig)
+        r, p, pc = cfg.rf_sr, cfg.rf_sp, cfg.pc
+        assert pc.scenario == "I"
+        x = np.logspace(-8, 8, 161)
+        want = cdf_rf_scenario1(r, p, pc, x)
+        assert np.all(lambda1(r, p, pc, x) == 0.0)
+        assert_allclose(lambda2(r, p, pc, x), want, rtol=2e-15, atol=0)
+        assert_allclose(cdf_rf_scenario2(r, p, pc, x), want, rtol=2e-15,
+                        atol=0)
+
+
 class TestHybrid2:
     def setup_method(self):
         self.cfg = figure_config("fig7")

@@ -46,12 +46,14 @@ from cunsec import specfun
 from cunsec.specfun import (BivariateFoxHSpec, FoxHSpec, LineEvaluator,
                             fox_h_bivariate)
 
+from conftest import paper_g_kernel
+
 
 @mp.workdps(25)
 def mp_g_cdf_kernel(fso, m_o, z):
     """Independent evaluation of the optical-CDF Meijer kernel."""
-    return float(mp.meijerg([[1.0], list(fso.q1)],
-                            [list(fso.q2(m_o)), [0.0]], z))
+    g = paper_g_kernel(fso, m_o)
+    return float(mp.meijerg([g.a[:g.n], g.a[g.n:]], [g.b[:g.m], g.b[g.m:]], z))
 
 
 def oracle_im2(cfg, m_o):
@@ -258,13 +260,14 @@ I_TERM_CONFIGS.update({f"{name}-{alpha_se}": functools.partial(
 
 
 def optical_kernel(cfg, m_o):
-    """x -> G_cdfkernel(V sigma x / mu_s) on an array of eavesdropper SNRs,
-    one line frozen at the mean SNR; 1 when m_o is None."""
+    """x -> G_m_o(V sigma x / mu_s) on an array of eavesdropper SNRs, the
+    paper's Meijer G on one line frozen at the mean SNR; 1 when m_o is
+    None."""
     if m_o is None:
         return lambda x: 1.0
     fso = cfg.fso
     c = fso.V * cfg.sigma / fso.mu_s
-    line = LineEvaluator(fso.cdf_kernel_spec(m_o), c * cfg.rf_se.avg_snr)
+    line = LineEvaluator(paper_g_kernel(fso, m_o), c * cfg.rf_se.avg_snr)
 
     def kern(x):
         out = np.zeros(x.shape)
@@ -380,7 +383,8 @@ class TestImTerms:
             kern = optical_kernel(cfg, m_o)
             ref = _expect(e, lambda x: gammainc(r.mu, z * x ** r.alpha_tilde)
                           * kern(x)) / _alpha_mu_norm(e)
-            got = _kernel_moment(cfg, e.theta, e.delta, m_o, z,
+            optical = None if m_o is None else cfg.fso.cdf_kernel_spec(m_o)
+            got = _kernel_moment(cfg, e.theta, e.delta, optical, z,
                                  _gamma_p_kernel(r.mu))
             assert_allclose(got, ref, rtol=1e-12)
 
@@ -457,14 +461,16 @@ class TestRTerms:
         (_binomial_kernel(1)[0], 2.0),
         (_binomial_kernel(4)[0], 2.0),
         (_gamma_p_kernel(2)[0], 1.0),
-        (figure_config("fig4").fso.cdf_kernel_spec(2).as_fox_h(), 2.0),
-        (figure_config("fig2").fso.cdf_kernel_spec(2).as_fox_h(), 4.0),
+        (figure_config("fig4").fso.cdf_kernel_spec(2), 2.0),
+        (figure_config("fig2").fso.cdf_kernel_spec(2), 4.0),
+        (figure_config("fig2").fso.cdf_mixture_spec(), 4.0),
     ], ids=["exp", "binomial-1", "binomial-4", "gamma-p", "malaga-s1",
-            "malaga-s2"])
+            "malaga-s2", "malaga-mixture"])
     def test_every_kernel_decays_by_itself(self, kernel, rate):
         # BivariateFoxHSpec rejects a kernel with decay_rate() <= 0; each
         # kernel _kernel_moment builds decays at its own rate: e^-y at 1,
-        # (1 + y)^-n at 2, P(mu, y) at 1 and the Malaga G at 2s
+        # (1 + y)^-n at 2, P(mu, y) at 1 and the Malaga integrand, one
+        # kernel or the mixture, at 2s
         assert kernel.decay_rate() == rate
 
     def test_equal_exponent_collapse_matches_bivariate(self):
@@ -480,7 +486,7 @@ class TestRTerms:
         spec = BivariateFoxHSpec(
             joint=((1.0 - (power + 1.0) / at, 1.0, 1.0 / at),),
             kernel1=FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),)),
-            kernel2=fso.cdf_kernel_spec(m_o).as_fox_h(),
+            kernel2=paper_g_kernel(fso, m_o).as_fox_h(),
         )
         z2 = fso.V * cfg.sigma / fso.mu_s * e.delta ** (-1.0 / at)
         direct = e.delta ** (-(power + 1.0) / at) / at * \
@@ -597,15 +603,15 @@ class TestSopScenario1:
         assert res.diagnostics["error_bound"] <= 1.0001e-8 * res.value
 
     def test_float_detection_order(self):
-        # JSON may carry s as 2.0; q1/q2 index range() with it
+        # JSON may carry s as 2.0; the Malaga integrand indexes range()
+        # with it
         d = figure_dict("fig4")
         d["fso"]["s"] = 2
         as_int = config_from_dict(d)
         d["fso"]["s"] = 2.0
         as_float = config_from_dict(d)
         assert type(as_float.fso.s) is int
-        assert as_float.fso.q1 == as_int.fso.q1
-        assert as_float.fso.q2(1) == as_int.fso.q2(1)
+        assert as_float.fso.cdf_mixture_spec() == as_int.fso.cdf_mixture_spec()
         assert sop_lower(as_float).value == sop_lower(as_int).value
 
 
@@ -756,6 +762,35 @@ class TestAssemblyPieces:
         assemble = {"I": sop_lower_scenario1, "II": sop_lower_scenario2}
         assert_allclose(assemble[cfg.pc.scenario](cfg).value,
                         sop_reference(cfg), rtol=1e-12)
+
+    @pytest.mark.parametrize("fig", ["fig4", "fig7"])
+    @pytest.mark.parametrize("beta_o", [1, 2, 3])
+    def test_one_optical_fox_h_per_term(self, fig, beta_o, monkeypatch):
+        # _assemble reads the beta_o-term optical mixture as one integrand:
+        # every RF term here has a Fox H kernel, so each makes exactly one
+        # bivariate call, with the mixture as its second kernel
+        import cunsec.secrecy as secrecy
+
+        cfg = figure_config(fig)
+        cfg = dataclasses.replace(
+            cfg, fso=dataclasses.replace(cfg.fso, beta_o=beta_o))
+        n_terms, kernels = [], []
+
+        def assemble(cfg, scen, terms, real=secrecy._assemble):
+            n_terms.append(len(terms))
+            return real(cfg, scen, terms)
+
+        def bivariate(spec, z1, z2, real=secrecy.fox_h_bivariate):
+            kernels.append(spec.kernel2)
+            return real(spec, z1, z2)
+
+        monkeypatch.setattr(secrecy, "_assemble", assemble)
+        monkeypatch.setattr(secrecy, "fox_h_bivariate", bivariate)
+        assemble_closed = {"I": sop_lower_scenario1, "II": sop_lower_scenario2}
+        res = assemble_closed[cfg.pc.scenario](cfg)
+        assert res.diagnostics["route"] == "closed"
+        assert len(kernels) == n_terms[0] > 0
+        assert set(kernels) == {cfg.fso.cdf_mixture_spec()}
 
     @_configs(EQUAL_ALPHA_FIGURES)
     def test_fso_piece_matches_expectation(self, make):

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.special import loggamma
 
 from cunsec import specfun
-from cunsec.channels import MalagaCdfEvaluator, malaga_cdf
+from cunsec.channels import MalagaCdfEvaluator, _MalagaMixture, malaga_cdf
 from cunsec.errors import ContourError, ConvergenceError, ParameterError
 from cunsec.figures import FIGURES, figure_config
 from cunsec.specfun import (
@@ -30,6 +30,8 @@ from cunsec.specfun import (
     _bivar_abscissas,
     _lattice_sum,
 )
+
+from conftest import paper_g_kernel
 
 
 def _line_sum_ref(spec, z, c, h, K):
@@ -472,7 +474,7 @@ class TestLineEvaluator:
             fso = cfg.fso
             z_ref = max(fso.V * cfg.sigma * cfg.rf_se.avg_snr / fso.mu_s, 1e-6)
             for m_o in range(1, fso.beta_o + 1):
-                gspec = fso.cdf_kernel_spec(m_o)
+                gspec = paper_g_kernel(fso, m_o)
                 if (gspec, z_ref) not in seen:
                     seen.append((gspec, z_ref))
         return seen
@@ -611,18 +613,18 @@ class TestLineEvaluator:
 
 class TestNodeCounts:
     """Each contour node is evaluated once: the counts of log Phi arguments
-    of one metric building block and of one frozen line."""
+    of one metric building block and of one frozen line, on the Fox H
+    kernels and the Malaga integrand."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
         n = [0]
-        log_phi = FoxHSpec.log_phi
+        for cls in (FoxHSpec, _MalagaMixture):
+            def wrapped(self, t, log_phi=cls.log_phi):
+                n[0] += np.size(t)
+                return log_phi(self, t)
 
-        def wrapped(self, t):
-            n[0] += np.size(t)
-            return log_phi(self, t)
-
-        monkeypatch.setattr(FoxHSpec, "log_phi", wrapped)
+            monkeypatch.setattr(cls, "log_phi", wrapped)
         return n
 
     def test_g_exp_moment(self, counted):
