@@ -263,9 +263,15 @@ class _MalagaMixture:
     leaves 1/(e2/s - t) and Gamma(t)/Gamma(1+t) = 1/t; the PDF kernel is
     the same with s = 1 and no 1/t.  D_m(t) = prod_{k<s} Gamma((m+k)/s - t)
     obeys D_{m+1} = (m/s - t) D_m, so the mixture is D_1 times
-    P(t) = sum_m w_m prod_{j<m} (j/s - t): 2s loggammas per node for all
-    terms.  P has real coefficients and is positive on the real strip of
-    the m = 1 kernel, which is the mixture's; it decays at rate 2s.
+    P(t) = sum_m w_m prod_{j<m} (j/s - t).  Gauss's multiplication formula,
+    prod_{k<s} Gamma((x+k)/s - t) = (2pi)^((s-1)/2) s^(1/2-x+st) Gamma(x-st),
+    turns D_1 and the alpha_o factors into Gamma(1 - st) Gamma(alpha_o - st):
+    2 loggammas per node for all terms and any s.  P, 1/(e2/s - t) and
+    1/t are one log of a quotient, which may differ from the sum of their
+    logs by a multiple of 2 pi i; every reader takes exp, cos or the real
+    part of log Phi, so that does not matter.  P has real coefficients and
+    is positive on the real strip of the m = 1 kernel, which is the
+    mixture's; it decays at rate 2s.
     """
 
     alpha_o: float
@@ -284,14 +290,16 @@ class _MalagaMixture:
     def log_phi(self, t):
         t = np.asarray(t, dtype=complex)
         s = self.s
-        b = np.array([(x + k) / s for x in (self.alpha_o, 1.0)
-                      for k in range(s)])
         poly, prod = 0.0, 1.0
         for m, w in enumerate(self.weights, 1):
             poly, prod = poly + w * prod, prod * (m / s - t)
-        out = loggamma(b[:, None] - t.ravel()).sum(axis=0).reshape(t.shape)
-        out = out + np.log(poly) - np.log(self.e2 / s - t)
-        return out - np.log(t) if self.over_t else out
+        den = self.e2 / s - t
+        if self.over_t:
+            den = den * t
+        st = s * t
+        return (loggamma(self.alpha_o - st) + loggamma(1.0 - st)
+                + np.log(poly / den) + (s - 1) * np.log(2.0 * np.pi)
+                + (2.0 * st - self.alpha_o) * np.log(s))
 
 
 def electrical_snr(fso):

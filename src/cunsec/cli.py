@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from .channels import MalagaCdfEvaluator, alpha_mu_cdf
-from .config import config_to_dict, load_config, replace_by_path
+from .config import (_field_path, config_to_dict, load_config,
+                     replace_by_path)
 from .cun_cdf import cdf_rf
 from .errors import ConfigError, CunsecError
 from .mc import (ks_distance, ks_distance_interpolated, sample_alpha_mu,
@@ -103,9 +104,17 @@ def _cmd_eval(args):
 
 def run_sweep(cfg, axis, start, stop, points, metrics):
     """Evaluate metrics along one axis, one point after another; returns
-    [(axis_value, row dict)]."""
+    [(axis_value, row dict)].  The axis path and the metric list are
+    checked before the first point (ConfigError); a failure that depends
+    on the axis value is recorded in that point's row."""
     if points < 2:
         raise ConfigError("a sweep needs at least 2 points")
+    _field_path(cfg, axis)
+    if not metrics:
+        raise ConfigError(f"no metric to sweep; pick from {sorted(METRICS)}")
+    for m in metrics:
+        if m not in METRICS:
+            raise ConfigError(f"unknown metric {m!r}; pick from {sorted(METRICS)}")
     values = np.linspace(float(start), float(stop), int(points))
 
     def one(v):
@@ -144,9 +153,6 @@ def _write_sweep_csv(out, manifest, axis, metrics, rows):
 def _cmd_sweep(args):
     cfg = _scenario_override(load_config(args.config), args.scenario)
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    for m in metrics:
-        if m not in METRICS:
-            raise ConfigError(f"unknown metric {m!r}; pick from {sorted(METRICS)}")
     rows = run_sweep(cfg, args.axis, args.start, args.stop, args.points, metrics)
     manifest = RunManifest.build(cfg)
     if args.out:

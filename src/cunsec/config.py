@@ -107,24 +107,36 @@ _SECTION_FIELDS = {
 }
 
 
-def replace_by_path(cfg, dotted, value):
-    """Return a config with one scalar field replaced, e.g. 'power.psi_q_db'.
-
-    'target_rate' is addressed without a section prefix.
-    """
+def _field_path(cfg, dotted):
+    """(config attribute, field name) of the scalar field at a dotted path,
+    e.g. ('pc', 'psi_q_db') for 'power.psi_q_db', or (None, 'target_rate');
+    ConfigError unless the path names a dataclass field (not a property or
+    a method)."""
     if dotted == "target_rate":
-        return dataclasses.replace(cfg, target_rate=float(value))
+        return None, dotted
     parts = dotted.split(".")
     if len(parts) != 2 or parts[0] not in _SECTION_FIELDS:
         raise ConfigError(
             f"axis path {dotted!r} must be 'target_rate' or "
             f"'<section>.<field>' with section in {sorted(_SECTION_FIELDS)}")
     attr = _SECTION_FIELDS[parts[0]]
-    section = getattr(cfg, attr)
-    if not hasattr(section, parts[1]):
-        raise ConfigError(f"{parts[0]} has no field {parts[1]!r}")
+    names = [f.name for f in dataclasses.fields(getattr(cfg, attr))]
+    if parts[1] not in names:
+        raise ConfigError(f"{parts[0]} has no field {parts[1]!r}; "
+                          f"pick from {names}")
+    return attr, parts[1]
+
+
+def replace_by_path(cfg, dotted, value):
+    """Return a config with one scalar field replaced, e.g. 'power.psi_q_db'.
+
+    'target_rate' is addressed without a section prefix.
+    """
+    attr, name = _field_path(cfg, dotted)
+    if attr is None:
+        return dataclasses.replace(cfg, target_rate=float(value))
     try:
-        new_section = dataclasses.replace(section, **{parts[1]: value})
+        new_section = dataclasses.replace(getattr(cfg, attr), **{name: value})
     except CunsecError as exc:
         raise ConfigError(str(exc)) from exc
     return dataclasses.replace(cfg, **{attr: new_section})

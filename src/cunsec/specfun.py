@@ -14,8 +14,9 @@ arguments.  For a real spec at a real argument the integrand is
 conjugate-symmetric, Phi(c - iy) z^(c-iy) = conj[Phi(c + iy) z^(c+iy)],
 so a univariate line holds only its nodes y >= 0 (a half line) and sums
 them in real arithmetic: the y = 0 node once, every other node twice its
-real part.  The refinement and the frozen line share that one sum.  The
-symmetry it rests on is checked once per line, on the mirrored nodes of
+real part.  The refinement sums each level directly; the frozen line
+sums the same terms in blocks (see `LineEvaluator`).  The symmetry it
+rests on is checked once per line, on the mirrored nodes of
 the coarsest level (`_asymmetry`); an asymmetric integrand raises
 ConvergenceError.  The convention is
 
@@ -479,28 +480,57 @@ def _asymmetry(line, lz):
     return float(np.abs(g - np.conj(f)).sum() * line.h * step / (2.0 * np.pi))
 
 
+def _half_terms(line):
+    """(k, top, amp, phase) of the finite nodes k of a half line as it
+    stands: top is the largest Re log Phi_k, amp_k = w_k e^(Re log Phi_k
+    - top) with w_0 = 1 and w_k = 2, and phase_k = Im log Phi_k.  A node
+    with non-finite log Phi is dropped."""
+    keep = np.isfinite(line.vals)
+    lg = line.vals[keep]
+    k = np.arange(line.K + 1)[keep]
+    top = lg.real.max(initial=-np.inf)
+    return k, top, np.where(k == 0, 1.0, 2.0) * np.exp(lg.real - top), lg.imag
+
+
+def _half_sum(line, lz):
+    """(value, l1) of the trapezoid rule over the half line as it stands,
+    at ln z = lz, in real arithmetic over its terms (`_half_terms`):
+
+        (h/2pi) * e^(top + c lz) * sum_k amp_k cos(phase_k + h k lz),
+
+    and l1 the same with cos replaced by 1."""
+    k, top, amp, phase = _half_terms(line)
+    scale = line.h / (2.0 * np.pi) * np.exp(top + line.c * lz)
+    return (scale * (amp * np.cos(phase + line.h * k * lz)).sum(),
+            scale * amp.sum())
+
+
 class LineEvaluator:
     """The converged Mellin-Barnes line of one G/H spec.
 
     The constructor checks z_ref, picks the abscissa and refines one half
-    line at z_ref (`_refine`); value and error are the result there and
-    its bound, after the conjugate-symmetry check (`_asymmetry`, against
-    `_finalize`'s budget).  The last level is kept frozen, so eval_many
-    evaluates other arguments in one vectorised pass: that serves
+    line at z_ref (`_refine`, each level summed by `_half_sum`).  The last
+    level is then frozen, once, and value is the frozen sum at z_ref, so
+    value, fox_h and a call at z_ref agree to the bit; error is the
+    refinement's bound (`_finalize`, whose 1e-14 l1 floor covers the
+    frozen sum's rounding against `_half_sum`), after the
+    conjugate-symmetry check (`_asymmetry`).  eval_many evaluates other
+    arguments from the frozen level in one vectorised pass: that serves
     quadrature fallbacks and CDF grids where thousands of evaluations of
     the same kernel are needed.  Accuracy at arguments far from z_ref is
     that of the frozen grid, which covers |k| <= K at spacing h.
 
-    The refinement and eval_many share one sum (`_sum`) in real
-    arithmetic over the held nodes k = 0...K, with w_0 = 1, w_k = 2 and
-    top the largest Re log Phi_k:
+    The frozen sum is `_half_sum`'s, blocked.  With the coefficients
+    c_k = amp_k e^(i phase_k) (`_half_terms`; 0 at a node whose log Phi
+    is not finite), omega = e^(i h ln z), b = ceil(sqrt(K + 1)) and
+    k = q b + r, it is
 
-        (h/2pi) * e^(top + c ln z) * sum_k w_k e^(Re log Phi_k - top)
-                                          * cos(Im log Phi_k + h k ln z),
+        (h/2pi) e^(top + c ln z) Re sum_q omega^(b q) sum_r c_(q b + r) omega^r:
 
-    and l1 the same with cos replaced by 1.  So value, fox_h and eval_many
-    at z_ref agree to the bit.  A node with non-finite log Phi is dropped
-    once, when a level is frozen.
+    one complex matrix product and b + Q exponentials per argument,
+    instead of K + 1 cosines.  The product is taken one argument at a
+    time, so an argument's value does not depend on the others it comes
+    with.
 
     The line ends at the first node past the outermost one where
     Re log Phi(c+iy) >= peak + ln 1e-17 (`_refine`).  Since
@@ -519,33 +549,33 @@ class LineEvaluator:
         c = _abscissa(lambda cs: spec.log_phi(cs).real + cs * lz[0],
                       *spec.pole_interval())
         line = _Line(spec.log_phi, c, _H0, half=True)
-
-        def total():
-            self._freeze(line)
-            value, l1 = self._sum(lz)
-            return value[0], l1[0]
-
-        estimates, err, l1 = _refine([line], total, _MAX_NODES)
-        self.value, self.error = _finalize(estimates, err, l1,
-                                           _asymmetry(line, lz[0]))
+        estimates, err, l1 = _refine([line], lambda: _half_sum(line, lz[0]),
+                                     _MAX_NODES)
+        self._freeze(line)
+        self.value, self.error = _finalize(
+            (estimates[0], self._sum(lz)[0]), err, l1,
+            _asymmetry(line, lz[0]))
         self.K = line.K
 
     def _freeze(self, line):
-        """Hold the finite nodes of line as it stands, for `_sum`."""
-        keep = np.isfinite(line.vals)
-        lg = line.vals[keep]
-        k = np.arange(line.K + 1)[keep]
+        """Hold the coefficients c_k of line as it stands, for `_sum`, as a
+        Q x b matrix (zero past k = K)."""
+        k, self._top, amp, phase = _half_terms(line)
         self.c, self.h = line.c, line.h
-        self._top = lg.real.max(initial=-np.inf)
-        self._amp = np.where(k == 0, 1.0, 2.0) * np.exp(lg.real - self._top)
-        self._phase = lg.imag
-        self._y = line.h * k
+        b = int(np.ceil(np.sqrt(line.K + 1)))
+        coef = np.zeros(b * -(-(line.K + 1) // b), dtype=complex)
+        coef[k] = amp * np.exp(1j * phase)
+        self._coef = coef.reshape(-1, b)
 
     def _sum(self, lz):
-        """(value, l1) of the frozen half line at each ln z of the 1-D lz."""
+        """Value of the frozen half line at each ln z of the 1-D lz."""
+        Q, b = self._coef.shape
+        hl = self.h * lz[:, None]
+        inner = (np.exp(1j * (hl * np.arange(b)))[:, None, :]
+                 @ self._coef.T)[:, 0]
+        outer = np.exp(1j * (b * hl * np.arange(Q)))
         scale = self.h / (2.0 * np.pi) * np.exp(self._top + self.c * lz)
-        cos = np.cos(self._phase + self._y * lz[:, None])
-        return scale * (self._amp * cos).sum(axis=1), scale * self._amp.sum()
+        return scale * (outer * inner).sum(axis=1).real
 
     def eval_many(self, zs):
         zs = np.asarray(zs, dtype=float)
@@ -553,9 +583,10 @@ class LineEvaluator:
             raise ParameterError("arguments must be finite positive reals")
         flat = zs.reshape(-1)
         out = np.empty(len(flat))
-        chunk = max(1, (1 << 21) // max(1, len(self._amp)))
+        # at most 2^20 complex entries in each of the two exponential blocks
+        chunk = max(1, (1 << 20) // max(self._coef.shape))
         for i in range(0, len(flat), chunk):
-            out[i:i + chunk] = self._sum(np.log(flat[i:i + chunk]))[0]
+            out[i:i + chunk] = self._sum(np.log(flat[i:i + chunk]))
         out = out.reshape(zs.shape)
         return out if out.ndim else float(out)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import loggamma
 
 from cunsec.channels import (
     FsoLinkParams,
@@ -231,6 +232,34 @@ class TestMalaga:
                      fso.varpi * (x / fso.mu_s) ** (1.0 / s))
                        for m in range(1, beta_o + 1)) for x in xs]
         assert_allclose(malaga_pdf(fso, xs), per_m, rtol=1e-12)
+
+    @staticmethod
+    def _log_phi_by_k(spec, t):
+        """The mixture's log Phi with one loggamma per factor,
+        sum_{k<s} [lnG((alpha_o+k)/s - t) + lnG((1+k)/s - t)] + ln P(t)
+        - ln(e2/s - t) [- ln t]: the form Gauss's multiplication formula
+        folds into two loggammas."""
+        s = spec.s
+        poly, prod = 0.0, 1.0
+        for m, w in enumerate(spec.weights, 1):
+            poly, prod = poly + w * prod, prod * (m / s - t)
+        out = sum(loggamma((x + k) / s - t)
+                  for x in (spec.alpha_o, 1.0) for k in range(s))
+        out = out + np.log(poly) - np.log(spec.e2 / s - t)
+        return out - np.log(t) if spec.over_t else out
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("beta_o,epsilon", [(1, 1.0), (3, 0.7), (4, 2.5)])
+    def test_two_loggamma_integrand_is_the_k_loop(self, s, beta_o, epsilon):
+        # on every node of the converged CDF and PDF lines
+        fso = FsoLinkParams(s=s, avg_snr_db=10.0, alpha_o=FIG_FSO["alpha_o"],
+                            beta_o=beta_o, g=2.0, omega_total=1.0,
+                            epsilon=epsilon)
+        for spec in (fso.cdf_mixture_spec(), fso.pdf_mixture_spec()):
+            ev = LineEvaluator(spec, fso.V)
+            t = ev.c + 1j * ev.h * np.arange(ev.K + 1)
+            want = np.exp(self._log_phi_by_k(spec, t))
+            assert_allclose(np.exp(spec.log_phi(t)), want, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("name", ["fig2", "fig7", "fig10", "fig11"])
     def test_one_line_vs_mpmath_far_from_z_ref(self, name):

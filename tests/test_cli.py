@@ -179,6 +179,33 @@ class TestSweep:
         assert rows[2][1]["error"] == ""
         assert isinstance(rows[2][1]["sop"], float)
 
+    @pytest.mark.parametrize("axis,metrics,message", [
+        ("power.psi_q", "sop", "no field 'psi_q'"),      # a property
+        ("fso.mu_s", "sop", "no field 'mu_s'"),          # a cached property
+        ("rf_sr.delta", "sop", "no field 'delta'"),
+        ("fso.upsilon", "sop", "no field 'upsilon'"),    # a method
+        ("power.nope", "sop", "no field 'nope'"),
+        ("power.psi_q_db", ",", "no metric"),
+        ("power.psi_q_db", "sop,nope", "unknown metric 'nope'"),
+    ])
+    def test_bad_axis_or_metrics_is_a_config_error(self, axis, metrics,
+                                                    message, fig4_path,
+                                                    capsys, monkeypatch):
+        # rejected before the first point: no metric is evaluated and no
+        # CSV is written
+        from cunsec import cli
+
+        monkeypatch.setitem(cli.METRICS, "sop", None)
+        rc = main(["sweep", "--config", fig4_path, "--axis", axis,
+                   "--from", "0", "--to", "10", "--points", "3",
+                   "--metrics", metrics])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        err = json.loads(out.err)
+        assert err["error"] == "config"
+        assert message in err["message"]
+
     def test_csv_reproducible_excluding_timestamp(self, fig4_path, tmp_path):
         outs = []
         for tag in ("a", "b"):

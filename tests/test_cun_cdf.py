@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.special import gamma, gammainc, gammaincc, gammaincinv
+from scipy.special import (gamma, gammainc, gammaincc, gammainccinv,
+                           gammaincinv)
 
 import cunsec
 
+from cunsec import cun_cdf, specfun
 from cunsec.channels import (
+    MalagaCdfEvaluator,
     RfChannelParams,
     alpha_mu_cdf,
     alpha_mu_pdf,
@@ -29,7 +32,7 @@ from cunsec.cun_cdf import (
     lambda2,
 )
 from cunsec.errors import ConvergenceError, ParameterError, UnsupportedParametersError
-from cunsec.figures import figure_config
+from cunsec.figures import FIGURES, figure_config
 
 
 RF_R = RfChannelParams(alpha=2, mu=2, avg_snr_db=15.0)
@@ -99,6 +102,88 @@ def test_expect_unsettled_integrand_raises():
         _expect(ch, lambda x: rng.random(x.shape))
     assert len(info.value.estimates) == 2
     assert set(info.value.diagnostics) == {"levels", "nodes"}
+
+
+def _expect_by_level(ch, f, u0=0.0):
+    """The tanh-sinh rule with one integrand call per level: the reference
+    that `_expect`, whose first call covers levels 0 to 2, must match to
+    the bit."""
+    def level(k):
+        h = cun_cdf._TS_H0 / 2 ** k
+        j = np.arange(-int(cun_cdf._TS_T / h), int(cun_cdf._TS_T / h) + 1)
+        if k:
+            j = j[j % 2 == 1]
+        t = j * h
+        e = np.exp(np.pi * np.sinh(np.abs(t)))
+        dh = 1.0 / (1.0 + e)
+        w = h * np.pi * np.cosh(t) * dh * (e * dh)
+        d = (1.0 - u0) * dh
+        q = np.where(t < 0, gammaincinv(ch.mu, u0 + d),
+                     gammainccinv(ch.mu, d))
+        vals = np.asarray(f((q / ch.delta) ** (1.0 / ch.alpha_tilde)),
+                          dtype=float)
+        vals = np.broadcast_to(
+            vals, vals.shape[:-1] + t.shape if vals.ndim else t.shape)
+        return (vals * w).sum(-1), (np.abs(vals) * w).sum(-1), w.sum()
+
+    num, l1, den = level(0)
+    prev, calls = (1.0 - u0) * num / den, 1
+    for k in range(1, cun_cdf._TS_LEVELS + 1):
+        n_new, l1_new, d_new = level(k)
+        calls += 1
+        num, l1, den = 0.5 * num + n_new, 0.5 * l1 + l1_new, 0.5 * den + d_new
+        val = (1.0 - u0) * num / den
+        if specfun._settled(val, prev, (1.0 - u0) * l1 / den):
+            return (val if np.ndim(val) else float(val)), k, calls
+        prev = val
+    raise AssertionError("reference rule did not settle")
+
+
+class TestBatchedLevels:
+    """`_expect` against the one-call-per-level reference, value for value
+    (==); and the integrand calls it saves."""
+
+    @staticmethod
+    def _counted(f, calls):
+        def g(x):
+            calls.append(len(x))
+            return f(x)
+        return g
+
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_sop_integrand(self, name):
+        cfg = figure_config(name)
+        sig = cfg.sigma
+        fso_cdf = MalagaCdfEvaluator(cfg.fso, snr_ref=sig * cfg.rf_se.avg_snr,
+                                     blocked=True)
+        f = lambda x: cdf_rf(cfg, sig * x) * fso_cdf.eval_many(sig * x)
+        calls = []
+        got = _expect(cfg.rf_se, self._counted(f, calls))
+        want, level, ref_calls = _expect_by_level(cfg.rf_se, f)
+        assert got == want
+        assert calls[0] == 17 + 16 + 32
+        assert len(calls) == 1 + max(0, level - 2) < ref_calls
+
+    def test_nested_rf_quad_integrand(self):
+        # the 2-D integrand of cdf_rf_quad, from u0 = F_p(psi_q/psi_t) > 0
+        rf_sr = RfChannelParams(alpha=3.0, mu=2, avg_snr_db=6.0)
+        pc = PowerConstraints(psi_q_db=5.0, psi_t_db=2.0, scenario="II")
+        u0 = alpha_mu_cdf(RF_P, pc.psi_q / pc.psi_t)
+        assert 0.0 < u0 < 1.0
+        xs = np.logspace(-2, 2, 7).reshape(-1, 1)
+        f = lambda y: alpha_mu_cdf(rf_sr, xs * y / pc.psi_q)
+        got = _expect(RF_P, f, u0)
+        want, _, _ = _expect_by_level(RF_P, f, u0)
+        assert got.shape == (7,)
+        assert np.array_equal(got, want)
+
+    def test_constant_stops_at_level_1(self):
+        ch = RfChannelParams(alpha=2.5, mu=3, avg_snr_db=4.0)
+        calls = []
+        got = _expect(ch, self._counted(lambda x: 0.25, calls), 0.3)
+        want, level, _ = _expect_by_level(ch, lambda x: 0.25, 0.3)
+        assert level == 1 and got == want
+        assert calls == [65]
 
 
 def _package_imports():

@@ -838,13 +838,13 @@ class TestMetricPath:
         from cunsec import cun_cdf, specfun
 
         levels = []
-        real = cun_cdf._ts_level
+        real = cun_cdf._ts_levels
 
         def counting(*args):
-            levels.append(args[3])
+            levels.extend(args[3])
             return real(*args)
 
-        monkeypatch.setattr(cun_cdf, "_ts_level", counting)
+        monkeypatch.setattr(cun_cdf, "_ts_levels", counting)
         cfg = figure_config("fig4")
         sop_lower(cfg)
         default = len(levels)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -502,6 +503,41 @@ class TestLineEvaluator:
             l1 = np.array([a for _, a in ref])
             assert np.all(np.abs(ev.eval_many(zs) - val.real) <= 1e-15 * l1)
             assert np.all(np.abs(val.imag) <= 1e-15 * l1)
+
+    @staticmethod
+    def _cosine_sum(line, lzs):
+        """The frozen half line's value and l1 at each ln z of lzs, one
+        cosine per node and argument: the sum the blocked one replaced."""
+        keep = np.isfinite(line.vals)
+        lg = line.vals[keep]
+        k = np.arange(line.K + 1)[keep]
+        top = lg.real.max()
+        amp = np.where(k == 0, 1.0, 2.0) * np.exp(lg.real - top)
+        scale = line.h / (2.0 * np.pi) * np.exp(top + line.c * lzs)
+        cos = np.cos(lg.imag + line.h * k * lzs[:, None])
+        return scale * (amp * cos).sum(axis=1), scale * amp.sum()
+
+    @pytest.mark.parametrize("malaga", [(1, 1), (1, 3), (2, 1), (2, 3), None])
+    def test_blocked_sum_matches_cosine_sum(self, malaga):
+        # twelve decades around z_ref, on the Malaga mixture line of
+        # (s, beta_o), and (None) on a Fox H line with non-unit coefficients
+        if malaga is None:
+            spec = FoxHSpec(m=2, n=1, upper=((0.5, 0.5),),
+                            lower=((1.0, 1.0), (0.25, 0.75)))
+            z_ref = 0.7
+        else:
+            s, beta_o = malaga
+            fso = replace(figure_config("fig4").fso, s=s, beta_o=beta_o)
+            spec, z_ref = fso.cdf_mixture_spec(), fso.V
+        ev = LineEvaluator(spec, z_ref)
+        line = _Line(spec.log_phi, ev.c, ev.h, half=True)
+        line.cover(ev.K)
+        zs = z_ref * np.logspace(-6, 6, 49)
+        want, l1 = self._cosine_sum(line, np.log(zs))
+        assert np.all(np.abs(ev.eval_many(zs) - want) <= 2e-15 * l1)
+        # one argument alone gives the value it has in the batch
+        assert ev(zs[7]) == ev.eval_many(zs)[7]
+        assert ev.value == ev(z_ref)
 
     def test_non_finite_node_contributes_zero(self):
         # log Phi is nan on one band of the line and +inf on another: those
