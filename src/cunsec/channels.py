@@ -271,7 +271,8 @@ class _MalagaMixture:
     logs by a multiple of 2 pi i; every reader takes exp, cos or the real
     part of log Phi, so that does not matter.  P has real coefficients and
     is positive on the real strip of the m = 1 kernel, which is the
-    mixture's; it decays at rate 2s.
+    mixture's; it decays at rate 2s.  Each n-group pair (a, A) of gammas
+    multiplies it by Gamma(1 - a + A t), as in FoxHSpec.
     """
 
     alpha_o: float
@@ -279,12 +280,14 @@ class _MalagaMixture:
     s: int
     over_t: bool
     weights: tuple
+    gammas: tuple = ()
 
     def decay_rate(self):
-        return 2.0 * self.s
+        return 2.0 * self.s + sum(A for _, A in self.gammas)
 
     def pole_interval(self):
-        return (0.0 if self.over_t else -np.inf,
+        return (max([0.0 if self.over_t else -np.inf]
+                    + [(a - 1.0) / A for a, A in self.gammas]),
                 min(self.alpha_o, self.e2, 1.0) / self.s)
 
     def log_phi(self, t):
@@ -297,9 +300,10 @@ class _MalagaMixture:
         if self.over_t:
             den = den * t
         st = s * t
-        return (loggamma(self.alpha_o - st) + loggamma(1.0 - st)
-                + np.log(poly / den) + (s - 1) * np.log(2.0 * np.pi)
-                + (2.0 * st - self.alpha_o) * np.log(s))
+        return sum((loggamma(1.0 - a + A * t) for a, A in self.gammas),
+                   loggamma(self.alpha_o - st) + loggamma(1.0 - st)
+                   + np.log(poly / den) + (s - 1) * np.log(2.0 * np.pi)
+                   + (2.0 * st - self.alpha_o) * np.log(s))
 
 
 def electrical_snr(fso):

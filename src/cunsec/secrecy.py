@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from math import comb
 
 import numpy as np
-from scipy.special import gamma as _gamma, gammainc, gammaincc, loggamma
+from scipy.special import gamma as _gamma, gammainc, gammaincc
 
 from .channels import (FsoLinkParams, MalagaCdfEvaluator, RfChannelParams,
                        _alpha_mu_norm)
@@ -126,23 +126,6 @@ def _gamma_p_kernel(mu):
                      lower=((mu, 1.0), (0.0, 1.0))), _gamma(mu))
 
 
-@dataclass(frozen=True)
-class _TimesGamma:
-    """spec's Mellin-Barnes integrand times Gamma(1 - a + A t) (poles left)."""
-
-    spec: object
-    a: float
-    A: float
-
-    def pole_interval(self):
-        lo, hi = self.spec.pole_interval()
-        return max(lo, (self.a - 1.0) / self.A), hi
-
-    def log_phi(self, t):
-        t = np.asarray(t, dtype=complex)
-        return self.spec.log_phi(t) + loggamma(1.0 - self.a + self.A * t)
-
-
 def _kernel_moment(cfg, power, weight, optical=None, z=0.0,
                    kernel=_EXP_KERNEL):
     """int_0^inf x^power exp(-weight x^at_e) k(z x^at_r) [G(V sigma x / mu_s)]
@@ -151,12 +134,14 @@ def _kernel_moment(cfg, power, weight, optical=None, z=0.0,
     kernel or mixture spec, and there is no G factor when it is None).
 
     k is one of the Fox H kernels above, given as (spec, norm); where
-    at_r == at_e, e^-y merges into the weight.  At z = 0 the integral is the
-    exponential moment, or with G the next case with G as k at slope 1 and
-    norm 1.  Otherwise it is one exact Mellin convolution (the binomial
-    expansion of (1 + z x^at_r)^-n in x is only asymptotic): without G the
-    univariate H of k's integrand times Gamma((c0 + at_r t)/at_e),
-    c0 = power + 1, and with G the bivariate H with joint triple
+    at_r == at_e, e^-y merges into the weight.  At z = 0, k(0) = 1 is
+    assumed (true of e^-y and (1 + y)^-n; P(mu, 0) = 0, so such a term is
+    dropped by its caller): the integral is the exponential moment, or with
+    G the next case with G as k at slope 1 and norm 1.  Otherwise it is one
+    exact Mellin convolution (the binomial expansion of (1 + z x^at_r)^-n in
+    x is only asymptotic): without G the univariate H of k's integrand
+    times Gamma((c0 + at_r t)/at_e), c0 = power + 1, which is k's spec with
+    one more n-group pair, and with G the bivariate H with joint triple
     (1 - c0/at_e, at_r/at_e, 1/at_e).
     """
     at_e, at_r = cfg.rf_se.alpha_tilde, cfg.rf_sr.alpha_tilde
@@ -164,17 +149,20 @@ def _kernel_moment(cfg, power, weight, optical=None, z=0.0,
     c_arg = cfg.fso.V * cfg.sigma / cfg.fso.mu_s
     if kernel is _EXP_KERNEL and _equal_stretch(at_r, at_e):
         weight, z = weight + z, 0.0
+    joint = (1.0 - c0 / at_e, at_r / at_e)
     if z == 0:
         if optical is None:
             return _exp_weighted_moment(power, weight, at_e)
-        kernel, z, at_r, optical = (optical, 1.0), c_arg, 1.0, None
-    k_spec, norm = kernel
-    joint = (1.0 - c0 / at_e, at_r / at_e)
+        spec = replace(optical, gammas=((joint[0], 1.0 / at_e),))
+        return (weight ** (-c0 / at_e) / at_e
+                * fox_h(spec, c_arg * weight ** (-1.0 / at_e)))
+    k, norm = kernel
     z1 = z * weight ** (-at_r / at_e)
     pre = weight ** (-c0 / at_e) / (at_e * norm)
     if optical is None:
-        return pre * fox_h(_TimesGamma(k_spec, *joint), z1)
-    spec = BivariateFoxHSpec(joint=(joint + (1.0 / at_e,),), kernel1=k_spec,
+        return pre * fox_h(FoxHSpec(k.m, k.n + 1, (joint,) + k.upper, k.lower),
+                           z1)
+    spec = BivariateFoxHSpec(joint=(joint + (1.0 / at_e,),), kernel1=k,
                              kernel2=optical)
     return pre * fox_h_bivariate(spec, z1, c_arg * weight ** (-1.0 / at_e))
 
@@ -373,10 +361,11 @@ def sop_lower_scenario2(cfg):
             "the Scenario II closed assembly requires alpha_se == alpha_sr "
             f"(got {e.alpha} and {r.alpha})")
     c = p.delta * (pc.psi_q / pc.psi_t) ** r.alpha_tilde
-    p_mu_r = _gamma_p_kernel(r.mu)
-    terms = [(float(gammainc(p.mu, c)), e.theta, e.delta, _xi10(cfg), p_mu_r),
-             (float(gammaincc(p.mu, c)), e.theta, e.delta, c * _zr(cfg),
-              p_mu_r)]
+    # P(mu_r, 0) = 0: a term whose z underflows to 0 adds nothing
+    terms = [(coef, e.theta, e.delta, z, _gamma_p_kernel(r.mu))
+             for coef, z in ((float(gammainc(p.mu, c)), _xi10(cfg)),
+                             (float(gammaincc(p.mu, c)), c * _zr(cfg)))
+             if z != 0]
     return _assemble(cfg, "II", terms + _lambda2_terms(cfg, c))
 
 

@@ -7,18 +7,19 @@ fixes the half-length once, where the integrand has fallen below 1e-17 of
 its peak, then starts at node spacing 0.2 and halves it; each level keeps
 the nodes it already holds, evaluates the integrand only at its new odd
 nodes, and the difference of two levels is the error check (`_settled`,
-against the one tolerance `_REL_TOL`).  A univariate
-line is one `LineEvaluator`: `fox_h` and `meijer_g` return its value at
-the argument it converged at, and its frozen last level serves other
-arguments.  For a real spec at a real argument the integrand is
-conjugate-symmetric, Phi(c - iy) z^(c-iy) = conj[Phi(c + iy) z^(c+iy)],
-so a univariate line holds only its nodes y >= 0 (a half line) and sums
-them in real arithmetic: the y = 0 node once, every other node twice its
-real part.  The refinement sums each level directly; the frozen line
-sums the same terms in blocks (see `LineEvaluator`).  The symmetry it
-rests on is checked once per line, on the mirrored nodes of
-the coarsest level (`_asymmetry`); an asymmetric integrand raises
-ConvergenceError.  The convention is
+against the one tolerance `_REL_TOL`); past the one per-axis node budget
+`_MAX_NODES` it raises ConvergenceError.  A univariate line is one
+`LineEvaluator`: `fox_h` and `meijer_g` return its value at the argument
+it converged at, and its frozen last level serves other arguments.  For a
+real spec at a real argument the integrand is conjugate-symmetric,
+Phi(c - iy) z^(c-iy) = conj[Phi(c + iy) z^(c+iy)], so a univariate line
+holds only its nodes y >= 0 (a half line) and sums them in real
+arithmetic: the y = 0 node once, every other node twice its real part.
+The refinement sums each level directly; the frozen line sums the same
+terms in blocks (see `LineEvaluator`).  The symmetry it rests on is
+checked once per line, on the mirrored nodes of the coarsest level
+(`_asymmetry`); an asymmetric integrand raises ConvergenceError.  The
+convention is
 
     H(z) = (1/2*pi*i) * int_L Phi(t) z^t dt,
     Phi(t) = prod_{j<=m} Gamma(b_j - B_j t) * prod_{j<=n} Gamma(1 - a_j + A_j t)
@@ -37,7 +38,8 @@ The bivariate evaluator integrates over a product of two vertical lines.  Its
 joint gamma factors depend on the contour point only through A1*t1 + A2*t2, so
 the trapezoid nodes sit on a lattice with spacings h/A1 and h/A2: every node
 then maps onto one line of joint values, and the double sum is a single
-convolution of the two kernel lines weighted by that line (`_lattice_sum`).
+convolution of the two kernel lines weighted by that line (`_lattice_sum`),
+taken by FFT, whose rounding bound joins the l1 the stop test reads.
 Halving the spacing halves both axis spacings, so the lattice nests too.
 Each of its two abscissas comes from the same rule, with the joint factors
 in the magnitude and the strip clipped to positive joint arguments.  Both
@@ -113,12 +115,12 @@ _LOG_TAIL = np.log(1e-17)
 _START_NODES = 2 * int(np.ceil(_HALF0 / _H0 - 1e-9)) + 1
 
 
-# Per-axis node budgets of the refinement loop (`_refine`): past them it
-# raises ConvergenceError, once it holds two estimates.  Every line starts at
-# _START_NODES (81) nodes; on a bivariate lattice with A1 != A2 the finer
-# axis starts at about max(A1, A2)/min(A1, A2) times as many.
+# The one per-axis node budget of every refinement loop (`_refine`, which
+# looks it up at each call): past it the loop raises ConvergenceError, once
+# it holds two estimates.  Every line starts at _START_NODES (81) nodes; on
+# a bivariate lattice with A1 != A2 the finer axis starts at about
+# max(A1, A2)/min(A1, A2) times as many.
 _MAX_NODES = 2 ** 16
-_BIVARIATE_MAX_NODES = 2 ** 12 + 1
 
 
 # The one relative tolerance of every contour and expectation: the contour
@@ -258,7 +260,7 @@ class BivariateFoxHSpec:
     ParameterError: each axis's half-length then comes from its kernel line
     alone, since the joint factors peak at Y = 0 and that bound holds for
     every point of the other axis.  A kernel that decays only slowly still
-    sets a long line, which may run past _BIVARIATE_MAX_NODES.
+    sets a long line, which may run past _MAX_NODES.
     """
 
     joint: tuple
@@ -408,17 +410,17 @@ class _Line:
         return self.h * (max(-k[0], k[-1]) + 1)
 
 
-def _over_budget(axes, estimates, max_nodes):
+def _over_budget(axes, estimates):
     raise ConvergenceError(
         "Mellin-Barnes refinement exceeded the per-axis node budget "
-        f"({max_nodes}); last estimates {list(estimates)}",
+        f"({_MAX_NODES}); last estimates {list(estimates)}",
         estimates=estimates,
         diagnostics={"half_lengths": tuple(ln.h * ln.K for ln in axes),
                      "nodes": tuple(ln.nodes for ln in axes)},
     )
 
 
-def _refine(axes, total, max_nodes):
+def _refine(axes, total):
     """The Mellin-Barnes refinement loop of every evaluator.
 
     axes holds the _Line of each contour axis, the coarsest at spacing _H0;
@@ -431,7 +433,7 @@ def _refine(axes, total, max_nodes):
     estimates holds the last two values (the second is the result); raises
     ConvergenceError with the last two estimates, the half-lengths and the
     per-axis node counts once an unconverged line covers more than
-    max_nodes (`_Line.nodes`).
+    _MAX_NODES (`_Line.nodes`).
     """
     half, prev = _HALF0, None
     while True:
@@ -441,8 +443,8 @@ def _refine(axes, total, max_nodes):
         if None not in spans:
             break
         value = total()[0]
-        if prev is not None and max(ln.nodes for ln in axes) > max_nodes:
-            _over_budget(axes, (prev, value), max_nodes)
+        if prev is not None and max(ln.nodes for ln in axes) > _MAX_NODES:
+            _over_budget(axes, (prev, value))
         prev, half = value, 2.0 * half
     half = _H0 * np.ceil(max(spans) / _H0 - 1e-9)
     for ln in axes:
@@ -454,8 +456,8 @@ def _refine(axes, total, max_nodes):
         value, l1 = total()
         if _settled(value, prev, l1):
             return (prev, value), abs(value - prev), l1
-        if max(ln.nodes for ln in axes) > max_nodes:
-            _over_budget(axes, (prev, value), max_nodes)
+        if max(ln.nodes for ln in axes) > _MAX_NODES:
+            _over_budget(axes, (prev, value))
         prev = value
 
 
@@ -549,8 +551,7 @@ class LineEvaluator:
         c = _abscissa(lambda cs: spec.log_phi(cs).real + cs * lz[0],
                       *spec.pole_interval())
         line = _Line(spec.log_phi, c, _H0, half=True)
-        estimates, err, l1 = _refine([line], lambda: _half_sum(line, lz[0]),
-                                     _MAX_NODES)
+        estimates, err, l1 = _refine([line], lambda: _half_sum(line, lz[0]))
         self._freeze(line)
         self.value, self.error = _finalize(
             (estimates[0], self._sum(lz)[0]), err, l1,
@@ -634,7 +635,11 @@ def _lattice_sum(z1, z2, line1, line2, joint):
     one line instead of a grid.  The joint line is brought to the level of
     the kernel lines first, keeping the nodes it holds.  Each line is
     exponentiated after subtracting its largest real part and the scales
-    are multiplied back.  Returns (integral, l1).
+    are multiplied back.  Both convolutions, a * b and |a| * |b|, are
+    taken by FFT at m, the power of two at or above len(J), whose rounding
+    of the sum is at most about eps log2(m) |J|_2 |a|_2 |b|_2: that bound is
+    added to the l1 returned, so the l1 floors of `_settled` and
+    `_finalize` cover it.  Returns (integral, l1).
     """
     while joint.level < line1.level:
         joint.halve()
@@ -650,10 +655,14 @@ def _lattice_sum(z1, z2, line1, line2, joint):
                                        nan=0.0, posinf=0.0, neginf=0.0))
             log_scale += top
     a, b, j = lines
+    m = 1 << (len(j) - 1).bit_length()
+    conv, conv_abs = (np.fft.ifft(np.fft.fft(x, m) * np.fft.fft(y, m))[:len(j)]
+                      for x, y in ((a, b), (np.abs(a), np.abs(b))))
+    rounding = (np.finfo(float).eps * np.log2(m) * np.linalg.norm(j)
+                * np.linalg.norm(a) * np.linalg.norm(b))
     scale = np.exp(log_scale) * line1.h * line2.h / (2.0 * np.pi) ** 2
-    val = np.dot(j, np.convolve(a, b)) * scale
-    l1abs = np.dot(np.abs(j), np.convolve(np.abs(a), np.abs(b))) * scale
-    return val, l1abs
+    return (np.dot(j, conv) * scale,
+            (np.dot(np.abs(j), conv_abs.real) + rounding) * scale)
 
 
 def _bivar_abscissas(spec, z1, z2):
@@ -688,8 +697,7 @@ def fox_h_bivariate(spec, z1, z2):
     """Evaluate the bivariate Fox H (EGBFHF) at positive real (z1, z2) on
     the abscissas of two calls of the one abscissa rule (`_bivar_abscissas`),
     whose strips already clear the joint poles."""
-    z1 = float(z1)
-    z2 = float(z2)
+    z1, z2 = float(z1), float(z2)
     if not np.isfinite(z1) or z1 <= 0 or not np.isfinite(z2) or z2 <= 0:
         raise ParameterError("both arguments must be positive reals")
     c1, c2 = _bivar_abscissas(spec, z1, z2)
@@ -697,9 +705,7 @@ def fox_h_bivariate(spec, z1, z2):
     h = _H0 * min(A1, A2)
     axes = [_Line(spec.kernel1.log_phi, c1, h / A1),
             _Line(spec.kernel2.log_phi, c2, h / A2)]
-
     joint = _Line(spec.log_joint, A1 * c1 + A2 * c2, h)
     estimates, err, l1 = _refine(
-        axes, lambda: _lattice_sum(z1, z2, *axes, joint),
-        _BIVARIATE_MAX_NODES)
+        axes, lambda: _lattice_sum(z1, z2, *axes, joint))
     return _finalize(estimates, err, l1, abs(estimates[-1].imag))[0]

@@ -229,6 +229,104 @@ def _useless_eavesdropper():
     )
 
 
+def _wide_box_point(alpha, mus, snrs_db, alpha_o, beta_o, epsilon, s,
+                    fso_db, blockage_p, psi_q_db, psi_t_db, rate):
+    """A config with one alpha on all three RF links, g = 2 and Omega = 1;
+    mus and snrs_db are (S-R, S-P, S-E), and psi_t_db None is Scenario I."""
+    power = {"psi_q_db": psi_q_db, "scenario": "I"}
+    if psi_t_db is not None:
+        power.update(psi_t_db=psi_t_db, scenario="II")
+    return config_from_dict({
+        **{link: {"alpha": alpha, "mu": mu, "avg_snr_db": db}
+           for link, mu, db in zip(("rf_sr", "rf_sp", "rf_se"), mus, snrs_db)},
+        "fso": {"alpha_o": alpha_o, "beta_o": beta_o, "g": 2.0,
+                "omega_total": 1.0, "epsilon": epsilon, "s": s,
+                "avg_snr_db": fso_db, "blockage_p": blockage_p},
+        "power": power,
+        "target_rate": rate,
+    })
+
+
+def _fig7_at_psi_t(psi_t_db):
+    cfg = figure_config("fig7")
+    return dataclasses.replace(
+        cfg, pc=dataclasses.replace(cfg.pc, psi_t_db=psi_t_db))
+
+
+# Assemblies whose bivariate terms need more than 4097 lattice nodes per
+# axis: the wide-box points of the ROADMAP table (at 4 significant digits),
+# two at O(1) outages with z2 of 3e3-3e4, two at outages of 2e-26 and
+# 3e-18 with z1 of 2e-10-4e-9, and #87, whose metric path is 3e-10 off
+# within the assembly's 9e-9 bound; and fig7 at psi_T = 200 dB, where
+# z1 is about 1e-19
+LONG_LINE_ASSEMBLIES = {
+    "s7-27": lambda: _wide_box_point(
+        2.682, (4, 4, 2), (34.73, -0.557, -6.642), 2.087, 5, 2.202, 2,
+        -4.033, 0.7382, 12.89, 21.65, 0.05),
+    "s7-39": lambda: _wide_box_point(
+        3.131, (4, 3, 1), (27.76, 9.910, -9.871), 3.319, 3, 3.231, 1,
+        15.25, 0.6829, 7.106, 26.99, 1.0),
+    "s8-19": lambda: _wide_box_point(
+        3.898, (4, 3, 3), (15.27, -3.723, 25.37), 6.591, 3, 4.296, 2,
+        10.44, 0.2668, 8.139, 10.12, 2.0),
+    "s8-44": lambda: _wide_box_point(
+        3.716, (2, 4, 1), (-1.793, 12.22, 26.03), 5.099, 3, 0.8265, 2,
+        -6.382, 0.3305, 28.56, None, 2.0),
+    "s8-87": lambda: _wide_box_point(
+        3.675, (3, 2, 1), (-3.964, 30.02, 14.78), 6.132, 1, 0.9181, 1,
+        18.32, 0.6847, 12.16, 26.76, 2.0),
+    "fig7-psi_t200": lambda: _fig7_at_psi_t(200.0),
+}
+
+
+def _r6_probe(alpha_sr, epsilon, s):
+    """fig7 with alpha_sr = alpha_sp against rf_se (alpha 1.5, mu 1, 5 dB)
+    and its own pointing error and detection order: the R6 kernel lines
+    there run to thousands of nodes per axis."""
+    cfg = _with_alpha_se("fig7", 1.5, alpha_sr=alpha_sr, mu=1, avg_snr_db=5.0)
+    return dataclasses.replace(
+        cfg, fso=dataclasses.replace(cfg.fso, epsilon=epsilon, s=s))
+
+
+def _wide_box_corpus(seed, n):
+    """n seeded configs over the ROADMAP's wide box with alpha_sr =
+    alpha_sp, where a closed assembly applies: alpha 1.5-4 (alpha_se on its
+    own in Scenario I, equal to alpha_sr in Scenario II), mu 1-4, every SNR
+    and psi -10...35 dB, alpha_o 1.5-8, beta_o 1-5, epsilon 0.5-7,
+    s in {1, 2}, blockage 0-0.9, rate in {0.05, 0.5, 1, 2}."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        scen = "II" if rng.uniform() < 0.5 else "I"
+        alpha = float(rng.uniform(1.5, 4.0))
+        alpha_se = alpha if scen == "II" else float(rng.uniform(1.5, 4.0))
+
+        def rf(a):
+            return {"alpha": a, "mu": int(rng.integers(1, 5)),
+                    "avg_snr_db": float(rng.uniform(-10.0, 35.0))}
+
+        power = {"psi_q_db": float(rng.uniform(-10.0, 35.0)),
+                 "scenario": scen}
+        if scen == "II":
+            power["psi_t_db"] = float(rng.uniform(-10.0, 35.0))
+        yield config_from_dict({
+            "rf_sr": rf(alpha), "rf_sp": rf(alpha), "rf_se": rf(alpha_se),
+            "fso": {"alpha_o": float(rng.uniform(1.5, 8.0)),
+                    "beta_o": int(rng.integers(1, 6)), "g": 2.0,
+                    "omega_total": 1.0,
+                    "epsilon": float(rng.uniform(0.5, 7.0)),
+                    "s": int(rng.integers(1, 3)),
+                    "avg_snr_db": float(rng.uniform(-10.0, 35.0)),
+                    "blockage_p": float(rng.uniform(0.0, 0.9))},
+            "power": power,
+            "target_rate": float(rng.choice([0.05, 0.5, 1.0, 2.0])),
+        })
+
+
+def _assembly(cfg):
+    return {"I": sop_lower_scenario1,
+            "II": sop_lower_scenario2}[cfg.pc.scenario](cfg)
+
+
 EQUAL_ALPHA_FIGURES = [name for name in FIGURES if name != "fig3"]
 
 MIXED_ALPHA_S2 = {
@@ -627,6 +725,23 @@ class TestSopScenario2:
         b = sop_lower(cfg_1).value
         assert abs(a - b) < 1e-3
 
+    def test_underflowing_cap_is_scenario1(self):
+        # alpha = 5 and psi_T = 1500 dB: c = d_p (psi_q / psi_T)^a~ and
+        # xi10 underflow to 0, and with them the arguments of both
+        # P(mu_r, .) terms; P(mu, 0) = 0, so the assembly is Scenario I's
+        cfg = _fig7_at_psi_t(1500.0)
+        cfg = dataclasses.replace(cfg, **{
+            link: dataclasses.replace(getattr(cfg, link), alpha=5.0)
+            for link in ("rf_sr", "rf_sp", "rf_se")})
+        assert _xi10(cfg) == 0.0
+        res = sop_lower_scenario2(cfg)
+        cfg_1 = dataclasses.replace(
+            cfg, pc=PowerConstraints(psi_q_db=cfg.pc.psi_q_db, scenario="I"))
+        assert_allclose(res.value, sop_lower_scenario1(cfg_1).value,
+                        rtol=1e-14)
+        assert abs(res.value - sop_lower(cfg).value) <= \
+            res.diagnostics["error_bound"]
+
     def test_vs_defining_integral(self):
         cfg = figure_config("fig7")
         got = sop_lower(cfg).value
@@ -807,6 +922,41 @@ class TestAssemblyPieces:
         ref = _blocked_fso_mean(
             cfg, lambda sx: one_minus_a - lambda1(r, p, pc, sx))
         assert_allclose(lambda1_piece(cfg), ref, rtol=0, atol=1e-9)
+
+
+class TestLongLines:
+    """The closed layer returns wherever it applies: with one node budget
+    for every Mellin-Barnes line and the lattice convolved by FFT, bivariate
+    terms whose lines run to thousands of nodes per axis converge."""
+
+    @pytest.mark.parametrize("name", list(LONG_LINE_ASSEMBLIES))
+    def test_assembly_returns_within_its_bound(self, name):
+        cfg = LONG_LINE_ASSEMBLIES[name]()
+        res = _assembly(cfg)
+        assert res.diagnostics["route"] == "closed"
+        assert abs(res.value - sop_lower(cfg).value) <= \
+            res.diagnostics["error_bound"]
+
+    def test_r6_probe_grid_returns(self):
+        for alpha_sr in (3.0, 4.0, 5.0):
+            for epsilon in (0.2, 0.5, 0.8):
+                for s in (1, 2):
+                    cfg = _r6_probe(alpha_sr, epsilon, s)
+                    for m_o in (1, 2):
+                        assert r6_term(cfg, 0, m_o) > 0.0
+
+    @pytest.mark.parametrize("epsilon", [0.2, 0.5])
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_r6_probe_vs_quadrature(self, epsilon, s):
+        cfg = _r6_probe(5.0, epsilon, s)
+        assert_allclose(r6_term(cfg, 0, 1), oracle_r6(cfg, 0, 1), rtol=1e-4)
+
+    def test_wide_box_corpus(self):
+        for cfg in _wide_box_corpus(9, 40):
+            res = _assembly(cfg)
+            assert res.diagnostics["route"] == "closed"
+            assert abs(res.value - sop_lower(cfg).value) <= \
+                res.diagnostics["error_bound"]
 
 
 class TestMetricPath:

@@ -324,6 +324,30 @@ class TestBivariate:
         assert joint.nodes == line1.nodes + line2.nodes - 1
         assert np.array_equal(joint.vals[0::2], held)
 
+    def test_fft_rounding_is_in_l1(self):
+        # at 4097 and 2049 nodes per axis the FFT lattice sum and its l1
+        # are within the 1e-15 l1 floor of `_settled` of the direct
+        # convolution
+        exp_kernel = FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),))
+        spec = BivariateFoxHSpec(joint=((-1.0, 1.0, 1.0),),
+                                 kernel1=exp_kernel, kernel2=exp_kernel)
+        z1, z2, h = 0.7, 1.9, 0.01
+        c1, c2 = _bivar_abscissas(spec, z1, z2)
+        line1 = _Line(exp_kernel.log_phi, c1, h)
+        line2 = _Line(exp_kernel.log_phi, c2, h)
+        line1.cover(2048)
+        line2.cover(1024)
+        joint = _Line(spec.log_joint, c1 + c2, h)
+        val, l1 = _lattice_sum(z1, z2, line1, line2, joint)
+        a = np.exp(line1.vals + line1.t * np.log(z1))
+        b = np.exp(line2.vals + line2.t * np.log(z2))
+        j = np.exp(joint.vals)
+        scale = h * h / (2.0 * np.pi) ** 2
+        direct = np.dot(j, np.convolve(a, b)) * scale
+        direct_l1 = np.dot(np.abs(j), np.convolve(np.abs(a), np.abs(b))) * scale
+        assert abs(val - direct) <= 1e-15 * l1
+        assert abs(l1 - direct_l1) <= 1e-15 * l1
+
     def test_empty_joint_is_the_product_of_two_lines(self):
         exp_kernel = FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),))
         spec = BivariateFoxHSpec(joint=(), kernel1=exp_kernel,
@@ -430,7 +454,7 @@ class TestRefinementBudget:
         exp_kernel = FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),))
         spec = BivariateFoxHSpec(joint=(), kernel1=exp_kernel,
                                  kernel2=exp_kernel)
-        monkeypatch.setattr(specfun, "_BIVARIATE_MAX_NODES", 81)
+        monkeypatch.setattr(specfun, "_MAX_NODES", 81)
         monkeypatch.setattr(specfun, "_REL_TOL", 1e-15)
         with pytest.raises(ConvergenceError) as info:
             fox_h_bivariate(spec, 0.7, 1.9)
@@ -441,7 +465,7 @@ class TestRefinementBudget:
         # the nodes summed, so refinement stops while axis 2 is in budget
         spec = BivariateFoxHSpec(joint=((-5.0, 4.0, 1.0),),
                                  kernel1=exp_kernel, kernel2=exp_kernel)
-        monkeypatch.setattr(specfun, "_BIVARIATE_MAX_NODES", 200)
+        monkeypatch.setattr(specfun, "_MAX_NODES", 200)
         with pytest.raises(ConvergenceError) as info:
             fox_h_bivariate(spec, 0.7, 1.9)
         self._check(info, 200)
@@ -452,8 +476,7 @@ class TestRefinementBudget:
     def test_budgets_cover_a_starting_line(self):
         # a new line holds 81 nodes (half-length 8 at spacing 0.2)
         assert specfun._START_NODES == 81
-        assert min(specfun._MAX_NODES,
-                   specfun._BIVARIATE_MAX_NODES) >= specfun._START_NODES
+        assert specfun._MAX_NODES >= specfun._START_NODES
 
 
 class TestLineEvaluator:
