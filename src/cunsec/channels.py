@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import binom, gamma as _gamma, gammainc, loggamma
+from scipy.special import binom, gamma as _gamma, gammainc, gammaln, loggamma
 
 from .errors import NumericalIntegrityError, ParameterError
 from .specfun import LineEvaluator, fox_h
@@ -43,8 +43,9 @@ def linear_to_db(x):
 
 def _require_positive_finite(obj, *names):
     """ParameterError unless each named linear quantity of obj is positive
-    and finite: a dB input thousands of dB from 0 under- or overflows it
-    (or a power of it), and no formula holds there."""
+    and finite: a dB input thousands of dB from 0, or a target rate of 1024
+    bit/s/Hz or more, under- or overflows it (or a power of it), and no
+    formula holds there."""
     for name in names:
         try:
             value = getattr(obj, name)
@@ -52,7 +53,7 @@ def _require_positive_finite(obj, *names):
             value = np.inf
         if not 0.0 < value < np.inf:
             raise ParameterError(
-                f"{name} = {value} at these dB inputs; it must be positive "
+                f"{name} = {value} at these inputs; it must be positive "
                 "and finite")
 
 
@@ -272,7 +273,9 @@ class _MalagaMixture:
     part of log Phi, so that does not matter.  P has real coefficients and
     is positive on the real strip of the m = 1 kernel, which is the
     mixture's; it decays at rate 2s.  Each n-group pair (a, A) of gammas
-    multiplies it by Gamma(1 - a + A t), as in FoxHSpec.
+    multiplies it by Gamma(1 - a + A t), as in FoxHSpec.  P is evaluated
+    in Horner form, and at real arguments `_log_abs_phi` takes log |Phi|
+    in real arithmetic for the abscissa scan.
     """
 
     alpha_o: float
@@ -291,19 +294,36 @@ class _MalagaMixture:
                 min(self.alpha_o, self.e2, 1.0) / self.s)
 
     def log_phi(self, t):
-        t = np.asarray(t, dtype=complex)
+        return self._log(np.asarray(t, dtype=complex), loggamma, np.log)
+
+    def _log_abs_phi(self, x):
+        """log |Phi(x)| = Re log Phi(x) at real x, in real arithmetic."""
+        return self._log(np.asarray(x, dtype=float), gammaln,
+                         lambda v: np.log(np.abs(v)))
+
+    def _log(self, t, lg, log):
+        """log Phi(t) with the log gamma lg and the log log; the terms of
+        Gauss's formula that are 0 at s = 1 are left out."""
         s = self.s
-        poly, prod = 0.0, 1.0
-        for m, w in enumerate(self.weights, 1):
-            poly, prod = poly + w * prod, prod * (m / s - t)
+        st = s * t
+        out = lg(self.alpha_o - st)
+        out += lg(1.0 - st)
+        # P(t) in Horner form, w_1 + (1/s - t)(w_2 + (2/s - t)(w_3 + ...))
+        poly = np.full(t.shape, self.weights[-1], dtype=t.dtype)
+        for m in range(len(self.weights) - 1, 0, -1):
+            poly *= m / s - t
+            poly += self.weights[m - 1]
         den = self.e2 / s - t
         if self.over_t:
-            den = den * t
-        st = s * t
-        return sum((loggamma(1.0 - a + A * t) for a, A in self.gammas),
-                   loggamma(self.alpha_o - st) + loggamma(1.0 - st)
-                   + np.log(poly / den) + (s - 1) * np.log(2.0 * np.pi)
-                   + (2.0 * st - self.alpha_o) * np.log(s))
+            den *= t
+        poly /= den
+        out += log(poly)
+        if s != 1:
+            out += ((s - 1) * np.log(2.0 * np.pi) - self.alpha_o * np.log(s)
+                    + (2.0 * np.log(s)) * st)
+        for a, A in self.gammas:
+            out += lg(1.0 - a + A * t)
+        return out
 
 
 def electrical_snr(fso):

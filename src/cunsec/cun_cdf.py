@@ -142,22 +142,30 @@ _TS_LEVELS = 8
 _TS_FIRST = 3
 
 
+def _ts_rule(k):
+    """(t, w, dh, sum w) of the nodes new at level k (all nodes at level
+    0): the abscissas t, the weights h w(t) and the distances dh to the
+    nearer endpoint over 1 - u0, which depend only on the level."""
+    n = int(_TS_T / _TS_H0) * 2 ** k      # the largest |j|
+    h = _TS_H0 / 2 ** k
+    t = (np.arange(-n, n + 1) if k == 0 else np.arange(1 - n, n, 2)) * h
+    e = np.exp(np.pi * np.sinh(np.abs(t)))
+    dh = 1.0 / (1.0 + e)
+    w = h * np.pi * np.cosh(t) * dh * (e * dh)
+    return t, w, dh, w.sum()
+
+
+_TS_RULES = [_ts_rule(k) for k in range(_TS_LEVELS + 1)]
+
+
 def _ts_levels(ch, f, u0, levels):
     """For each level k of levels, in order: h * sum of w(t) f(x(t)) over
     the nodes new at level k (all nodes at level 0), together with
     h * sum w(t) |f(x(t))|, h * sum w(t), and the number of nodes.  f is
-    called once, on the nodes of every level in levels."""
-    hs, js = [], []
-    for k in levels:
-        n = int(_TS_T / _TS_H0) * 2 ** k      # the largest |j|
-        j = np.arange(-n, n + 1) if k == 0 else np.arange(1 - n, n, 2)
-        js.append(j)
-        hs.append(np.full(len(j), _TS_H0 / 2 ** k))
-    h = np.concatenate(hs)
-    t = np.concatenate(js) * h
-    e = np.exp(np.pi * np.sinh(np.abs(t)))
-    dh = 1.0 / (1.0 + e)                # distance to the nearer endpoint / (1 - u0)
-    w = h * np.pi * np.cosh(t) * dh * (e * dh)
+    called once, on the nodes of every level in levels; the rule itself
+    comes from _TS_RULES, so a call only places the quantiles."""
+    rules = [_TS_RULES[k] for k in levels]
+    t, dh = (np.concatenate([r[i] for r in rules]) for i in (0, 2))
     d = (1.0 - u0) * dh
     q = np.empty_like(t)
     low = t < 0
@@ -166,12 +174,11 @@ def _ts_levels(ch, f, u0, levels):
     vals = np.asarray(f((q / ch.delta) ** (1.0 / ch.alpha_tilde)), dtype=float)
     vals = np.broadcast_to(vals, vals.shape[:-1] + t.shape if vals.ndim else t.shape)
     out, a = [], 0
-    for j in js:
-        sl = slice(a, a + len(j))
-        v, wk = vals[..., sl], w[sl]
-        out.append(((v * wk).sum(-1), (np.abs(v) * wk).sum(-1), wk.sum(),
-                    len(j)))
-        a = sl.stop
+    for rt, wk, _, wsum in rules:
+        v = vals[..., a:a + len(rt)]
+        out.append(((v * wk).sum(-1), (np.abs(v) * wk).sum(-1), wsum,
+                    len(rt)))
+        a += len(rt)
     return out
 
 

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import gamma as _gamma, gammainc, gammaincc
 
 from .channels import (FsoLinkParams, MalagaCdfEvaluator, RfChannelParams,
-                       _alpha_mu_norm)
+                       _alpha_mu_norm, _require_positive_finite)
 from .cun_cdf import (PowerConstraints, _equal_stretch, _expect, cdf_rf,
                       require_equal_alpha)
 from . import specfun
@@ -73,6 +73,8 @@ class SecrecyConfig:
     def __post_init__(self):
         if not np.isfinite(self.target_rate) or self.target_rate < 0:
             raise ParameterError("target_rate must be >= 0")
+        # 2^target_rate overflows from 1024 bit/s/Hz on
+        _require_positive_finite(self, "sigma")
 
     @property
     def sigma(self):

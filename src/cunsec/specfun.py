@@ -4,22 +4,24 @@ All G/H evaluations use the same method: a truncated Mellin-Barnes integral
 along a vertical line, summed by the trapezoid rule and refined by one loop
 (`_refine`, shared by the univariate and the bivariate evaluator).  The loop
 fixes the half-length once, where the integrand has fallen below 1e-17 of
-its peak, then starts at node spacing 0.2 and halves it; each level keeps
-the nodes it already holds, evaluates the integrand only at its new odd
-nodes, and the difference of two levels is the error check (`_settled`,
-against the one tolerance `_REL_TOL`); past the one per-axis node budget
-`_MAX_NODES` it raises ConvergenceError.  A univariate line is one
-`LineEvaluator`: `fox_h` and `meijer_g` return its value at the argument
-it converged at, and its frozen last level serves other arguments.  For a
-real spec at a real argument the integrand is conjugate-symmetric,
-Phi(c - iy) z^(c-iy) = conj[Phi(c + iy) z^(c+iy)], so a univariate line
-holds only its nodes y >= 0 (a half line) and sums them in real
-arithmetic: the y = 0 node once, every other node twice its real part.
+its peak, on a first line as long as the spec's decay rate says it
+needs (`_start_length`), then starts at node spacing 0.2 and halves it;
+each level keeps the nodes it already holds, evaluates the integrand only
+at its new odd nodes, and the difference of two levels is the error check
+(`_settled`, against the one tolerance `_REL_TOL`); past the one per-axis
+node budget `_MAX_NODES` it raises ConvergenceError.  A univariate line is
+one `LineEvaluator`: `fox_h` and `meijer_g` return its value at the
+argument it converged at, and its frozen last level serves other
+arguments.  For a real spec at a real argument the integrand is
+conjugate-symmetric, Phi(c - iy) z^(c-iy) = conj[Phi(c + iy) z^(c+iy)],
+so a univariate line holds only its nodes y >= 0 (a half line) and sums
+them in real arithmetic: the y = 0 node once, every other node twice its
+real part.
 The refinement sums each level directly; the frozen line sums the same
 terms in blocks (see `LineEvaluator`).  The symmetry it rests on is
-checked once per line, on the mirrored nodes of the coarsest level
-(`_asymmetry`); an asymmetric integrand raises ConvergenceError.  The
-convention is
+checked once per line, on the mirrored nodes of the coarsest level, which
+the line evaluates in the same call as its own (`_Line`, `_asymmetry`); an
+asymmetric integrand raises ConvergenceError.  The convention is
 
     H(z) = (1/2*pi*i) * int_L Phi(t) z^t dt,
     Phi(t) = prod_{j<=m} Gamma(b_j - B_j t) * prod_{j<=n} Gamma(1 - a_j + A_j t)
@@ -32,7 +34,9 @@ unbounded side while the real-axis magnitude |Phi(c) z^c| keeps falling
 outwards, pad each end by 1e-2 of the strip, and return the least-magnitude
 point of 97 evenly spaced candidates; an empty strip raises ContourError.
 Staying near the magnitude minimum keeps cancellation under control for
-arguments far from 1.
+arguments far from 1.  On the real axis log |Phi| is a sum of real log
+gammas, so the scan reads each spec's `_log_abs_phi` (gammaln), not the
+complex loggamma of the line.
 
 The bivariate evaluator integrates over a product of two vertical lines.  Its
 joint gamma factors depend on the contour point only through A1*t1 + A2*t2, so
@@ -52,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, loggamma
+from scipy.special import gammainc, gammaincc, gammaln, loggamma
 from scipy.special import gamma as _scipy_gamma
 
 from .errors import ContourError, ConvergenceError, ParameterError
@@ -107,20 +111,37 @@ def upper_incomplete_gamma(a, x):
 # Nested trapezoid rule on the contour variable y of t = c + i*y (Trefethen &
 # Weideman, SIAM Review 56(3), 2014): the half-length is fixed once on a
 # line of spacing _H0 and then the spacing halves, so every level keeps the
-# nodes of the one before and evaluates only its new odd nodes.
+# nodes of the one before and evaluates only its new odd nodes.  A line
+# starts at the half-length where its spec's decay bound falls below
+# e^_LOG_START of its peak (`_start_length`), never below _HALF0; it ends
+# past the last node within e^_LOG_TAIL of its peak (`_Line.span`).
 _H0 = 0.2
 _HALF0 = 8.0
 _LOG_TAIL = np.log(1e-17)
+_LOG_START = np.log(1e-19)
 # nodes of a new line at spacing _H0 over half-length _HALF0
 _START_NODES = 2 * int(np.ceil(_HALF0 / _H0 - 1e-9)) + 1
 
 
 # The one per-axis node budget of every refinement loop (`_refine`, which
 # looks it up at each call): past it the loop raises ConvergenceError, once
-# it holds two estimates.  Every line starts at _START_NODES (81) nodes; on
-# a bivariate lattice with A1 != A2 the finer axis starts at about
-# max(A1, A2)/min(A1, A2) times as many.
+# it holds two estimates.  Every line starts at _START_NODES (81) nodes or
+# more (`_start_length`); on a bivariate lattice with A1 != A2 the finer
+# axis starts at about max(A1, A2)/min(A1, A2) times as many.
 _MAX_NODES = 2 ** 16
+
+
+def _start_length(rate, h=_H0):
+    """The half-length a new line first covers, for a spec whose integrand
+    decays as exp(-rate*pi/2*|y|): the least multiple of _H0 where that
+    bound alone is below 1e-19 of its peak, two decades past the span
+    rule's 1e-17 to leave room for the algebraic factors.  Never below
+    _HALF0 (nor for rate <= 0 above it), and never past the half-length
+    where a line of spacing h, the finest axis, would exceed _MAX_NODES."""
+    if not rate > 0:
+        return _HALF0
+    decay = _H0 * np.ceil(-2.0 * _LOG_START / (np.pi * rate) / _H0 - 1e-9)
+    return float(max(_HALF0, min(decay, h * ((_MAX_NODES - 1) // 2))))
 
 
 # The one relative tolerance of every contour and expectation: the contour
@@ -141,7 +162,7 @@ def _settled(value, prev, l1):
     smallest normal float floors both, so a subnormal value still settles.
     Elementwise on arrays; true when every entry has settled."""
     tol = np.maximum(np.maximum(_REL_TOL * np.abs(value), 1e-15 * l1), _TINY)
-    return bool(np.all(np.abs(value - prev) <= tol))
+    return bool((np.abs(value - prev) <= tol).all())
 
 
 def _as_pairs(pairs, side):
@@ -199,16 +220,22 @@ class FoxHSpec:
         return rate
 
     def log_phi(self, t):
-        t = np.asarray(t, dtype=complex)
+        return self._log(np.asarray(t, dtype=complex), loggamma)
+
+    def _log_abs_phi(self, x):
+        """log |Phi(x)| = Re log Phi(x) at real x, in real arithmetic."""
+        return self._log(np.asarray(x, dtype=float), gammaln)
+
+    def _log(self, t, lg):
         out = np.zeros_like(t)
         for b, B in self.lower[: self.m]:
-            out = out + loggamma(b - B * t)
+            out += lg(b - B * t)
         for a, A in self.upper[: self.n]:
-            out = out + loggamma(1.0 - a + A * t)
+            out += lg(1.0 - a + A * t)
         for b, B in self.lower[self.m:]:
-            out = out - loggamma(1.0 - b + B * t)
+            out -= lg(1.0 - b + B * t)
         for a, A in self.upper[self.n:]:
-            out = out - loggamma(a - A * t)
+            out -= lg(a - A * t)
         return out
 
 
@@ -286,10 +313,17 @@ class BivariateFoxHSpec:
 
     def log_joint(self, t):
         """Log of the joint factors at t = A1*t1 + A2*t2."""
-        t = np.asarray(t, dtype=complex)
+        return self._log_joint(np.asarray(t, dtype=complex), loggamma)
+
+    def _log_abs_joint(self, x):
+        """Log of the joint factors' magnitude at real x, in real
+        arithmetic."""
+        return self._log_joint(np.asarray(x, dtype=float), gammaln)
+
+    def _log_joint(self, t, lg):
         out = np.zeros_like(t)
         for a, _, _ in self.joint:
-            out = out + loggamma(1.0 - a + t)
+            out += lg(1.0 - a + t)
         return out
 
 
@@ -347,18 +381,26 @@ class _Line:
     or only k = 0...K on a half line.
 
     cover() sets K and halve() halves h; both evaluate log Phi only at the
-    nodes the line does not hold yet.  A new line covers half-length _HALF0.
-    A univariate line is a half line: for a real spec at a real argument,
-    Phi(c - iy) = conj Phi(c + iy), so the k < 0 half repeats the other.
+    nodes the line does not hold yet, in one call.  A new line covers
+    half-length `length` (_HALF0 by default).  A univariate line is a half
+    line: for a real spec at a real argument, Phi(c - iy) = conj Phi(c + iy),
+    so the k < 0 half repeats the other.  A half line also holds that
+    half at its coarsest spacing, the mirror `_asymmetry` checks the
+    symmetry on: mirror[j - 1] is log Phi at k = -j*2^level for
+    j = 1...K/2^level, evaluated in the same call as the held nodes of the
+    same extent, when the line is made and whenever cover() extends it.
     The bivariate axes and joint line hold both halves, which their
     convolution needs (`_lattice_sum`).
     """
 
-    def __init__(self, log_phi, c, h, half=False):
+    def __init__(self, log_phi, c, h, half=False, length=None):
         self.log_phi, self.c, self.h, self.half = log_phi, c, h, half
         self.level = 0
-        self.K = int(np.ceil(_HALF0 / h - 1e-9))
-        self.vals = self._eval(self.k)
+        self.K = K = int(np.ceil((_HALF0 if length is None else length) / h
+                                 - 1e-9))
+        vals = self._eval(np.arange(-K, K + 1))
+        self.vals = vals[K:] if half else vals
+        self.mirror = vals[:K][::-1] if half else vals[:0]
 
     def _eval(self, k):
         with np.errstate(all="ignore"):
@@ -380,15 +422,23 @@ class _Line:
         return self.c + 1j * self.h * self.k
 
     def cover(self, K):
+        coarse = 2 ** self.level
         if K < self.K:
             self.vals = (self.vals[:K + 1] if self.half
                          else self.vals[self.K - K:self.K + K + 1])
+            self.mirror = self.mirror[:K // coarse]
         elif K > self.K:
             k = np.arange(self.K + 1, K + 1)
-            parts = [self.vals, self._eval(k)]
-            if not self.half:
-                parts.insert(0, self._eval(-k[::-1]))
-            self.vals = np.concatenate(parts)
+            if self.half:
+                back = coarse * np.arange(self.K // coarse + 1,
+                                          K // coarse + 1)
+                new = self._eval(np.concatenate([k, -back]))
+                self.vals = np.concatenate([self.vals, new[:len(k)]])
+                self.mirror = np.concatenate([self.mirror, new[len(k):]])
+            else:
+                new = self._eval(np.concatenate([-k[::-1], k]))
+                self.vals = np.concatenate([new[:len(k)], self.vals,
+                                            new[len(k):]])
         self.K = K
 
     def halve(self):
@@ -420,22 +470,25 @@ def _over_budget(axes, estimates):
     )
 
 
-def _refine(axes, total):
+def _refine(axes, total, length):
     """The Mellin-Barnes refinement loop of every evaluator.
 
-    axes holds the _Line of each contour axis, the coarsest at spacing _H0;
-    total() returns (integral, l1) of the trapezoid rule over the lines as
-    they stand.  First one half-length, a multiple of _H0, is fixed for
-    every axis: it doubles from _HALF0 until the ends of each line are
-    below 1e-17 of its peak (`_Line.span`), then shrinks to the widest
-    axis's span.  Then every spacing halves until two levels pass
+    axes holds the _Line of each contour axis, the coarsest at spacing _H0,
+    each covering half-length length (`_start_length`); total() returns
+    (integral, l1) of the trapezoid rule over the lines as they stand.
+    First one half-length, a multiple of _H0, is fixed for every axis: it
+    doubles from length until the ends of each line are below 1e-17 of its
+    peak (`_Line.span`), then shrinks to the widest axis's span.  The span
+    depends only on the nodes, so any start the span lies within fixes the
+    same line; a start sized by the decay rate mostly makes the first
+    cover the last.  Then every spacing halves until two levels pass
     `_settled`.  Returns (estimates, error, l1), where
     estimates holds the last two values (the second is the result); raises
     ConvergenceError with the last two estimates, the half-lengths and the
     per-axis node counts once an unconverged line covers more than
     _MAX_NODES (`_Line.nodes`).
     """
-    half, prev = _HALF0, None
+    half, prev = length, None
     while True:
         for ln in axes:
             ln.cover(int(np.ceil(half / ln.h - 1e-9)))
@@ -466,17 +519,23 @@ def _asymmetry(line, lz):
     ln z = lz: (H/2pi) * sum_k |f(c - iHk) - conj f(c + iHk)| over the
     nodes k = 0...K_0 of the coarsest level, spacing H = h*2^level, with
     f = Phi(t)*z^t and the nodes of non-finite log Phi dropped.  The k < 0
-    nodes are evaluated here (about 1/2^level of a line); k = 0 is its own
-    mirror, so it counts twice its imaginary part.  Zero on every figure
-    kernel, since loggamma(conj t) = conj loggamma(t) to the bit there;
-    otherwise it measures what the half line's sum would miss."""
+    nodes are the line's mirror, evaluated with the coarse level; k = 0 is
+    its own mirror, so it counts twice its imaginary part.  Where every
+    mirrored log Phi is the exact conjugate of the held one (and the
+    non-finite nodes match), each term is exactly 0, so the measure is 0.0
+    without the exponentials: so on every figure kernel, since
+    loggamma(conj t) = conj loggamma(t) to the bit there.  Otherwise it
+    measures what the half line's sum would miss."""
     step = 2 ** line.level
-    k = np.arange(0, line.K + 1, step)
-    t = line.c + 1j * line.h * k
     held = line.vals[::step]
-    mirror = np.concatenate([held[:1], line._eval(-k[1:])])
+    mirror = np.concatenate([held[:1], line.mirror])
+    fin = np.isfinite(held)
+    if (np.array_equal(fin, np.isfinite(mirror))
+            and np.array_equal(mirror[fin], held[fin].conj())):
+        return 0.0
+    t = line.c + 1j * line.h * np.arange(0, line.K + 1, step)
     with np.errstate(all="ignore"):
-        f = np.where(np.isfinite(held), np.exp(held + t * lz), 0.0)
+        f = np.where(fin, np.exp(held + t * lz), 0.0)
         g = np.where(np.isfinite(mirror), np.exp(mirror + np.conj(t) * lz),
                      0.0)
     return float(np.abs(g - np.conj(f)).sum() * line.h * step / (2.0 * np.pi))
@@ -487,9 +546,10 @@ def _half_terms(line):
     stands: top is the largest Re log Phi_k, amp_k = w_k e^(Re log Phi_k
     - top) with w_0 = 1 and w_k = 2, and phase_k = Im log Phi_k.  A node
     with non-finite log Phi is dropped."""
-    keep = np.isfinite(line.vals)
-    lg = line.vals[keep]
-    k = np.arange(line.K + 1)[keep]
+    k, lg = np.arange(line.K + 1), line.vals
+    keep = np.isfinite(lg)
+    if not keep.all():
+        k, lg = k[keep], lg[keep]
     top = lg.real.max(initial=-np.inf)
     return k, top, np.where(k == 0, 1.0, 2.0) * np.exp(lg.real - top), lg.imag
 
@@ -548,10 +608,12 @@ class LineEvaluator:
             raise ParameterError(
                 f"argument must be a positive real, got {z_ref}")
         lz = np.log(np.array([z_ref]))
-        c = _abscissa(lambda cs: spec.log_phi(cs).real + cs * lz[0],
+        c = _abscissa(lambda cs: spec._log_abs_phi(cs) + cs * lz[0],
                       *spec.pole_interval())
-        line = _Line(spec.log_phi, c, _H0, half=True)
-        estimates, err, l1 = _refine([line], lambda: _half_sum(line, lz[0]))
+        length = _start_length(spec.decay_rate())
+        line = _Line(spec.log_phi, c, _H0, half=True, length=length)
+        estimates, err, l1 = _refine([line], lambda: _half_sum(line, lz[0]),
+                                     length)
         self._freeze(line)
         self.value, self.error = _finalize(
             (estimates[0], self._sum(lz)[0]), err, l1,
@@ -675,8 +737,8 @@ def _bivar_abscissas(spec, z1, z2):
         # rest: the other axis's share of A1*c1 + A2*c2
         lo, hi = kernel.pole_interval()
         return _abscissa(
-            lambda cs: (kernel.log_phi(cs).real + cs * np.log(z)
-                        + spec.log_joint(A * cs + rest).real),
+            lambda cs: (kernel._log_abs_phi(cs) + cs * np.log(z)
+                        + spec._log_abs_joint(A * cs + rest)),
             max(lo, (t_min - rest) / A), hi)
 
     # c1 is held at -0.5 while c2 is picked, unless c2's strip then leaves
@@ -703,9 +765,11 @@ def fox_h_bivariate(spec, z1, z2):
     c1, c2 = _bivar_abscissas(spec, z1, z2)
     A1, A2 = spec.joint[0][1:] if spec.joint else (1.0, 1.0)
     h = _H0 * min(A1, A2)
-    axes = [_Line(spec.kernel1.log_phi, c1, h / A1),
-            _Line(spec.kernel2.log_phi, c2, h / A2)]
-    joint = _Line(spec.log_joint, A1 * c1 + A2 * c2, h)
+    length = _start_length(min(spec.kernel1.decay_rate(),
+                               spec.kernel2.decay_rate()), h / max(A1, A2))
+    axes = [_Line(spec.kernel1.log_phi, c1, h / A1, length=length),
+            _Line(spec.kernel2.log_phi, c2, h / A2, length=length)]
+    joint = _Line(spec.log_joint, A1 * c1 + A2 * c2, h, length=length)
     estimates, err, l1 = _refine(
-        axes, lambda: _lattice_sum(z1, z2, *axes, joint))
+        axes, lambda: _lattice_sum(z1, z2, *axes, joint), length)
     return _finalize(estimates, err, l1, abs(estimates[-1].imag))[0]

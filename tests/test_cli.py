@@ -156,6 +156,28 @@ class TestEval:
         assert err["error"] == "config"
         assert "must be positive and finite" in err["message"]
 
+    @pytest.mark.parametrize("command", [
+        ["eval", "--metric", "sop"],
+        ["eval", "--metric", "est"],
+        ["validate", "--samples", "1000", "--seed", "1"],
+    ])
+    def test_target_rate_past_float_range_is_a_config_error(
+            self, tmp_path, capsys, command):
+        # sigma = 2^target_rate overflows from 1024 bit/s/Hz on: exit 2
+        # with a JSON error line, not an OverflowError traceback
+        d = figure_dict("fig4")
+        d["target_rate"] = 1100.0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        rc = main(command[:1] + ["--config", str(path)] + command[1:])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        err = json.loads(out.err)
+        assert err["error"] == "config"
+        assert "sigma" in err["message"]
+        assert "must be positive and finite" in err["message"]
+
 
 class TestSweep:
     def test_degenerate_two_point_sweep(self, capsys, tmp_path):
@@ -178,6 +200,16 @@ class TestSweep:
         assert rows[0][1]["error"].startswith("config")
         assert rows[2][1]["error"] == ""
         assert isinstance(rows[2][1]["sop"], float)
+
+    def test_target_rate_past_float_range_is_an_error_row(self):
+        # the sweep goes on past the point where sigma overflows
+        cfg = figure_config("fig4")
+        rows = run_sweep(cfg, "target_rate", 1000.0, 1100.0, 3, ["sop", "est"])
+        assert rows[0][1]["error"] == ""
+        assert isinstance(rows[0][1]["sop"], float)
+        for _, row in rows[1:]:
+            assert row["error"].startswith("parameter: sigma = inf")
+            assert row["sop"] == row["est"] == ""
 
     @pytest.mark.parametrize("axis,metrics,message", [
         ("power.psi_q", "sop", "no field 'psi_q'"),      # a property

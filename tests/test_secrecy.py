@@ -958,6 +958,40 @@ class TestLongLines:
             assert abs(res.value - sop_lower(cfg).value) <= \
                 res.diagnostics["error_bound"]
 
+    def test_real_scan_picks_the_complex_scans_abscissas(self, monkeypatch):
+        # every abscissa of the pinned assemblies and the wide-box corpus,
+        # univariate and bivariate, is the one the scan through the real
+        # part of the complex log Phi picks
+        import cunsec.secrecy as secrecy
+        from cunsec.channels import _MalagaMixture
+
+        picks, bivariate = [], [0]
+        rule, real_bivariate = specfun._abscissa, specfun.fox_h_bivariate
+
+        def recording(*args):
+            picks.append(rule(*args))
+            return picks[-1]
+
+        def counting(*args):
+            bivariate[0] += 1
+            return real_bivariate(*args)
+
+        monkeypatch.setattr(specfun, "_abscissa", recording)
+        monkeypatch.setattr(secrecy, "fox_h_bivariate", counting)
+        cfgs = [make() for make in LONG_LINE_ASSEMBLIES.values()]
+        cfgs += list(_wide_box_corpus(9, 40))
+        values = [_assembly(cfg).value for cfg in cfgs]
+        real = picks[:]
+        assert bivariate[0] > 0 and len(real) > 2 * bivariate[0]
+        picks.clear()
+        for cls in (FoxHSpec, _MalagaMixture):
+            monkeypatch.setattr(cls, "_log_abs_phi",
+                                lambda self, x: self.log_phi(x).real)
+        monkeypatch.setattr(BivariateFoxHSpec, "_log_abs_joint",
+                            lambda self, x: self.log_joint(x).real)
+        assert [_assembly(cfg).value for cfg in cfgs] == values
+        assert picks == real
+
 
 class TestMetricPath:
     @pytest.mark.parametrize("fig", ["fig4", "fig7"])

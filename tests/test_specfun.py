@@ -365,6 +365,82 @@ class TestBivariate:
         assert_allclose(l1, a1 * a2, rtol=1e-13)
 
 
+def _figure_lines():
+    """(spec, z_ref) of the Malaga CDF line of every figure point's metric
+    evaluator, at the point's sigma and at sigma = 1: 24 lines."""
+    lines = []
+    for name in FIGURES:
+        cfg = figure_config(name)
+        fso = cfg.fso
+        for sigma in (cfg.sigma, 1.0):
+            z_ref = max(fso.V * sigma * cfg.rf_se.avg_snr / fso.mu_s, 1e-6)
+            lines.append((fso.cdf_mixture_spec(), z_ref))
+    return lines
+
+
+def _complex_scan(spec, z):
+    """The abscissa of the scan through the complex log Phi."""
+    return specfun._abscissa(
+        lambda cs: spec.log_phi(cs).real + cs * np.log(z),
+        *spec.pole_interval())
+
+
+class TestRealScan:
+    """The abscissa scan reads log |Phi| in real arithmetic (gammaln), the
+    real part of the complex log Phi the lines are built from."""
+
+    @staticmethod
+    def _close(real, cplx):
+        with np.errstate(all="ignore"):
+            want = np.asarray(cplx).real
+            fin = np.isfinite(want)
+            assert np.array_equal(fin, np.isfinite(real))
+            assert np.all(np.abs(real[fin] - want[fin])
+                          <= 1e-13 * (1.0 + np.abs(want[fin])))
+
+    def test_fox_h_spec(self):
+        # m- and n-group factors, and both kinds of denominator factor,
+        # whose arguments run negative across the scanned range
+        specs = [
+            MeijerGSpec(m=3, n=1, a=(1.0, 2.0),
+                        b=(1.0, 2.296, 1.0, 0.0)).as_fox_h(),
+            FoxHSpec(m=2, n=1, upper=((0.5, 0.5), (1.7, 1.3)),
+                     lower=((1.0, 1.0), (0.25, 0.75), (0.4, 2.0))),
+            EXP_SPEC.as_fox_h(),
+        ]
+        x = np.linspace(-7.3, 7.1, 301)
+        for spec in specs:
+            with np.errstate(all="ignore"):
+                self._close(spec._log_abs_phi(x), spec.log_phi(x))
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("beta_o", [1, 3])
+    @pytest.mark.parametrize("gammas", [(), ((0.4, 1.5),), ((2.0, 0.5),
+                                                           (0.3, 1.0))])
+    def test_malaga_mixture(self, s, beta_o, gammas):
+        fso = replace(figure_config("fig4").fso, s=s, beta_o=beta_o)
+        for spec in (fso.cdf_mixture_spec(), fso.pdf_mixture_spec(),
+                     fso.cdf_kernel_spec(beta_o)):
+            spec = replace(spec, gammas=gammas)
+            lo, hi = spec.pole_interval()
+            x = np.concatenate([np.linspace(max(lo, -60.0), hi, 97),
+                                np.linspace(-40.0, 40.0, 81)])
+            with np.errstate(all="ignore"):
+                self._close(spec._log_abs_phi(x), spec.log_phi(x))
+
+    def test_log_joint(self):
+        spec = BivariateFoxHSpec(
+            joint=((-1.0, 2.0, 1.0), (0.5, 2.0, 1.0), (3.2, 2.0, 1.0)),
+            kernel1=EXP_SPEC.as_fox_h(), kernel2=EXP_SPEC.as_fox_h())
+        x = np.linspace(-6.1, 9.7, 203)
+        with np.errstate(all="ignore"):
+            self._close(spec._log_abs_joint(x), spec.log_joint(x))
+
+    def test_same_abscissa_on_the_figure_lines(self):
+        for spec, z_ref in _figure_lines():
+            assert LineEvaluator(spec, z_ref).c == _complex_scan(spec, z_ref)
+
+
 class TestAbscissaRule:
     """Every contour takes its abscissa from one rule, `_abscissa`."""
 
@@ -477,6 +553,48 @@ class TestRefinementBudget:
         # a new line holds 81 nodes (half-length 8 at spacing 0.2)
         assert specfun._START_NODES == 81
         assert specfun._MAX_NODES >= specfun._START_NODES
+
+
+class TestStartLength:
+    """A line starts where its spec's decay bound alone is below 1e-19 of
+    its peak, not at _HALF0; the span rule still fixes where it ends."""
+
+    def test_start_lengths(self, monkeypatch):
+        assert specfun._start_length(2.0) == pytest.approx(14.0)
+        assert specfun._start_length(1.0) == pytest.approx(28.0)
+        # never below _HALF0, and _HALF0 for a spec that does not decay
+        assert specfun._start_length(4.0) == specfun._HALF0
+        assert specfun._start_length(0.0) == specfun._HALF0
+        # never past the budget on the finest axis
+        assert 2 * specfun._start_length(1e-4) / _H0 + 1 <= specfun._MAX_NODES
+        monkeypatch.setattr(specfun, "_MAX_NODES", 201)
+        assert specfun._start_length(1.0) == pytest.approx(20.0)
+        assert specfun._start_length(1.0, _H0 / 4) == specfun._HALF0
+
+    def test_same_line_as_from_half0(self, monkeypatch):
+        # bit for bit: the same abscissa, spacing, length, frozen
+        # coefficients, value and error as a line started at _HALF0
+        lines = _figure_lines()
+        new = [LineEvaluator(spec, z) for spec, z in lines]
+        assert any(specfun._start_length(spec.decay_rate()) > specfun._HALF0
+                   for spec, _ in lines)
+        monkeypatch.setattr(specfun, "_start_length",
+                            lambda rate, h=_H0: specfun._HALF0)
+        for ev, (spec, z) in zip(new, lines):
+            old = LineEvaluator(spec, z)
+            assert (ev.c, ev.h, ev.K, ev._top) == (old.c, old.h, old.K,
+                                                   old._top)
+            assert np.array_equal(ev._coef, old._coef)
+            assert (ev.value, ev.error) == (old.value, old.error)
+
+    def test_same_bivariate_value_as_from_half0(self, monkeypatch):
+        exp_kernel = FoxHSpec(m=1, n=0, upper=(), lower=((0.0, 1.0),))
+        spec = BivariateFoxHSpec(joint=((-1.0, 2.0, 1.0),),
+                                 kernel1=exp_kernel, kernel2=exp_kernel)
+        new = fox_h_bivariate(spec, 0.7, 1.9)
+        monkeypatch.setattr(specfun, "_start_length",
+                            lambda rate, h=_H0: specfun._HALF0)
+        assert fox_h_bivariate(spec, 0.7, 1.9) == new
 
 
 class TestLineEvaluator:
@@ -612,6 +730,63 @@ class TestLineEvaluator:
                 fox_h(spec, z)
             assert fox_h(base, z) > 0
 
+    @staticmethod
+    def _full_asymmetry(line, lz):
+        """The asymmetry measure with the mirrored nodes evaluated afresh
+        and every exponential taken."""
+        step = 2 ** line.level
+        k = np.arange(0, line.K + 1, step)
+        t = line.c + 1j * line.h * k
+        held = line.vals[::step]
+        mirror = np.concatenate([held[:1], line._eval(-k[1:])])
+        with np.errstate(all="ignore"):
+            f = np.where(np.isfinite(held), np.exp(held + t * lz), 0.0)
+            g = np.where(np.isfinite(mirror),
+                         np.exp(mirror + np.conj(t) * lz), 0.0)
+        return float(np.abs(g - np.conj(f)).sum() * line.h * step
+                     / (2.0 * np.pi))
+
+    def test_mirror_is_the_coarse_level(self):
+        # after extending, trimming and halving, at any level, the mirror
+        # holds log Phi at the coarsest spacing's nodes k < 0, to the bit
+        spec = MeijerGSpec(m=3, n=1, a=(1.0, 2.0),
+                           b=(1.0, 2.296, 1.0, 0.0)).as_fox_h()
+        line = _Line(spec.log_phi, -0.3, _H0, half=True)
+        for step in (lambda: line.cover(57), lambda: line.cover(23),
+                     line.halve, lambda: line.cover(77), line.halve,
+                     lambda: line.cover(130), lambda: line.cover(101)):
+            step()
+            coarse = 2 ** line.level
+            k = coarse * np.arange(1, line.K // coarse + 1)
+            assert np.array_equal(line.mirror, line._eval(-k))
+
+    def test_shortcut_is_the_full_formula(self):
+        # on the figure lines every mirrored value is the exact conjugate,
+        # so both give 0.0; off them, the measure is the full formula's
+        for spec, z_ref in _figure_lines():
+            ev = LineEvaluator(spec, z_ref)
+            line = _Line(spec.log_phi, ev.c, _H0, half=True)
+            line.cover(int(round(ev.h * ev.K / _H0)))
+            while line.h > ev.h:
+                line.halve()
+            assert line.K == ev.K
+            assert _asymmetry(line, np.log(z_ref)) == 0.0
+            assert self._full_asymmetry(line, np.log(z_ref)) == 0.0
+
+        class Skewed(FoxHSpec):
+            def log_phi(self, t):
+                t = np.asarray(t, dtype=complex)
+                return super().log_phi(t) + 1e-3 * t.imag
+
+        base = MeijerGSpec(m=3, n=1, a=(1.0, 2.0),
+                           b=(1.0, 2.296, 1.0, 0.0)).as_fox_h()
+        spec = Skewed(base.m, base.n, base.upper, base.lower)
+        line = _Line(spec.log_phi, -0.4, _H0, half=True)
+        line.halve()
+        got = _asymmetry(line, np.log(0.5))
+        assert got > 0.0
+        assert got == self._full_asymmetry(line, np.log(0.5))
+
     def test_figure_kernels_are_conjugate_symmetric(self):
         # the check passes on every figure kernel; at every node of the
         # frozen line, not only the coarsest level's, the mirrored node is
@@ -691,6 +866,33 @@ class TestNodeCounts:
         cfg = figure_config("fig4")
         g_exp_moment(cfg, 1, cfg.rf_se.theta)
         assert 0 < counted[0] <= 2000
+
+    @pytest.fixture
+    def complex_calls(self, monkeypatch):
+        """[calls, arguments] of the complex log Phi, and [calls,
+        arguments] of the real-axis log |Phi|."""
+        n = [[0, 0], [0, 0]]
+        for cls in (FoxHSpec, _MalagaMixture):
+            for i, name in enumerate(("log_phi", "_log_abs_phi")):
+                def wrapped(self, t, real=getattr(cls, name), i=i):
+                    n[i][0] += 1
+                    n[i][1] += np.size(t)
+                    return real(self, t)
+
+                monkeypatch.setattr(cls, name, wrapped)
+        return n
+
+    def test_malaga_cdf_line(self, complex_calls):
+        # one line per metric evaluator: the half line with its mirror,
+        # then one call per halving; the scan is one real call
+        for name in FIGURES:
+            cfg = figure_config(name)
+            complex_calls[0][:] = complex_calls[1][:] = [0, 0]
+            MalagaCdfEvaluator(cfg.fso, cfg.sigma * cfg.rf_se.avg_snr,
+                               blocked=True)(cfg.rf_se.avg_snr)
+            assert 0 < complex_calls[0][0] <= 4
+            assert complex_calls[0][1] <= 600
+            assert complex_calls[1] == [1, specfun._SCAN]
 
     def test_line_evaluator_init(self, counted):
         cfg = figure_config("fig4")
