@@ -302,8 +302,7 @@ class _MalagaMixture:
                          lambda v: np.log(np.abs(v)))
 
     def _log(self, t, lg, log):
-        """log Phi(t) with the log gamma lg and the log log; the terms of
-        Gauss's formula that are 0 at s = 1 are left out."""
+        """log Phi(t) with the log gamma lg and the log log."""
         s = self.s
         st = s * t
         out = lg(self.alpha_o - st)
@@ -318,9 +317,8 @@ class _MalagaMixture:
             den *= t
         poly /= den
         out += log(poly)
-        if s != 1:
-            out += ((s - 1) * np.log(2.0 * np.pi) - self.alpha_o * np.log(s)
-                    + (2.0 * np.log(s)) * st)
+        out += ((s - 1) * np.log(2.0 * np.pi) - self.alpha_o * np.log(s)
+                + (2.0 * np.log(s)) * st)
         for a, A in self.gammas:
             out += lg(1.0 - a + A * t)
         return out

@@ -382,7 +382,7 @@ class _Line:
 
     cover() sets K and halve() halves h; both evaluate log Phi only at the
     nodes the line does not hold yet, in one call.  A new line covers
-    half-length `length` (_HALF0 by default).  A univariate line is a half
+    half-length `length` (`_start_length`).  A univariate line is a half
     line: for a real spec at a real argument, Phi(c - iy) = conj Phi(c + iy),
     so the k < 0 half repeats the other.  A half line also holds that
     half at its coarsest spacing, the mirror `_asymmetry` checks the
@@ -393,11 +393,10 @@ class _Line:
     convolution needs (`_lattice_sum`).
     """
 
-    def __init__(self, log_phi, c, h, half=False, length=None):
+    def __init__(self, log_phi, c, h, length, half=False):
         self.log_phi, self.c, self.h, self.half = log_phi, c, h, half
         self.level = 0
-        self.K = K = int(np.ceil((_HALF0 if length is None else length) / h
-                                 - 1e-9))
+        self.K = K = int(np.ceil(length / h - 1e-9))
         vals = self._eval(np.arange(-K, K + 1))
         self.vals = vals[K:] if half else vals
         self.mirror = vals[:K][::-1] if half else vals[:0]
@@ -470,35 +469,38 @@ def _over_budget(axes, estimates):
     )
 
 
-def _refine(axes, total, length):
+def _refine(axes, total):
     """The Mellin-Barnes refinement loop of every evaluator.
 
-    axes holds the _Line of each contour axis, the coarsest at spacing _H0,
-    each covering half-length length (`_start_length`); total() returns
-    (integral, l1) of the trapezoid rule over the lines as they stand.
-    First one half-length, a multiple of _H0, is fixed for every axis: it
-    doubles from length until the ends of each line are below 1e-17 of its
-    peak (`_Line.span`), then shrinks to the widest axis's span.  The span
-    depends only on the nodes, so any start the span lies within fixes the
-    same line; a start sized by the decay rate mostly makes the first
-    cover the last.  Then every spacing halves until two levels pass
-    `_settled`.  Returns (estimates, error, l1), where
+    axes holds the new _Line of each contour axis, at its coarsest spacing,
+    covering the half-length it was made with (`_start_length`); total()
+    returns (integral, l1) of the trapezoid rule over the lines as they
+    stand.  First every line doubles its extent until the ends of each are
+    below 1e-17 of its peak (`_Line.span`); then one half-length, a
+    multiple of _H0, is fixed for every axis: the widest axis's span.  The
+    span depends only on the nodes covered when the doubling stops, so a
+    start sized by the decay rate, which mostly makes the first cover the
+    last, fixes the same line as a start at _HALF0 wherever no node
+    between the two stopping half-lengths is within 1e-17 of the peak: so
+    where |Phi| falls monotonically past _HALF0.  Then every spacing
+    halves until two levels pass `_settled`.  Returns
+    (estimates, error, l1), where
     estimates holds the last two values (the second is the result); raises
     ConvergenceError with the last two estimates, the half-lengths and the
     per-axis node counts once an unconverged line covers more than
     _MAX_NODES (`_Line.nodes`).
     """
-    half, prev = length, None
+    prev = None
     while True:
-        for ln in axes:
-            ln.cover(int(np.ceil(half / ln.h - 1e-9)))
         spans = [ln.span() for ln in axes]
         if None not in spans:
             break
         value = total()[0]
         if prev is not None and max(ln.nodes for ln in axes) > _MAX_NODES:
             _over_budget(axes, (prev, value))
-        prev, half = value, 2.0 * half
+        prev = value
+        for ln in axes:
+            ln.cover(2 * ln.K)
     half = _H0 * np.ceil(max(spans) / _H0 - 1e-9)
     for ln in axes:
         ln.cover(int(np.ceil(half / ln.h - 1e-9)))
@@ -520,22 +522,17 @@ def _asymmetry(line, lz):
     nodes k = 0...K_0 of the coarsest level, spacing H = h*2^level, with
     f = Phi(t)*z^t and the nodes of non-finite log Phi dropped.  The k < 0
     nodes are the line's mirror, evaluated with the coarse level; k = 0 is
-    its own mirror, so it counts twice its imaginary part.  Where every
-    mirrored log Phi is the exact conjugate of the held one (and the
-    non-finite nodes match), each term is exactly 0, so the measure is 0.0
-    without the exponentials: so on every figure kernel, since
-    loggamma(conj t) = conj loggamma(t) to the bit there.  Otherwise it
-    measures what the half line's sum would miss."""
+    its own mirror, so it counts twice its imaginary part.  It measures
+    what the half line's sum would miss; it is exactly 0.0 where every
+    mirrored log Phi is the exact conjugate of the held one, as on every
+    figure kernel, since loggamma(conj t) = conj loggamma(t) to the bit
+    there."""
     step = 2 ** line.level
     held = line.vals[::step]
     mirror = np.concatenate([held[:1], line.mirror])
-    fin = np.isfinite(held)
-    if (np.array_equal(fin, np.isfinite(mirror))
-            and np.array_equal(mirror[fin], held[fin].conj())):
-        return 0.0
     t = line.c + 1j * line.h * np.arange(0, line.K + 1, step)
     with np.errstate(all="ignore"):
-        f = np.where(fin, np.exp(held + t * lz), 0.0)
+        f = np.where(np.isfinite(held), np.exp(held + t * lz), 0.0)
         g = np.where(np.isfinite(mirror), np.exp(mirror + np.conj(t) * lz),
                      0.0)
     return float(np.abs(g - np.conj(f)).sum() * line.h * step / (2.0 * np.pi))
@@ -546,10 +543,9 @@ def _half_terms(line):
     stands: top is the largest Re log Phi_k, amp_k = w_k e^(Re log Phi_k
     - top) with w_0 = 1 and w_k = 2, and phase_k = Im log Phi_k.  A node
     with non-finite log Phi is dropped."""
-    k, lg = np.arange(line.K + 1), line.vals
-    keep = np.isfinite(lg)
-    if not keep.all():
-        k, lg = k[keep], lg[keep]
+    keep = np.isfinite(line.vals)
+    lg = line.vals[keep]
+    k = np.arange(line.K + 1)[keep]
     top = lg.real.max(initial=-np.inf)
     return k, top, np.where(k == 0, 1.0, 2.0) * np.exp(lg.real - top), lg.imag
 
@@ -610,10 +606,9 @@ class LineEvaluator:
         lz = np.log(np.array([z_ref]))
         c = _abscissa(lambda cs: spec._log_abs_phi(cs) + cs * lz[0],
                       *spec.pole_interval())
-        length = _start_length(spec.decay_rate())
-        line = _Line(spec.log_phi, c, _H0, half=True, length=length)
-        estimates, err, l1 = _refine([line], lambda: _half_sum(line, lz[0]),
-                                     length)
+        line = _Line(spec.log_phi, c, _H0, _start_length(spec.decay_rate()),
+                     half=True)
+        estimates, err, l1 = _refine([line], lambda: _half_sum(line, lz[0]))
         self._freeze(line)
         self.value, self.error = _finalize(
             (estimates[0], self._sum(lz)[0]), err, l1,
@@ -767,9 +762,9 @@ def fox_h_bivariate(spec, z1, z2):
     h = _H0 * min(A1, A2)
     length = _start_length(min(spec.kernel1.decay_rate(),
                                spec.kernel2.decay_rate()), h / max(A1, A2))
-    axes = [_Line(spec.kernel1.log_phi, c1, h / A1, length=length),
-            _Line(spec.kernel2.log_phi, c2, h / A2, length=length)]
-    joint = _Line(spec.log_joint, A1 * c1 + A2 * c2, h, length=length)
+    axes = [_Line(spec.kernel1.log_phi, c1, h / A1, length),
+            _Line(spec.kernel2.log_phi, c2, h / A2, length)]
+    joint = _Line(spec.log_joint, A1 * c1 + A2 * c2, h, length)
     estimates, err, l1 = _refine(
-        axes, lambda: _lattice_sum(z1, z2, *axes, joint), length)
+        axes, lambda: _lattice_sum(z1, z2, *axes, joint))
     return _finalize(estimates, err, l1, abs(estimates[-1].imag))[0]

@@ -23,7 +23,8 @@ from cunsec.channels import (
     malaga_pdf,
 )
 from cunsec import specfun
-from cunsec.specfun import LineEvaluator, _Line, _asymmetry, meijer_g
+from cunsec.specfun import (LineEvaluator, _HALF0, _Line, _asymmetry,
+                            meijer_g)
 from cunsec.errors import NumericalIntegrityError, ParameterError
 from cunsec.figures import figure_config
 from cunsec.mc import ks_distance, sample_alpha_mu, sample_malaga_snr
@@ -221,7 +222,7 @@ class TestMalaga:
                                                     z_ref).eval_many(zs)
                     for m in range(1, beta_o + 1))
         assert_allclose(ev.eval_many(zs), per_m, rtol=1e-12)
-        line = _Line(spec.log_phi, ev.c, ev.h, half=True)
+        line = _Line(spec.log_phi, ev.c, ev.h, _HALF0, half=True)
         line.cover(ev.K)
         assert _asymmetry(line, np.log(z_ref)) == 0.0
         # the density's one line per value, against one per m_o

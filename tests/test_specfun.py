@@ -26,6 +26,7 @@ from cunsec.specfun import (
     meijer_g,
     upper_incomplete_gamma,
     _H0,
+    _HALF0,
     _Line,
     _asymmetry,
     _bivar_abscissas,
@@ -307,11 +308,11 @@ class TestBivariate:
         for a, B1, B2 in spec.joint:
             log_f = log_f + loggamma(1.0 - a + B1 * t1 + B2 * t2)
         f = np.exp(log_f) * (h / A1) * (h / A2) / (2 * np.pi) ** 2
-        line1 = _Line(spec.kernel1.log_phi, c1, h / A1)
-        line2 = _Line(spec.kernel2.log_phi, c2, h / A2)
+        line1 = _Line(spec.kernel1.log_phi, c1, h / A1, _HALF0)
+        line2 = _Line(spec.kernel2.log_phi, c2, h / A2, _HALF0)
         line1.cover(k1)
         line2.cover(k2)
-        joint = _Line(spec.log_joint, A1 * c1 + A2 * c2, h)
+        joint = _Line(spec.log_joint, A1 * c1 + A2 * c2, h, _HALF0)
         val, l1 = _lattice_sum(z1, z2, line1, line2, joint)
         assert (line1.nodes, line2.nodes) == (len(y1), len(y2))
         assert_allclose(val, f.sum(), rtol=1e-13)
@@ -333,11 +334,11 @@ class TestBivariate:
                                  kernel1=exp_kernel, kernel2=exp_kernel)
         z1, z2, h = 0.7, 1.9, 0.01
         c1, c2 = _bivar_abscissas(spec, z1, z2)
-        line1 = _Line(exp_kernel.log_phi, c1, h)
-        line2 = _Line(exp_kernel.log_phi, c2, h)
+        line1 = _Line(exp_kernel.log_phi, c1, h, _HALF0)
+        line2 = _Line(exp_kernel.log_phi, c2, h, _HALF0)
         line1.cover(2048)
         line2.cover(1024)
-        joint = _Line(spec.log_joint, c1 + c2, h)
+        joint = _Line(spec.log_joint, c1 + c2, h, _HALF0)
         val, l1 = _lattice_sum(z1, z2, line1, line2, joint)
         a = np.exp(line1.vals + line1.t * np.log(z1))
         b = np.exp(line2.vals + line2.t * np.log(z2))
@@ -353,12 +354,12 @@ class TestBivariate:
         spec = BivariateFoxHSpec(joint=(), kernel1=exp_kernel,
                                  kernel2=exp_kernel)
         c, z1, z2 = -0.5, 0.7, 1.9
-        line1 = _Line(exp_kernel.log_phi, c, 0.25)
-        line2 = _Line(exp_kernel.log_phi, c, 0.25)
+        line1 = _Line(exp_kernel.log_phi, c, 0.25, _HALF0)
+        line2 = _Line(exp_kernel.log_phi, c, 0.25, _HALF0)
         line1.cover(16)
         line2.cover(32)
         val, l1 = _lattice_sum(z1, z2, line1, line2,
-                               _Line(spec.log_joint, 2 * c, 0.25))
+                               _Line(spec.log_joint, 2 * c, 0.25, _HALF0))
         v1, a1 = _line_sum_ref(exp_kernel, z1, c, 0.25, 16)
         v2, a2 = _line_sum_ref(exp_kernel, z2, c, 0.25, 32)
         assert_allclose(val, v1 * v2, rtol=1e-13)
@@ -671,7 +672,7 @@ class TestLineEvaluator:
             fso = replace(figure_config("fig4").fso, s=s, beta_o=beta_o)
             spec, z_ref = fso.cdf_mixture_spec(), fso.V
         ev = LineEvaluator(spec, z_ref)
-        line = _Line(spec.log_phi, ev.c, ev.h, half=True)
+        line = _Line(spec.log_phi, ev.c, ev.h, _HALF0, half=True)
         line.cover(ev.K)
         zs = z_ref * np.logspace(-6, 6, 49)
         want, l1 = self._cosine_sum(line, np.log(zs))
@@ -700,7 +701,7 @@ class TestLineEvaluator:
         ev = LineEvaluator(base, z_ref)
         zs = z_ref * np.logspace(-2, 2, 9)
         intact = ev.eval_many(zs)
-        line = _Line(spec.log_phi, ev.c, ev.h, half=True)
+        line = _Line(spec.log_phi, ev.c, ev.h, _HALF0, half=True)
         line.cover(ev.K)
         assert np.isnan(line.vals).any() and np.isinf(line.vals).any()
         ev._freeze(line)
@@ -732,8 +733,7 @@ class TestLineEvaluator:
 
     @staticmethod
     def _full_asymmetry(line, lz):
-        """The asymmetry measure with the mirrored nodes evaluated afresh
-        and every exponential taken."""
+        """The asymmetry measure with the mirrored nodes evaluated afresh."""
         step = 2 ** line.level
         k = np.arange(0, line.K + 1, step)
         t = line.c + 1j * line.h * k
@@ -751,7 +751,7 @@ class TestLineEvaluator:
         # holds log Phi at the coarsest spacing's nodes k < 0, to the bit
         spec = MeijerGSpec(m=3, n=1, a=(1.0, 2.0),
                            b=(1.0, 2.296, 1.0, 0.0)).as_fox_h()
-        line = _Line(spec.log_phi, -0.3, _H0, half=True)
+        line = _Line(spec.log_phi, -0.3, _H0, _HALF0, half=True)
         for step in (lambda: line.cover(57), lambda: line.cover(23),
                      line.halve, lambda: line.cover(77), line.halve,
                      lambda: line.cover(130), lambda: line.cover(101)):
@@ -760,12 +760,13 @@ class TestLineEvaluator:
             k = coarse * np.arange(1, line.K // coarse + 1)
             assert np.array_equal(line.mirror, line._eval(-k))
 
-    def test_shortcut_is_the_full_formula(self):
-        # on the figure lines every mirrored value is the exact conjugate,
-        # so both give 0.0; off them, the measure is the full formula's
+    def test_measure_reads_the_mirror(self):
+        # the measure from the stored mirror is the one from the mirrored
+        # nodes evaluated afresh: 0.0 on the figure lines, where every
+        # mirrored value is the exact conjugate, and > 0 on a skewed spec
         for spec, z_ref in _figure_lines():
             ev = LineEvaluator(spec, z_ref)
-            line = _Line(spec.log_phi, ev.c, _H0, half=True)
+            line = _Line(spec.log_phi, ev.c, _H0, _HALF0, half=True)
             line.cover(int(round(ev.h * ev.K / _H0)))
             while line.h > ev.h:
                 line.halve()
@@ -781,7 +782,7 @@ class TestLineEvaluator:
         base = MeijerGSpec(m=3, n=1, a=(1.0, 2.0),
                            b=(1.0, 2.296, 1.0, 0.0)).as_fox_h()
         spec = Skewed(base.m, base.n, base.upper, base.lower)
-        line = _Line(spec.log_phi, -0.4, _H0, half=True)
+        line = _Line(spec.log_phi, -0.4, _H0, _HALF0, half=True)
         line.halve()
         got = _asymmetry(line, np.log(0.5))
         assert got > 0.0
@@ -793,7 +794,8 @@ class TestLineEvaluator:
         # the exact conjugate of the held one
         for gspec, z_ref in self._malaga_kernels():
             ev = LineEvaluator(gspec, z_ref)
-            line = _Line(gspec.as_fox_h().log_phi, ev.c, ev.h, half=True)
+            line = _Line(gspec.as_fox_h().log_phi, ev.c, ev.h, _HALF0,
+                         half=True)
             line.cover(ev.K)
             assert _asymmetry(line, np.log(z_ref)) == 0.0
 
