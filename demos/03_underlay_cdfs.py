@@ -1,9 +1,10 @@
 """End-to-end SNR CDFs of the underlay hybrid link.
 
 Scenario I caps the secondary transmitter only through the interference
-ceiling at the primary user; Scenario II adds a transmit-power cap.  The
-hybrid CDF is the product of the RF-branch CDF and the blocked-optical CDF
-(selection combining picks the better branch).
+ceiling at the primary user; Scenario II adds a transmit-power cap, and
+Scenario I is its uncapped limit.  The hybrid CDF of either scenario
+(cdf_hybrid) is the product of the RF-branch CDF and the blocked-optical
+CDF (selection combining picks the better branch).
 
 The Scenario II CDF is lambda1 + lambda2; the tail term lambda2 is a finite
 sum of non-negative regularized gammas, so it stays accurate where it is
@@ -15,8 +16,7 @@ import numpy as np
 from cunsec import (
     PowerConstraints,
     RfChannelParams,
-    cdf_hybrid_scenario1,
-    cdf_hybrid_scenario2,
+    cdf_hybrid,
     cdf_rf_scenario1,
     cdf_rf_scenario2,
     lambda1,
@@ -53,5 +53,5 @@ print("\nHybrid (selection-combining) CDFs at the figure operating points:")
 cfg1 = figure_config("fig4")
 cfg2 = figure_config("fig7")
 for x in (1.0, 5.0, 20.0):
-    print(f"  snr={x:5.1f}  hybrid_I={cdf_hybrid_scenario1(cfg1, x):.6f}  "
-          f"hybrid_II={cdf_hybrid_scenario2(cfg2, x):.6f}")
+    print(f"  snr={x:5.1f}  hybrid_I={cdf_hybrid(cfg1, x):.6f}  "
+          f"hybrid_II={cdf_hybrid(cfg2, x):.6f}")

@@ -4,12 +4,13 @@ Every metric is one expectation of the hybrid CDF over the eavesdropper law,
 and sop_lower / spsc / est evaluate exactly that (route "expectation"; with
 alpha_sr != alpha_sp the RF CDF is itself an expectation, route
 "quadrature").  The paper expands the same expectation into integral-term
-families; with alpha_sr == alpha_sp (and, in Scenario II, alpha_se ==
-alpha_sr) sop_lower_scenario1/2 assemble them as sums of non-negative
-exact Mellin-Barnes terms and return route "closed" with an error bound
-of 1e-8 relative to the value.  Scenario I takes the negative-binomial form
-of I_p(mu_r, mu_p) for integer mu_p, Scenario II the regularized-gamma Fox
-H kernel P(mu, y) for lambda1 and part of lambda2.  The "closed" column
+families; with alpha_sr == alpha_sp (and, where the transmit cap binds,
+alpha_se == alpha_sr) sop_lower_closed assembles them as a sum of
+non-negative exact Mellin-Barnes terms and returns route "closed" with an
+error bound of 1e-8 relative to the value.  Scenario II takes the
+regularized-gamma Fox H kernel P(mu, y) for lambda1 and part of lambda2;
+Scenario I is its uncapped limit, where those terms vanish and the
+negative-binomial form of I_p(mu_r, mu_p) for integer mu_p is left.  The "closed" column
 is the same metric from that assembly, printed beside the metric and Monte
 Carlo as a check, with the assembly's bound.  The last row is fig7 with
 psi_T = 200 dB: there the assembly's bivariate Fox H lines run to
@@ -18,16 +19,15 @@ thousands of nodes per axis, which the FFT lattice sum makes cheap.
 
 import dataclasses
 
-from cunsec import (est, simulate_metrics, sop_lower, sop_lower_scenario1,
-                    sop_lower_scenario2, spsc)
+from cunsec import est, simulate_metrics, sop_lower, sop_lower_closed, spsc
 from cunsec.figures import FIGURES, figure_config
 
 
 def closed_metric(cfg, metric):
     """The metric from the closed outage assembly, its route and its error
     bound."""
-    assemble = {"I": sop_lower_scenario1, "II": sop_lower_scenario2}[cfg.pc.scenario]
-    base = assemble(cfg.with_target_rate(0.0) if metric == "spsc" else cfg)
+    base = sop_lower_closed(cfg.with_target_rate(0.0) if metric == "spsc"
+                            else cfg)
     scale = cfg.target_rate if metric == "est" else 1.0
     value = {"sop": base.value, "spsc": 1.0 - base.value,
              "est": cfg.target_rate * (1.0 - base.value)}[metric]

@@ -16,8 +16,7 @@ from .channels import (
 from .config import config_from_dict, load_config
 from .cun_cdf import (
     PowerConstraints,
-    cdf_hybrid_scenario1,
-    cdf_hybrid_scenario2,
+    cdf_hybrid,
     cdf_rf_scenario1,
     cdf_rf_scenario2,
     lambda1,
@@ -39,8 +38,7 @@ from .secrecy import (
     SecrecyResult,
     est,
     sop_lower,
-    sop_lower_scenario1,
-    sop_lower_scenario2,
+    sop_lower_closed,
     spsc,
 )
 from .specfun import (

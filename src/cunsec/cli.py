@@ -326,7 +326,7 @@ def _build_parser():
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("sample", help="draw channel samples to CSV")
-    common(p)
+    p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--channel", required=True, choices=["alpha-mu", "malaga"])
     p.add_argument("--link", choices=["sr", "sp", "se"], default="sr",
                    help="which RF link for alpha-mu draws")

@@ -45,6 +45,8 @@ def config_from_dict(d):
     for key in ("rf_sr", "rf_sp", "rf_se", "fso", "power"):
         if key not in d:
             raise ConfigError(f"missing section {key!r}")
+        if not isinstance(d[key], dict):
+            raise ConfigError(f"section {key!r} must be an object")
     fso_d = dict(d["fso"])
     _check_keys(fso_d, _FSO_KEYS, "fso")
     fso_d.setdefault("s", 1)

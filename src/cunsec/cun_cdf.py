@@ -2,8 +2,9 @@
 
 Scenario I: the secondary transmitter is limited only by the interference
 ceiling at the primary user, so the RF SNR is psi_q * x_r / x_p.  Scenario II
-adds a transmit-power cap, making it min(psi_q / x_p, psi_t) * x_r.  Hybrid
-CDFs multiply the RF CDF with the blocked-FSO CDF (selection combining).
+adds a transmit-power cap, making it min(psi_q / x_p, psi_t) * x_r; Scenario I
+is its psi_t = inf limit.  The hybrid CDF (cdf_hybrid) multiplies the RF CDF
+of either scenario with the blocked-FSO CDF (selection combining).
 
 Each RF CDF is written without cancellation.  On every alpha-mu link
 G = delta x^a~ is Gamma(mu), so with equal alpha on S-R and S-P the
@@ -18,8 +19,8 @@ The paper writes lambda2 as P1 minus a quadruple series, from binomially
 expanding the upper incomplete gamma of the tail; that series converges
 only below an SNR radius and cancels where lambda2 is small, so the package
 keeps the finite non-negative form under the paper's name.  The closed
-outage assembly (secrecy.sop_lower_scenario2) integrates the same finite
-form term by term.
+outage assembly (secrecy.sop_lower_closed) integrates the same finite form
+term by term.
 """
 
 from __future__ import annotations
@@ -39,11 +40,10 @@ __all__ = [
     "PowerConstraints",
     "require_equal_alpha",
     "cdf_rf_scenario1",
-    "cdf_hybrid_scenario1",
     "lambda1",
     "lambda2",
     "cdf_rf_scenario2",
-    "cdf_hybrid_scenario2",
+    "cdf_hybrid",
 ]
 
 
@@ -226,12 +226,6 @@ def _expect(ch, f, u0=0.0):
     )
 
 
-def cdf_hybrid_scenario1(cfg, snr):
-    """Selection-combining CDF: RF factor times blocked-FSO factor."""
-    rf = cdf_rf_scenario1(cfg.rf_sr, cfg.rf_sp, cfg.pc, snr)
-    return rf * fso_blocked_cdf(cfg.fso, snr)
-
-
 # --------------------------------------------------------------------------
 # Scenario II
 # --------------------------------------------------------------------------
@@ -277,12 +271,6 @@ def cdf_rf_scenario2(rf_sr, rf_sp, pc, snr):
                     + lambda2(rf_sr, rf_sp, pc, x), x)
 
 
-def cdf_hybrid_scenario2(cfg, snr):
-    """Selection-combining CDF for the double-constraint scenario."""
-    rf = cdf_rf_scenario2(cfg.rf_sr, cfg.rf_sp, cfg.pc, snr)
-    return rf * fso_blocked_cdf(cfg.fso, snr)
-
-
 def cdf_rf_quad(rf_sr, rf_sp, pc, snr):
     """Defining-integral RF CDF, valid for any non-linearity pair: lambda1
     plus one expectation over x_p of F_r(snr x_p / psi_q) from
@@ -305,3 +293,9 @@ def cdf_rf(cfg, snr):
         return cdf_rf_quad(rf_sr, rf_sp, pc, snr)
     closed = cdf_rf_scenario1 if pc.scenario == "I" else cdf_rf_scenario2
     return closed(rf_sr, rf_sp, pc, snr)
+
+
+def cdf_hybrid(cfg, snr):
+    """Selection-combining CDF of either scenario: the RF factor times the
+    blocked-FSO factor (snr scalar, giving a float, or array)."""
+    return cdf_rf(cfg, snr) * fso_blocked_cdf(cfg.fso, snr)

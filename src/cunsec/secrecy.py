@@ -9,23 +9,24 @@ discard.  Its route is "expectation" when alpha_sr == alpha_sp (the RF CDF is
 closed form) and "quadrature" otherwise (the RF CDF is itself an
 expectation).
 
-The paper's closed assemblies, sop_lower_scenario1/2, expand the same
-expectation into integral terms.  They require alpha_sr == alpha_sp
-(Scenario II also alpha_se == alpha_sr) and serve as the checked
-reproduction of the paper, off the metric path.  Every term is one exact
-Mellin-Barnes integral, _kernel_moment:
+The paper's closed assembly, sop_lower_closed, expands the same
+expectation into integral terms for both scenarios: Scenario I is Scenario
+II with psi_t = inf.  It requires alpha_sr == alpha_sp, and also
+alpha_se == alpha_sr where the transmit cap binds (c > 0 below).  It
+serves as the checked reproduction of the paper, off the metric path.
+Every term is one exact Mellin-Barnes integral, _kernel_moment:
 int x^p e^(-w x^at_e) k(z x^at_r) [G(c x)] dx with k = 1 (z = 0) or one
 of three Fox H kernels: e^-y (the R2/R6 kernel), (1 + y)^-n (the I3/I4
 kernel) and the regularized gamma P(mu, y).  The paper-named terms
 (im1_term ... r8_term) and the moments exp_pair_moment, g_exp_moment and
-g_exp_pair_moment are one call of it each.  Each assembly writes the RF CDF
-as cun_cdf does, a sum of non-negative terms: Scenario II as two
-P(mu_r, .) terms and the positive (1 + y)^-n terms of lambda2
-(_lambda2_terms), Scenario I as that term list at c = 0, the
-negative-binomial form of I_p(mu_r, mu_p) for integer mu_p.  Each term is
-(coef, power, weight, z, kernel), every coef positive, and _assemble adds
-one P_o / G bracket per term; it returns the closed value (route "closed")
-with an error bound relative to it.
+g_exp_pair_moment are one call of it each.  The assembly writes the RF CDF
+as cun_cdf does, a sum of non-negative terms: two P(mu_r, .) terms and the
+positive (1 + y)^-n terms of lambda2 (_lambda2_terms), with
+c = d_p (psi_q / psi_t)^a~.  At c = 0 (Scenario I) both P terms vanish and
+the rest is the negative-binomial form of I_p(mu_r, mu_p) for integer
+mu_p.  Each term is (coef, power, weight, z, kernel), every coef positive,
+and _assemble adds one P_o / G bracket per term; it returns the closed
+value (route "closed") with an error bound relative to it.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ from .specfun import BivariateFoxHSpec, FoxHSpec, fox_h, fox_h_bivariate
 __all__ = [
     "SecrecyConfig",
     "SecrecyResult",
-    "sop_lower_scenario1",
-    "sop_lower_scenario2",
+    "sop_lower_closed",
     "sop_lower",
     "spsc",
     "est",
@@ -285,7 +285,7 @@ def sop_lower_quadrature(cfg):
 # metric assemblies
 # --------------------------------------------------------------------------
 
-def _assemble(cfg, scen, terms):
+def _assemble(cfg, terms):
     """SOP_L as the sum of the paper's closed pieces, each computed to
     relative tolerance specfun._REL_TOL.
 
@@ -303,6 +303,7 @@ def _assemble(cfg, scen, terms):
                       for g in (None, optical))
         pieces.append(coef * (P_o * ce * plain + (1.0 - P_o) * fso.K * ce * mix))
     bound = specfun._REL_TOL * sum(abs(x) for x in pieces)
+    scen = cfg.pc.scenario
     return SecrecyResult(_clamp_unit(sum(pieces), f"SOP_L^{scen}"), "SOP_L",
                          scen, {"route": "closed", "error_bound": bound})
 
@@ -327,48 +328,36 @@ def _lambda2_terms(cfg, c):
             for n, cn in coef.items() if cn != 0]
 
 
-def sop_lower_scenario1(cfg):
-    """Secrecy-outage lower bound for the interference-only constraint: the
-    paper's closed assembly of the I-terms (alpha_sr == alpha_sp only).
-
-    The RF CDF is I_{rho/(1+rho)}(mu_r, mu_p), rho = z_r x^a~ (_zr), and for
-    integer mu_p its negative-binomial form sum_{j<mu_p} C(mu_r + j - 1, j)
-    rho^mu_r (1 + rho)^-(mu_r+j) is lambda2's term list at c = 0
-    (_lambda2_terms): one I3/I4 kernel term per j (_assemble).
-    """
-    if cfg.pc.scenario != "I":
-        raise ParameterError("config is not Scenario I")
-    require_equal_alpha(cfg.rf_sr, cfg.rf_sp)
-    return _assemble(cfg, "I", _lambda2_terms(cfg, 0.0))
-
-
-def sop_lower_scenario2(cfg):
-    """Secrecy-outage lower bound for the double power constraint: the
-    paper's closed assembly (alpha_sr == alpha_sp == alpha_se only).
+def sop_lower_closed(cfg):
+    """Secrecy-outage lower bound: the paper's closed assembly, for either
+    scenario (alpha_sr == alpha_sp only).
 
     With A = Q(mu_p, c), c = d_p (psi_q / psi_t)^a~, and rho = z x^a~
     (_zr), the RF CDF is lambda1 + lambda2 in the non-negative form of
     cun_cdf.lambda2: lambda1 = (1 - A) P(mu_r, xi10 x^a~), then
     A P(mu_r, rho c), then the (1 + y)^-n terms of _lambda2_terms
-    (_assemble).  With alpha_se != alpha_sr such a term with the optical
-    kernel would be a trivariate Fox H, so that raises
-    UnsupportedParametersError before any Fox H call.
+    (_assemble).  Scenario I is psi_t = inf: c = xi10 = 0, both P terms
+    drop, and the rest is the negative-binomial form of
+    I_{rho/(1+rho)}(mu_r, mu_p), one I3/I4 kernel term per j.  Where c > 0,
+    _lambda2_terms merges e^(-c rho) into the x^at_e weight, so with
+    alpha_se != alpha_sr such a term with the optical kernel would be a
+    trivariate Fox H; that raises UnsupportedParametersError before any
+    Fox H call.
     """
-    if cfg.pc.scenario != "II":
-        raise ParameterError("config is not Scenario II")
     r, p, e, pc = cfg.rf_sr, cfg.rf_sp, cfg.rf_se, cfg.pc
     require_equal_alpha(r, p)
-    if not _equal_stretch(r.alpha_tilde, e.alpha_tilde):
-        raise UnsupportedParametersError(
-            "the Scenario II closed assembly requires alpha_se == alpha_sr "
-            f"(got {e.alpha} and {r.alpha})")
     c = p.delta * (pc.psi_q / pc.psi_t) ** r.alpha_tilde
-    # P(mu_r, 0) = 0: a term whose z underflows to 0 adds nothing
+    if c > 0 and not _equal_stretch(r.alpha_tilde, e.alpha_tilde):
+        raise UnsupportedParametersError(
+            "the closed assembly with a transmit cap requires "
+            f"alpha_se == alpha_sr (got {e.alpha} and {r.alpha})")
+    # P(mu_r, 0) = 0: a term whose z is 0 (c = 0, or z underflows) adds
+    # nothing
     terms = [(coef, e.theta, e.delta, z, _gamma_p_kernel(r.mu))
              for coef, z in ((float(gammainc(p.mu, c)), _xi10(cfg)),
                              (float(gammaincc(p.mu, c)), c * _zr(cfg)))
              if z != 0]
-    return _assemble(cfg, "II", terms + _lambda2_terms(cfg, c))
+    return _assemble(cfg, terms + _lambda2_terms(cfg, c))
 
 
 def sop_lower(cfg):

@@ -60,8 +60,8 @@ def test_traced_closed_forms_reach_every_wrapped_name(monkeypatch):
     with module.Tracer() as tracer:
         for name in module.SECRECY_TERMS:
             getattr(secrecy, name)(*args[name])
-        secrecy.sop_lower_scenario1(fig4)
-        secrecy.sop_lower_scenario2(fig7)
+        secrecy.sop_lower_closed(fig4)
+        secrecy.sop_lower_closed(fig7)
     spans = [f"secrecy.{name}" for name in module.SECRECY_TERMS]
     for span in spans + ["specfun.fox_h", "specfun.fox_h_bivariate"]:
         assert tracer.stats[span].calls > 0, span

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +124,24 @@ class TestEval:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
+
+    @pytest.mark.parametrize("value", [5, "abc", [1, 2], None],
+                             ids=["number", "string", "array", "null"])
+    @pytest.mark.parametrize("section",
+                             ["rf_sr", "rf_sp", "rf_se", "fso", "power"])
+    def test_non_object_section_is_a_config_error(self, tmp_path, capsys,
+                                                  section, value):
+        # exit 2 with a JSON error line naming the section, not a
+        # TypeError traceback or a string read as its characters
+        d = figure_dict("fig4")
+        d[section] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        rc = main(["eval", "--config", str(path), "--metric", "sop"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert repr(section) in err["message"]
 
     def test_scenario_override(self, fig4_path, capsys):
         rc = main(["eval", "--config", fig4_path, "--metric", "sop",
@@ -342,6 +361,14 @@ class TestSample:
         assert rc == 0
         assert len(out.read_text().strip().splitlines()) == 502
 
+    def test_scenario_flag_is_a_usage_error(self, fig4_path, tmp_path):
+        # sample draws from the links alone and has no scenario to override
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--channel", "malaga", "--config", fig4_path,
+                  "--scenario", "2", "--n", "10", "--seed", "4",
+                  "--out", str(tmp_path / "draws.csv")])
+        assert exc.value.code == 2
+
 
 @pytest.mark.parametrize("args", [
     ["sweep", "--axis", "power.psi_q_db", "--from", "0", "--to", "10",
@@ -362,6 +389,16 @@ def test_figure_corpus_loads():
     for name in FIGURES:
         cfg = figure_config(name)
         assert cfg.sigma >= 1.0
+
+
+def test_committed_configs_match_figures():
+    # configs/ (read by the console-script CI step and README) holds
+    # exactly the FIGURES corpus that the tests read
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    files = {path.stem: path for path in configs.glob("*.json")}
+    assert set(files) == set(FIGURES)
+    for name, path in files.items():
+        assert json.loads(path.read_text()) == FIGURES[name]["config"], name
 
 
 def test_write_figure_configs(tmp_path):

@@ -22,8 +22,7 @@ from cunsec.channels import (
 from cunsec.cun_cdf import (
     PowerConstraints,
     _expect,
-    cdf_hybrid_scenario1,
-    cdf_hybrid_scenario2,
+    cdf_hybrid,
     cdf_rf,
     cdf_rf_scenario1,
     cdf_rf_scenario2,
@@ -260,14 +259,13 @@ def test_cdf_rf_array_matches_scalar(make):
     assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("fig, hybrid", [
-    ("fig4", cdf_hybrid_scenario1), ("fig7", cdf_hybrid_scenario2)])
-def test_cdf_hybrid_array_matches_product(fig, hybrid):
+@pytest.mark.parametrize("fig", ["fig4", "fig7", "fig3"])
+def test_cdf_hybrid_array_matches_product(fig):
     # an array SNR gives the RF factor times the blocked-FSO factor of each
-    # entry
+    # entry, in either scenario and with alpha_sr != alpha_sp (fig3)
     cfg = figure_config(fig)
     xs = np.array([[0.0, 1e-3, 0.05, 0.3], [1.0, 4.0, 30.0, 500.0]])
-    got = hybrid(cfg, xs)
+    got = cdf_hybrid(cfg, xs)
     assert got.shape == xs.shape
     want = [[cdf_rf(cfg, float(x)) * fso_blocked_cdf(cfg.fso, float(x))
              for x in row] for row in xs]
@@ -304,14 +302,14 @@ class TestHybrid1:
         self.cfg = figure_config("fig4")
 
     def test_zero(self):
-        assert cdf_hybrid_scenario1(self.cfg, 0.0) == 0.0
+        assert cdf_hybrid(self.cfg, 0.0) == 0.0
 
     def test_blocked_reduces_to_rf(self):
         import dataclasses
 
         fso = dataclasses.replace(self.cfg.fso, blockage_p=1.0)
         cfg = dataclasses.replace(self.cfg, fso=fso)
-        got = cdf_hybrid_scenario1(cfg, 2.0)
+        got = cdf_hybrid(cfg, 2.0)
         want = cdf_rf_scenario1(cfg.rf_sr, cfg.rf_sp, cfg.pc, 2.0)
         assert_allclose(got, want, rtol=1e-12)
 
@@ -319,7 +317,7 @@ class TestHybrid1:
         x = self.cfg.fso.mu_s
         rf = cdf_rf_scenario1(self.cfg.rf_sr, self.cfg.rf_sp, self.cfg.pc, x)
         fso = fso_blocked_cdf(self.cfg.fso, x)
-        assert_allclose(cdf_hybrid_scenario1(self.cfg, x), rf * fso, rtol=1e-10)
+        assert_allclose(cdf_hybrid(self.cfg, x), rf * fso, rtol=1e-10)
 
     def test_expanded_form_matches_product(self):
         # four-term expansion of the product (selection combining)
@@ -331,7 +329,7 @@ class TestHybrid1:
         w_sum = 1.0 - cdf_rf_scenario1(rf_sr, rf_sp, pc, x)
         expanded = (p_o + (1 - p_o) * f_fso
                     - p_o * w_sum - (1 - p_o) * w_sum * f_fso)
-        assert_allclose(cdf_hybrid_scenario1(cfg, x), expanded, rtol=1e-8)
+        assert_allclose(cdf_hybrid(cfg, x), expanded, rtol=1e-8)
 
 
 class TestLambda1:
@@ -462,14 +460,14 @@ class TestHybrid2:
         self.cfg = figure_config("fig7")
 
     def test_zero(self):
-        assert cdf_hybrid_scenario2(self.cfg, 0.0) == 0.0
+        assert cdf_hybrid(self.cfg, 0.0) == 0.0
 
     def test_product_structure(self):
         x = self.cfg.fso.mu_s
         rf = cdf_rf_scenario2(self.cfg.rf_sr, self.cfg.rf_sp, self.cfg.pc, x)
         fso = fso_blocked_cdf(self.cfg.fso, x)
-        assert_allclose(cdf_hybrid_scenario2(self.cfg, x), rf * fso, rtol=1e-10)
-        assert cdf_hybrid_scenario2(self.cfg, x) <= min(rf, fso) + 1e-12
+        assert_allclose(cdf_hybrid(self.cfg, x), rf * fso, rtol=1e-10)
+        assert cdf_hybrid(self.cfg, x) <= min(rf, fso) + 1e-12
 
     def test_expanded_form_matches_product(self):
         # X-form expansion: F = [X - (1 - A) tail - P2] * [P_o + (1-P_o) F_m]
@@ -494,7 +492,7 @@ class TestHybrid2:
         p2 = xi5 - lambda2(r, p, pc, x)
         f_rf_expanded = chi - (1.0 - sum_xi1) * tail1 - p2
         f_fso = fso_blocked_cdf(fso, x)
-        got = cdf_hybrid_scenario2(cfg, x)
+        got = cdf_hybrid(cfg, x)
         assert_allclose(got, f_rf_expanded * f_fso, rtol=1e-8)
 
     def test_scenario_convergence_grid(self):
@@ -508,8 +506,8 @@ class TestHybrid2:
         cfg_hi = dataclasses.replace(cfg, pc=pc_hi)
         cfg_1 = dataclasses.replace(cfg, pc=pc_1)
         grid = np.logspace(-2, 2.5, 50)
-        gap = max(abs(cdf_hybrid_scenario2(cfg_hi, float(x))
-                      - cdf_hybrid_scenario1(cfg_1, float(x)))
+        gap = max(abs(cdf_hybrid(cfg_hi, float(x))
+                      - cdf_hybrid(cfg_1, float(x)))
                   for x in grid)
         assert gap < 1e-3
 
@@ -534,7 +532,7 @@ def test_product_law_random_configs():
         x = float(rng.uniform(0.1, 30.0))
         rf = cdf_rf_scenario1(cfg.rf_sr, cfg.rf_sp, cfg.pc, x)
         fso = fso_blocked_cdf(cfg.fso, x)
-        got = cdf_hybrid_scenario1(cfg, x)
+        got = cdf_hybrid(cfg, x)
         assert got == pytest.approx(rf * fso, rel=1e-12)
         p_o = cfg.fso.blockage_p
         f_m = (fso - p_o) / (1 - p_o) if p_o < 1 else 0.0

@@ -38,8 +38,7 @@ from cunsec.secrecy import (
     r6_term,
     r8_term,
     sop_lower,
-    sop_lower_scenario1,
-    sop_lower_scenario2,
+    sop_lower_closed,
     spsc,
 )
 from cunsec import specfun
@@ -322,11 +321,6 @@ def _wide_box_corpus(seed, n):
         })
 
 
-def _assembly(cfg):
-    return {"I": sop_lower_scenario1,
-            "II": sop_lower_scenario2}[cfg.pc.scenario](cfg)
-
-
 EQUAL_ALPHA_FIGURES = [name for name in FIGURES if name != "fig3"]
 
 MIXED_ALPHA_S2 = {
@@ -486,11 +480,6 @@ class TestImTerms:
                                  _gamma_p_kernel(r.mu))
             assert_allclose(got, ref, rtol=1e-12)
 
-    def test_scenario_guard(self):
-        # the I-terms are assembled for Scenario I configs only
-        with pytest.raises(ParameterError):
-            sop_lower_scenario1(figure_config("fig7"))
-
 
 class TestRTerms:
     def test_r1_matches_im1(self):
@@ -592,15 +581,10 @@ class TestRTerms:
         assert_allclose(g_exp_pair_moment(cfg, m_o, power, coeff),
                         direct, rtol=1e-10)
 
-    def test_scenario_guard(self):
-        # the R-terms are assembled for Scenario II configs only
-        with pytest.raises(ParameterError):
-            sop_lower_scenario2(figure_config("fig4"))
-
 
 class TestSopScenario1:
     def test_useless_eavesdropper(self):
-        assert sop_lower_scenario1(_useless_eavesdropper()).value < 0.01
+        assert sop_lower_closed(_useless_eavesdropper()).value < 0.01
 
     def test_dominant_eavesdropper(self):
         cfg = figure_config("fig4")
@@ -629,7 +613,7 @@ class TestSopScenario1:
         assert res.diagnostics["route"] == "quadrature"
         assert 0.0 <= res.value <= 1.0
         with pytest.raises(UnsupportedParametersError):
-            sop_lower_scenario1(cfg)
+            sop_lower_closed(cfg)
 
     @pytest.mark.parametrize("fig", ["fig9", "fig11"])
     @pytest.mark.parametrize("psi_q_db", [20.0, 30.0])
@@ -644,7 +628,7 @@ class TestSopScenario1:
         fig4_q30 = dataclasses.replace(
             figure_config("fig4"), pc=PowerConstraints(psi_q_db=30.0, scenario="I"))
         for cfg in (fig4_q30, _useless_eavesdropper()):
-            res = sop_lower_scenario1(cfg)
+            res = sop_lower_closed(cfg)
             assert res.diagnostics["route"] == "closed"
             assert_allclose(res.value, sop_lower(cfg).value, rtol=1e-8,
                             atol=1e-15)
@@ -660,7 +644,7 @@ class TestSopScenario1:
         # it covers the distance to the expectation
         cfg = dataclasses.replace(
             figure_config(fig), pc=PowerConstraints(psi_q_db=psi_q_db, scenario="I"))
-        res = sop_lower_scenario1(cfg)
+        res = sop_lower_closed(cfg)
         bound = res.diagnostics["error_bound"]
         assert abs(res.value - sop_lower(cfg).value) <= bound
         assert bound <= 1.0001e-8 * res.value
@@ -682,7 +666,7 @@ class TestSopScenario1:
         cfg = figure_config("fig4")
         cfg = dataclasses.replace(
             cfg, pc=PowerConstraints(psi_q_db=30.0, scenario="I"))
-        res = sop_lower_scenario1(cfg)
+        res = sop_lower_closed(cfg)
         assert res.diagnostics["route"] == "closed"
         assert_allclose(res.value, sop1_defining_integral(cfg), rtol=1e-6)
 
@@ -693,7 +677,7 @@ class TestSopScenario1:
         # Mellin-Barnes integral, so the assembly returns its closed value,
         # within its bound of the expectation
         cfg = I_TERM_CONFIGS[name]()
-        res = sop_lower_scenario1(cfg)
+        res = sop_lower_closed(cfg)
         ref = sop_lower(cfg).value
         assert res.diagnostics["route"] == "closed"
         assert abs(res.value - ref) <= res.diagnostics["error_bound"]
@@ -734,13 +718,28 @@ class TestSopScenario2:
             link: dataclasses.replace(getattr(cfg, link), alpha=5.0)
             for link in ("rf_sr", "rf_sp", "rf_se")})
         assert _xi10(cfg) == 0.0
-        res = sop_lower_scenario2(cfg)
+        res = sop_lower_closed(cfg)
         cfg_1 = dataclasses.replace(
             cfg, pc=PowerConstraints(psi_q_db=cfg.pc.psi_q_db, scenario="I"))
-        assert_allclose(res.value, sop_lower_scenario1(cfg_1).value,
+        assert_allclose(res.value, sop_lower_closed(cfg_1).value,
                         rtol=1e-14)
         assert abs(res.value - sop_lower(cfg).value) <= \
             res.diagnostics["error_bound"]
+
+    def test_underflowing_cap_takes_any_alpha_se(self):
+        # c underflows to 0 as in Scenario I, so no e^(-c rho) merges into
+        # the x^at_e weight and alpha_se != alpha_sr is no obstacle: the
+        # assembly is Scenario I's, bit for bit
+        cfg = _fig7_at_psi_t(1500.0)
+        cfg = dataclasses.replace(cfg, **{
+            link: dataclasses.replace(getattr(cfg, link), alpha=alpha)
+            for link, alpha in (("rf_sr", 5.0), ("rf_sp", 5.0),
+                                ("rf_se", 3.0))})
+        cfg_1 = dataclasses.replace(
+            cfg, pc=PowerConstraints(psi_q_db=cfg.pc.psi_q_db, scenario="I"))
+        res = sop_lower_closed(cfg)
+        assert res.diagnostics["route"] == "closed"
+        assert repr(res.value) == repr(sop_lower_closed(cfg_1).value)
 
     def test_vs_defining_integral(self):
         cfg = figure_config("fig7")
@@ -783,19 +782,24 @@ class TestSopScenario2:
         # non-negative pieces, the assembly keeps a bound relative to it
         cfg = figure_config(fig)
         cfg = dataclasses.replace(cfg, pc=dataclasses.replace(cfg.pc, **{field: db}))
-        res = sop_lower_scenario2(cfg)
+        res = sop_lower_closed(cfg)
         ref = sop_lower(cfg).value
         assert res.diagnostics["route"] == "closed"
         assert abs(res.value - ref) <= res.diagnostics["error_bound"]
         assert abs(res.value - ref) <= 1e-10 * ref
         assert res.diagnostics["error_bound"] <= 1.0001e-8 * res.value
 
-    @pytest.mark.parametrize("name", list(MIXED_ALPHA_S2))
-    def test_mixed_alpha_matches_defining_integral(self, name, monkeypatch):
-        # alpha_se != alpha_sr: a term e^(-c rho) (1 + rho)^-n with the
-        # optical kernel would be a trivariate Fox H, so the closed assembly
-        # does not apply and raises before any Fox H call; TestAssemblyPieces
-        # checks the paper terms there instead
+    @pytest.mark.parametrize(
+        "make", list(MIXED_ALPHA_S2.values()) + [
+            functools.partial(_with_alpha_se, "fig7", 3.0),
+            functools.partial(_with_alpha_se, "fig10", 3.0)],
+        ids=list(MIXED_ALPHA_S2) + ["fig7-3.0", "fig10-3.0"])
+    def test_mixed_alpha_matches_defining_integral(self, make, monkeypatch):
+        # alpha_se != alpha_sr where the cap binds (c > 0): a term
+        # e^(-c rho) (1 + rho)^-n with the optical kernel would be a
+        # trivariate Fox H, so the closed assembly does not apply and raises
+        # before any Fox H call; TestAssemblyPieces checks the paper terms
+        # there instead
         import cunsec.secrecy as secrecy
 
         calls = []
@@ -806,7 +810,7 @@ class TestSopScenario2:
 
             monkeypatch.setattr(secrecy, attr, counting)
         with pytest.raises(UnsupportedParametersError):
-            sop_lower_scenario2(MIXED_ALPHA_S2[name]())
+            sop_lower_closed(make())
         assert calls == []
 
     def test_closed_matches_defining_integral(self):
@@ -820,7 +824,7 @@ class TestSopScenario2:
             "power": {"psi_q_db": 20.0, "psi_t_db": 0.0, "scenario": "II"},
             "target_rate": 0.05,
         })
-        res = sop_lower_scenario2(cfg)
+        res = sop_lower_closed(cfg)
         assert res.diagnostics["route"] == "closed"
         assert_allclose(res.value, sop2_defining_integral(cfg), rtol=1e-6)
         assert_allclose(res.value, sop_lower(cfg).value, rtol=1e-8, atol=1e-15)
@@ -854,8 +858,7 @@ class TestAssemblyPieces:
         # each assembly returns its closed value, within its bound of the
         # expectation; the bound is relative, so no piece is negative
         cfg = figure_config(fig)
-        assemble = {"I": sop_lower_scenario1, "II": sop_lower_scenario2}
-        res = assemble[cfg.pc.scenario](cfg)
+        res = sop_lower_closed(cfg)
         ref = sop_lower(cfg).value
         assert res.diagnostics["route"] == "closed"
         assert abs(res.value - ref) <= res.diagnostics["error_bound"]
@@ -874,8 +877,7 @@ class TestAssemblyPieces:
         if psi_q_db is not None:
             cfg = dataclasses.replace(
                 cfg, pc=dataclasses.replace(cfg.pc, psi_q_db=psi_q_db))
-        assemble = {"I": sop_lower_scenario1, "II": sop_lower_scenario2}
-        assert_allclose(assemble[cfg.pc.scenario](cfg).value,
+        assert_allclose(sop_lower_closed(cfg).value,
                         sop_reference(cfg), rtol=1e-12)
 
     @pytest.mark.parametrize("fig", ["fig4", "fig7"])
@@ -891,9 +893,9 @@ class TestAssemblyPieces:
             cfg, fso=dataclasses.replace(cfg.fso, beta_o=beta_o))
         n_terms, kernels = [], []
 
-        def assemble(cfg, scen, terms, real=secrecy._assemble):
+        def assemble(cfg, terms, real=secrecy._assemble):
             n_terms.append(len(terms))
-            return real(cfg, scen, terms)
+            return real(cfg, terms)
 
         def bivariate(spec, z1, z2, real=secrecy.fox_h_bivariate):
             kernels.append(spec.kernel2)
@@ -901,8 +903,7 @@ class TestAssemblyPieces:
 
         monkeypatch.setattr(secrecy, "_assemble", assemble)
         monkeypatch.setattr(secrecy, "fox_h_bivariate", bivariate)
-        assemble_closed = {"I": sop_lower_scenario1, "II": sop_lower_scenario2}
-        res = assemble_closed[cfg.pc.scenario](cfg)
+        res = sop_lower_closed(cfg)
         assert res.diagnostics["route"] == "closed"
         assert len(kernels) == n_terms[0] > 0
         assert set(kernels) == {cfg.fso.cdf_mixture_spec()}
@@ -932,7 +933,7 @@ class TestLongLines:
     @pytest.mark.parametrize("name", list(LONG_LINE_ASSEMBLIES))
     def test_assembly_returns_within_its_bound(self, name):
         cfg = LONG_LINE_ASSEMBLIES[name]()
-        res = _assembly(cfg)
+        res = sop_lower_closed(cfg)
         assert res.diagnostics["route"] == "closed"
         assert abs(res.value - sop_lower(cfg).value) <= \
             res.diagnostics["error_bound"]
@@ -953,7 +954,7 @@ class TestLongLines:
 
     def test_wide_box_corpus(self):
         for cfg in _wide_box_corpus(9, 40):
-            res = _assembly(cfg)
+            res = sop_lower_closed(cfg)
             assert res.diagnostics["route"] == "closed"
             assert abs(res.value - sop_lower(cfg).value) <= \
                 res.diagnostics["error_bound"]
@@ -980,7 +981,7 @@ class TestLongLines:
         monkeypatch.setattr(secrecy, "fox_h_bivariate", counting)
         cfgs = [make() for make in LONG_LINE_ASSEMBLIES.values()]
         cfgs += list(_wide_box_corpus(9, 40))
-        values = [_assembly(cfg).value for cfg in cfgs]
+        values = [sop_lower_closed(cfg).value for cfg in cfgs]
         real = picks[:]
         assert bivariate[0] > 0 and len(real) > 2 * bivariate[0]
         picks.clear()
@@ -989,7 +990,7 @@ class TestLongLines:
                                 lambda self, x: self.log_phi(x).real)
         monkeypatch.setattr(BivariateFoxHSpec, "_log_abs_joint",
                             lambda self, x: self.log_joint(x).real)
-        assert [_assembly(cfg).value for cfg in cfgs] == values
+        assert [sop_lower_closed(cfg).value for cfg in cfgs] == values
         assert picks == real
 
 
