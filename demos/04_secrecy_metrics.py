@@ -10,9 +10,9 @@ non-negative exact Mellin-Barnes terms and returns route "closed" with an
 error bound of 1e-8 relative to the value.  Scenario II takes the
 regularized-gamma Fox H kernel P(mu, y) for lambda1 and part of lambda2;
 Scenario I is its uncapped limit, where those terms vanish and the
-negative-binomial form of I_p(mu_r, mu_p) for integer mu_p is left.  The "closed" column
-is the same metric from that assembly, printed beside the metric and Monte
-Carlo as a check, with the assembly's bound.  The last row is fig7 with
+negative-binomial form of I_p(mu_r, mu_p) for integer mu_p is left.  The
+"closed" column is the same metric from that assembly, printed beside the
+metric and Monte Carlo as a check, with the assembly's bound.  The last row is fig7 with
 psi_T = 200 dB: there the assembly's bivariate Fox H lines run to
 thousands of nodes per axis, which the FFT lattice sum makes cheap.
 """
