@@ -208,8 +208,10 @@ def run_validate(cfg, n, seed):
                      "mc": estm.estimate, "std_error": estm.std_error,
                      "z": z, "pass": ok})
 
+    # chunk 0 of the Monte-Carlo run above
+    batch = first[0]
     ks_rows = []
-    ks_threshold = float(2.0 / np.sqrt(min(n, 1 << 18)))
+    ks_threshold = float(2.0 / np.sqrt(batch.n))
 
     def ks_row(name, samples, cdf_vec, expensive=False):
         nonlocal passed
@@ -222,14 +224,13 @@ def run_validate(cfg, n, seed):
         ks_rows.append({"channel": name, "ks": d, "threshold": ks_threshold,
                         "pass": ok})
 
-    # chunk 0 of the Monte-Carlo run above
-    batch = first[0]
     ks_row("rf_sr", batch.snr_r, lambda x: alpha_mu_cdf(cfg.rf_sr, x))
     ks_row("rf_sp", batch.snr_p, lambda x: alpha_mu_cdf(cfg.rf_sp, x))
     ks_row("rf_se", batch.snr_e, lambda x: alpha_mu_cdf(cfg.rf_se, x))
     fso_eval = MalagaCdfEvaluator(cfg.fso, blocked=True)
     ks_row("fso_blocked", batch.snr_fso, fso_eval.eval_many, expensive=True)
-    rf_samples = _scenario_power(cfg.pc, batch.snr_p) * batch.snr_r
+    rf_samples = _scenario_power(cfg.pc, batch.snr_p)
+    rf_samples *= batch.snr_r
     ks_row("rf_scenario", rf_samples, lambda x: cdf_rf(cfg, x),
            expensive=True)
     report = {"metrics": rows, "ks": ks_rows, "n": n, "seed": seed,
@@ -272,7 +273,8 @@ def _cmd_validate(args):
 def _cmd_sample(args):
     cfg = load_config(args.config)
     if args.channel == "alpha-mu":
-        ch = {"sr": cfg.rf_sr, "sp": cfg.rf_sp, "se": cfg.rf_se}[args.link]
+        link = args.link or "sr"
+        ch = {"sr": cfg.rf_sr, "sp": cfg.rf_sp, "se": cfg.rf_se}[link]
         draws = sample_alpha_mu(ch, args.n, args.seed)
     else:
         draws = sample_malaga_snr(cfg.fso, args.n, args.seed)
@@ -328,8 +330,8 @@ def _build_parser():
     p = sub.add_parser("sample", help="draw channel samples to CSV")
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--channel", required=True, choices=["alpha-mu", "malaga"])
-    p.add_argument("--link", choices=["sr", "sp", "se"], default="sr",
-                   help="which RF link for alpha-mu draws")
+    p.add_argument("--link", choices=["sr", "sp", "se"], default=None,
+                   help="which RF link for alpha-mu draws (default sr)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -338,7 +340,11 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    ap = _build_parser()
+    args = ap.parse_args(argv)
+    if args.command == "sample" and args.channel == "malaga" and args.link:
+        # the optical link is one link: a --link there would be ignored
+        ap.error("sample: --link applies to --channel alpha-mu only")
     try:
         return args.fn(args)
     except CunsecError as exc:

@@ -8,7 +8,7 @@ from cunsec.cli import main, run_sweep, run_validate
 from cunsec.config import config_from_dict, load_config, replace_by_path
 from cunsec.errors import ConfigError
 from cunsec.figures import FIGURES, figure_config, figure_dict, write_figure_configs
-from cunsec.mc import simulate_metrics
+from cunsec.mc import sample_alpha_mu, simulate_metrics
 from cunsec.secrecy import sop_lower
 
 
@@ -368,6 +368,30 @@ class TestSample:
                   "--scenario", "2", "--n", "10", "--seed", "4",
                   "--out", str(tmp_path / "draws.csv")])
         assert exc.value.code == 2
+
+    def test_link_with_malaga_is_a_usage_error(self, fig4_path, tmp_path):
+        # there is one optical link: --link picks among the RF links only
+        out = tmp_path / "draws.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--channel", "malaga", "--config", fig4_path,
+                  "--link", "se", "--n", "10", "--seed", "4",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_link_picks_the_rf_link(self, fig4_path, tmp_path):
+        def draws(*link):
+            out = tmp_path / "draws.csv"
+            assert main(["sample", "--channel", "alpha-mu", "--config",
+                         fig4_path, *link, "--n", "50", "--seed", "4",
+                         "--out", str(out)]) == 0
+            return [float(v) for v in out.read_text().splitlines()[2:]]
+
+        cfg = figure_config("fig4")
+        assert draws() == draws("--link", "sr") \
+            == sample_alpha_mu(cfg.rf_sr, 50, 4).tolist()
+        assert draws("--link", "se") \
+            == sample_alpha_mu(cfg.rf_se, 50, 4).tolist()
 
 
 @pytest.mark.parametrize("args", [
