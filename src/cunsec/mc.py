@@ -242,9 +242,9 @@ def _pchip_cdf(cdf_fn, positives, n_grid):
     return lambda x: np.clip(interp(x), 0.0, 1.0)
 
 
-def _ks(samples, cdf_fn, positive_cdf):
-    """KS distance of samples against cdf_fn, whose continuous part is read
-    through positive_cdf(positives) on the sorted positive samples.
+def _ks(samples, cdf_fn, n_grid=None):
+    """KS distance of samples against cdf_fn; with n_grid, the continuous
+    part is read from `_pchip_cdf` on the sorted positive samples.
 
     The CDF is read at both ends of each block of _KS_BLOCK sorted samples.
     F is monotone, so inside a block x_s..x_e (ranks counted over the whole
@@ -266,7 +266,7 @@ def _ks(samples, cdf_fn, positive_cdf):
     pos = xs[n0:]
     if len(pos) == 0:
         return float(best)
-    cdf = positive_cdf(pos)
+    cdf = cdf_fn if n_grid is None else _pchip_cdf(cdf_fn, pos, n_grid)
 
     def deviations(i, f):
         """The largest of both one-sided deviations at ranks n0 + i."""
@@ -300,12 +300,11 @@ def ks_distance(samples, cdf_fn):
     one-sample bounds, scanned block by block (`_ks`): exactly the full
     scan's distance, from a few percent of its CDF evaluations.
     """
-    return _ks(samples, cdf_fn, lambda positives: cdf_fn)
+    return _ks(samples, cdf_fn)
 
 
 def ks_distance_interpolated(samples, cdf_fn, n_grid=2048):
     """ks_distance with the CDF evaluated on a subgrid of n_grid sample
     quantiles and interpolated; for kernels too expensive to evaluate at
     every sample point.  The atom at zero is read from cdf_fn itself."""
-    return _ks(samples, cdf_fn,
-               lambda positives: _pchip_cdf(cdf_fn, positives, n_grid))
+    return _ks(samples, cdf_fn, n_grid)

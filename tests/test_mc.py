@@ -187,23 +187,31 @@ def _ks_full(samples, cdf_fn):
 
 def _ks_full_interpolated(samples, cdf_fn, n_grid):
     """The full KS scan of the CDF interpolated (PCHIP) from n_grid sample
-    quantiles, the atom at zero read from cdf_fn itself."""
+    quantiles at every positive sample, the atom at zero read from cdf_fn
+    itself."""
     from scipy.interpolate import PchipInterpolator
 
-    def interpolated(xs):
-        idx = np.unique(np.linspace(0, len(xs) - 1,
-                                    min(n_grid, len(xs))).astype(int))
-        grid = np.unique(xs[idx])
-        vals = np.maximum.accumulate(
-            np.clip(np.asarray(cdf_fn(grid), dtype=float), 0.0, 1.0))
+    def interpolated(xs_sorted):
+        xs = np.asarray(xs_sorted, dtype=float)
+        out = np.empty(len(xs))
+        pos = xs > 0
+        out[~pos] = float(np.asarray(cdf_fn(np.array([0.0])))[0])
+        positives = xs[pos]
+        if len(positives) == 0:
+            return out
+        idx = np.unique(np.linspace(0, len(positives) - 1,
+                                    min(n_grid, len(positives))).astype(int))
+        grid = np.unique(positives[idx])
+        vals = np.asarray(cdf_fn(grid), dtype=float)
+        vals = np.maximum.accumulate(np.clip(vals, 0.0, 1.0))
         if len(grid) == 1:
-            return np.full(len(xs), vals[0])
-        return np.clip(PchipInterpolator(grid, vals)(xs), 0.0, 1.0)
+            out[pos] = vals[0]
+            return out
+        interp = PchipInterpolator(grid, vals, extrapolate=True)
+        out[pos] = np.clip(interp(positives), 0.0, 1.0)
+        return out
 
-    def cdf(xs):
-        return cdf_fn(xs) if np.all(xs <= 0.0) else interpolated(xs)
-
-    return _ks_full(samples, cdf)
+    return _ks_full(samples, interpolated)
 
 
 def _exp_cdf(x):
