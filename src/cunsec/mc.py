@@ -115,7 +115,7 @@ def sample_malaga_snr(fso, n, seed, stream=0):
 
 
 def _block(samples, blockage_p, seed, stream):
-    """Zero each of samples, in place, with the blockage probability."""
+    """Zero each sample, in place, with the blockage probability."""
     if not (0.0 <= blockage_p <= 1.0):
         raise ParameterError("blockage_p must lie in [0, 1]")
     if blockage_p > 0.0:
